@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
 from .models import Family, ModelSpec, PhysicalParams, effective_problem, pair_recover_psi2
-from .solver import Grid, SolverError, choose_domain, eigen_lowest, numeric_levels, numeric_spectrum
+from .solver import Grid, SolverError, choose_domain, eigenvalues_lowest, numeric_levels, numeric_spectrum
 from .susyblock import KERNEL_LADDER_TOL, default_delta, discretize_supercharge
 from .verify import available_suites, nonrel_sweep, run_suite
 
@@ -376,15 +376,15 @@ def cmd_ajc(cfg: RunConfig) -> int:
     delta = cfg.delta if cfg.delta is not None else default_delta(spec)
     grid = cfg.resolve_grid(spec, k)
     pair = discretize_supercharge(spec, grid, delta=delta)
-    results = eigen_lowest(pair.dtd_operator(), k)
+    eigenvalues = eigenvalues_lowest(pair.dtd_operator(), k).tolist()
     mc2 = spec.mc2
     c2 = spec.params.c ** 2
     ground_shift = analytic_e2(spec, 0) - mc2 ** 2
     genuine_kernel = ground_shift <= c2 * delta * KERNEL_LADDER_TOL
     rows = []
     next_n = 0
-    for i, r in enumerate(results):
-        lam = max(r.eigenvalue, 0.0)
+    for i, lam in enumerate(eigenvalues):
+        lam = max(lam, 0.0)
         ata = lam / delta
         is_kernel = ata < KERNEL_LADDER_TOL
         e2 = mc2 ** 2 + c2 * lam

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .models import Family, ModelSpec, pair_superpotential, superpotential_2d
-from .solver import Grid, TridiagonalOperator, eigen_lowest
+from .solver import Grid, TridiagonalOperator, eigenvalues_lowest
 
 __all__ = [
     "KERNEL_LADDER_TOL",
@@ -183,7 +183,7 @@ def block_spectrum(hamiltonian: BlockHamiltonian, k: int) -> np.ndarray:
     modes of D land exactly at +/- mc^2.
     """
     pair = hamiltonian.pair
-    lam = np.array([r.eigenvalue for r in eigen_lowest(pair.dtd_operator(), k)])
+    lam = eigenvalues_lowest(pair.dtd_operator(), k)
     e = np.sqrt(hamiltonian.mc2 ** 2 + pair.c ** 2 * np.maximum(lam, 0.0))
     return np.sort(np.concatenate([-e, e]))
 
@@ -195,8 +195,8 @@ def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, obj
     kernel modes in each (ladder value lambda/delta below KERNEL_LADDER_TOL),
     and the worst relative mismatch between the paired nonzero eigenvalues.
     """
-    dtd = np.array([r.eigenvalue for r in eigen_lowest(pair.dtd_operator(), k)])
-    ddt = np.array([r.eigenvalue for r in eigen_lowest(pair.ddt_operator(), k)])
+    dtd = eigenvalues_lowest(pair.dtd_operator(), k)
+    ddt = eigenvalues_lowest(pair.ddt_operator(), k)
     cut = KERNEL_LADDER_TOL * pair.delta
     nz_dtd = dtd[dtd >= cut]
     nz_ddt = ddt[ddt >= cut]

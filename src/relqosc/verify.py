@@ -19,10 +19,11 @@ from .models import Family, ModelSpec, PhysicalParams, effective_problem
 from .solver import (
     Grid,
     choose_domain,
-    eigen_lowest,
+    eigenvalues_lowest,
     numeric_levels,
     numeric_spectrum,
     residual_pair_check,
+    spectrum_table,
 )
 from .susyblock import (
     KERNEL_LADDER_TOL,
@@ -205,8 +206,7 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
     spec = default_spec(Family.HARMONIC_2D)
     grid = choose_domain(effective_problem(spec), 4, n_points=4000)
     pair = discretize_supercharge(spec, grid)
-    lam = np.array([r.eigenvalue for r in eigen_lowest(pair.dtd_operator(), 4)])
-    ladder = lam / pair.delta
+    ladder = eigenvalues_lowest(pair.dtd_operator(), 4) / pair.delta
     dev = float(np.max(np.abs(ladder - np.round(ladder))))
     out.append(CheckResult(
         "susy", "ladder-integers 2d-ho", dev <= LADDER_ABS,
@@ -223,7 +223,7 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
     spec = default_spec(Family.HARMONIC_1D)
     grid = choose_domain(effective_problem(spec), 4, n_points=4000)
     pair = discretize_supercharge(spec, grid)
-    lam = np.array([r.eigenvalue for r in eigen_lowest(pair.dtd_operator(), 4)])
+    lam = eigenvalues_lowest(pair.dtd_operator(), 4)
     e2_susy = spec.mc2 ** 2 + spec.params.c ** 2 * lam
     e2_num = numeric_spectrum(spec, 4, grid=grid).e2_values()
     rel = float(np.max(np.abs(e2_susy - e2_num) / e2_num))
@@ -283,10 +283,11 @@ def _suite_pair(tolerance: float) -> List[CheckResult]:
     out = []
     for family in (Family.HARMONIC_1D, Family.ISOTONIC_1D):
         spec = default_spec(family)
+        problem = effective_problem(spec)
         residuals = {}
         for n_points in (4000, 8000):
             grid, results = numeric_levels(spec, 4, n_points=n_points)
-            table = numeric_spectrum(spec, 4, grid=grid)
+            table = spectrum_table(problem, [r.eigenvalue for r in results])
             residuals[n_points] = [
                 residual_pair_check(spec, table.levels[n].e, grid, results[n].vector)
                 for n in range(4)

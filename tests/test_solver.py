@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from relqosc import (
@@ -24,6 +25,7 @@ from relqosc import (
     numeric_spectrum,
     residual_pair_check,
 )
+from relqosc.solver import _first_extremum_sign, eigenvalues_lowest
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -31,6 +33,30 @@ ALL_SPECS = [
     ModelSpec(Family.HARMONIC_2D, ml=1),
     ModelSpec(Family.ISOTONIC_2D, PhysicalParams(b=0.25), ml=1),
 ]
+
+
+# Each ALL_SPECS model with its observed E^2 convergence order: 1.5 in the
+# 2D sectors whose radial profile starts as r**nu with fractional nu < 2.
+SPECS_WITH_ORDER = [
+    pytest.param(spec, order, id=spec.family.value)
+    for spec, order in zip(ALL_SPECS, (2.0, 2.0, 1.5, 1.5))
+]
+
+
+def first_extremum_sign_loop(v: np.ndarray) -> float:
+    """Reference scan: sign of the first local maximum of |v| above 1e-3 max|v|."""
+    av = np.abs(v)
+    floor = 1e-3 * av.max()
+    for j in range(av.size - 1):
+        if av[j] > floor and av[j + 1] < av[j]:
+            return 1.0 if v[j] > 0 else -1.0
+    j = int(np.argmax(av))
+    return 1.0 if v[j] > 0 else -1.0
+
+
+def default_operator(spec: ModelSpec, k: int, n_points: int) -> TridiagonalOperator:
+    problem = effective_problem(spec)
+    return discretize(problem, choose_domain(problem, k, n_points=n_points))
 
 
 def free_problem(length: float) -> RadialProblem:
@@ -186,6 +212,72 @@ class TestEigenLowest:
         for res in eigen_lowest(op, 4):
             assert res.residual <= 1e-8 * max(1.0, abs(res.eigenvalue))
 
+    def test_corrupted_eigenvector_fails_residual_bound(self, monkeypatch):
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def corrupted(*args, **kwargs):
+            lam, vec = solve(*args, **kwargs)
+            vec[:, 0] += 1e-6 * vec[:, 1]
+            return lam, vec
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", corrupted)
+        with pytest.raises(SolverError, match="residual"):
+            eigen_lowest(default_operator(ALL_SPECS[0], 4, 4000), 4)
+
+
+class TestFirstExtremumSign:
+    @staticmethod
+    def vectors():
+        rng = np.random.default_rng(42)
+        for n in (3, 4, 17, 500):
+            for _ in range(50):
+                yield rng.normal(size=n)
+                yield np.round(rng.normal(size=n), 1)  # plateaus and ties
+                yield rng.integers(-2, 3, size=n).astype(float)
+        yield np.linspace(-1.0, 2.0, 50)                 # monotone rising: no fall
+        yield -np.linspace(3.0, 1.0, 50)                 # monotone falling from the start
+        yield np.full(20, -1.0)                          # one long plateau
+        yield np.zeros(10)
+        tiny_rise = np.concatenate([[1e-5, 2e-5, 1e-5], np.linspace(0.1, 1.0, 30), [-0.5, 0.2]])
+        yield tiny_rise                                  # first rise sits below the floor
+        yield -tiny_rise
+        yield np.array([-1e-3, -5e-4, 0.2, 1.0, 0.3])  # a fall from exactly the floor does not count
+
+    def test_matches_loop_reference(self):
+        for v in self.vectors():
+            assert _first_extremum_sign(v) == first_extremum_sign_loop(v), v
+
+    def test_eigenvectors_match_loop_reference(self):
+        op = default_operator(ALL_SPECS[0], 6, 2000)
+        _, vec = scipy.linalg.eigh_tridiagonal(
+            op.diag, op.offdiag, select="i", select_range=(0, 5), lapack_driver="stebz")
+        for v in (*vec.T, *(-vec.T)):
+            assert _first_extremum_sign(v) == first_extremum_sign_loop(v)
+
+
+class TestEigenvaluesLowest:
+    @pytest.mark.parametrize("n_points", [2000, 16000])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_bit_identical_to_eigenpair_route(self, spec, n_points):
+        for k in (1, 5, 8):
+            op = default_operator(spec, k, n_points)
+            got = eigenvalues_lowest(op, k)
+            assert got.tolist() == [r.eigenvalue for r in eigen_lowest(op, k)]
+
+    def test_k_validation(self):
+        op = TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0))
+        for k in (0, 6):
+            with pytest.raises(ValueError):
+                eigenvalues_lowest(op, k)
+        assert eigenvalues_lowest(op, 5).size == 5
+
+    @pytest.mark.parametrize("bad", [np.array([1.0]), np.array([1.0, np.nan])])
+    def test_short_or_nonfinite_bisection_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *a, **kw: bad.copy())
+        op = TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0))
+        with pytest.raises(SolverError, match="bisection"):
+            eigenvalues_lowest(op, 2)
+
 
 class TestModelSpectra:
     def test_1d_harmonic_operator_ladder(self):
@@ -222,6 +314,23 @@ class TestModelSpectra:
         table = numeric_spectrum(spec, 6, n_points=4000)
         gaps = np.diff(table.e2_values())
         assert np.std(gaps) <= 1e-3 * np.mean(gaps)
+
+    @pytest.mark.parametrize("k", [5, 8])
+    @pytest.mark.parametrize("spec,order", SPECS_WITH_ORDER)
+    def test_fine_grid_within_order_bound(self, spec, order, k):
+        """On a fine grid the eigenvalues still meet the stencil's error order."""
+        problem = effective_problem(spec)
+        h = choose_domain(problem, k, n_points=32000).h
+        table = numeric_spectrum(spec, k, n_points=32000)
+        c2 = spec.params.c ** 2
+        for lev in table.levels:
+            lam = problem.lambda_estimate(lev.n)
+            assert abs(lev.e2 - analytic_e2(spec, lev.n)) <= c2 * lam * (h ** 2 * lam) ** (order / 2)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_eigenpairs_pass_residual_bound_at_n64000(self, spec):
+        _, results = numeric_levels(spec, 5, n_points=64000)
+        assert [count_nodes(r.vector) for r in results] == list(range(5))
 
     def test_negative_e2_raises(self):
         spec = ModelSpec(Family.HARMONIC_1D, PhysicalParams(omega=1e4))
