@@ -11,6 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or model
 validation, 3 numerical failure. Output is deterministic: identical inputs
 produce byte-identical CSV or JSON, floats printed to 12 significant digits.
+Output is written as it is made: the wavefunction JSON document is streamed
+one sample at a time rather than built whole.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
-from .models import Family, ModelSpec, PhysicalParams, effective_problem, pair_recover_psi2
-from .solver import Grid, SolverError, choose_domain, eigenvalues_lowest, numeric_levels, numeric_spectrum
+from .models import Family, ModelSpec, PhysicalParams, RadialProblem, effective_problem, pair_recover_psi2
+from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, numeric_spectrum
 from .susyblock import KERNEL_LADDER_TOL, default_delta, discretize_supercharge
 from .verify import available_suites, nonrel_sweep, run_suite
 
@@ -91,8 +93,7 @@ class RunConfig:
         params = PhysicalParams(m=self.m, c=self.c, omega=self.omega, a=self.a, b=b)
         return ModelSpec(family, params, ml=ml)
 
-    def resolve_grid(self, spec: ModelSpec, k: int) -> Grid:
-        problem = effective_problem(spec)
+    def resolve_grid(self, problem: RadialProblem, k: int) -> Grid:
         if self.grid_max is not None:
             x_min = 0.0 if problem.singular_at_zero else -self.grid_max
             return Grid(x_min, self.grid_max, self.grid_n)
@@ -156,6 +157,16 @@ def _round12(value):
     return float(f"{float(value):.12g}")
 
 
+def _json_float(value) -> str:
+    """json.dumps spelling of _round12(value) for a float: repr, or NaN/Infinity/-Infinity."""
+    v = _round12(value)
+    if math.isfinite(v):
+        return repr(v)
+    if math.isnan(v):
+        return "NaN"
+    return "Infinity" if v > 0 else "-Infinity"
+
+
 def _csv_table(header: Sequence[str], rows, comment: Optional[str] = None) -> str:
     buf = io.StringIO()
     if comment is not None:
@@ -179,11 +190,13 @@ def _params_json(spec: ModelSpec) -> dict:
     }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write text chunks, as they are made, to stdout or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -192,7 +205,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     analytic = build_spectrum_table(spec, k) if cfg.method in ("analytic", "both") else None
     numeric = None
     if cfg.method in ("numeric", "both"):
-        grid = cfg.resolve_grid(spec, k) if cfg.grid_max is not None else None
+        grid = cfg.resolve_grid(effective_problem(spec), k) if cfg.grid_max is not None else None
         numeric = numeric_spectrum(spec, k, grid=grid, n_points=cfg.grid_n)
     rows = []
     for n in range(k):
@@ -220,10 +233,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 for n, e2_a, e2_n, e, eps, rel in rows
             ],
         }
-        _emit(_json_doc(doc), cfg.out)
+        _emit([_json_doc(doc)], cfg.out)
     else:
         header = ("n", "e2_analytic", "e2_numeric", "e", "eps", "rel_err")
-        _emit(_csv_table(header, rows), cfg.out)
+        _emit([_csv_table(header, rows)], cfg.out)
     return 0
 
 
@@ -233,8 +246,8 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     if n < 0 or n >= k:
         raise ValueError(f"level index n={n} outside 0 <= n < levels={k}")
     problem = effective_problem(spec)
-    grid = cfg.resolve_grid(spec, k)
-    grid, results = numeric_levels(spec, k, grid=grid)
+    grid = cfg.resolve_grid(problem, k)
+    results = eigen_lowest(discretize(problem, grid), k)
     lam = results[n].eigenvalue
     e2 = problem.lambda_to_e2(lam)
     if e2 < 0:
@@ -252,8 +265,10 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
         f"family={spec.family.value} n={n} e={_fmt(e)} e2={_fmt(e2)} "
         f"grid_n={grid.n_points} x_min={_fmt(grid.x_min)} x_max={_fmt(grid.x_max)}"
     )
+    header = ("x", "psi1_analytic", "psi1_numeric", "psi2_numeric")
+    rows = zip(grid.nodes, psi1_ana, psi1_num, psi2_num)
     if cfg.format == "json":
-        doc = {
+        head = {
             "family": spec.family.value,
             "params": _params_json(spec),
             "n": n,
@@ -264,22 +279,29 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
                 "x_max": _round12(grid.x_max),
                 "n_points": grid.n_points,
             },
-            "samples": [
-                {
-                    "x": _round12(x),
-                    "psi1_analytic": _round12(pa),
-                    "psi1_numeric": _round12(pn),
-                    "psi2_numeric": _round12(p2),
-                }
-                for x, pa, pn, p2 in zip(grid.nodes, psi1_ana, psi1_num, psi2_num)
-            ],
         }
-        _emit(_json_doc(doc), cfg.out)
+        _emit(_samples_json(head, header, rows), cfg.out)
     else:
-        header = ("x", "psi1_analytic", "psi1_numeric", "psi2_numeric")
-        rows = zip(grid.nodes, psi1_ana, psi1_num, psi2_num)
-        _emit(_csv_table(header, rows, comment=meta), cfg.out)
+        _emit([_csv_table(header, rows, comment=meta)], cfg.out)
     return 0
+
+
+def _samples_json(head: dict, fields: Sequence[str], rows) -> Iterator[str]:
+    """The document {**head, "samples": [dict(zip(fields, row)), ...]} exactly as
+    _json_doc prints it, made one sample at a time.
+
+    json.dumps with indent always runs the pure-Python encoder, which would
+    hold every sample dict and the whole text at once.
+    """
+    # Each sample is a nested object at depth 2 under indent=2.
+    sample = "    {{\n" + ",\n".join(f"      {json.dumps(f)}: {{}}" for f in fields) + "\n    }}"
+    # json.dumps(head, indent=2) ends with "\n}"; the samples key goes before it.
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "samples": ['
+    sep = "\n"
+    for row in rows:
+        yield sep + sample.format(*map(_json_float, row))
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def cmd_verify(suite: str, tolerance: float) -> int:
@@ -290,7 +312,7 @@ def cmd_verify(suite: str, tolerance: float) -> int:
         lines.append(f"[{tag}] {r.suite}/{r.name}: {r.detail}")
     summary_failures = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(summary_failures)}/{len(results)} checks passed")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(["\n".join(lines) + "\n"], None)
     if summary_failures:
         doc = {
             "failures": [
@@ -346,13 +368,12 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
                 for r in checks
             ],
         }
-        _emit(_json_doc(doc), cfg.out)
+        _emit([_json_doc(doc)], cfg.out)
     else:
         header = ("family", "n", "c", "e_minus_mc2", "eps", "diff", "ratio")
-        table = _csv_table(header, rows)
-        _emit(table, cfg.out)
+        _emit([_csv_table(header, rows)], cfg.out)
         lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.name}: {r.detail}" for r in checks]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit(["\n".join(lines) + "\n"], None)
     return 0 if ok else 1
 
 
@@ -374,7 +395,7 @@ def cmd_ajc(cfg: RunConfig) -> int:
     spec = cfg.model_spec()
     k = cfg.levels
     delta = cfg.delta if cfg.delta is not None else default_delta(spec)
-    grid = cfg.resolve_grid(spec, k)
+    grid = cfg.resolve_grid(effective_problem(spec), k)
     pair = discretize_supercharge(spec, grid, delta=delta)
     eigenvalues = eigenvalues_lowest(pair.dtd_operator(), k).tolist()
     mc2 = spec.mc2
@@ -413,11 +434,11 @@ def cmd_ajc(cfg: RunConfig) -> int:
                 for i, ata, kernel, ep, em, e2, n, e2_a, rel in rows
             ],
         }
-        _emit(_json_doc(doc), cfg.out)
+        _emit([_json_doc(doc)], cfg.out)
     else:
         header = ("index", "ata", "kernel", "e_plus", "e_minus", "e2", "n", "e2_analytic", "rel_err")
         meta = f"family={spec.family.value} delta={_fmt(delta)} grid_n={grid.n_points} x_max={_fmt(grid.x_max)}"
-        _emit(_csv_table(header, rows, comment=meta), cfg.out)
+        _emit([_csv_table(header, rows, comment=meta)], cfg.out)
     return 0
 
 

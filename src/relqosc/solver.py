@@ -11,6 +11,10 @@ must pass the backward-error bound max(sqrt(N), 4) eps ||T||_inf on its
 residual.
 This route never touches the closed forms, so agreement with the analytic
 module is a genuine cross-check.
+
+scipy.linalg is imported at the first eigensolve, not with the package:
+commands that only evaluate closed forms (spectrum --method analytic,
+nonrel) never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .analytic import Level, SpectrumTable, analytic_e2
 from .models import ModelSpec, RadialProblem, effective_problem, pair_recover_psi2, pair_superpotential
@@ -188,6 +191,11 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, tol: float, eigvals_only: boo
     n = op.size
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    # Imported here so that commands which never solve (closed forms,
+    # nonrel) do not pay for scipy.linalg; the attribute is looked up at
+    # call time, so a patched scipy.linalg.eigh_tridiagonal is honoured.
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh_tridiagonal(
             op.diag, op.offdiag, eigvals_only=eigvals_only, select="i",

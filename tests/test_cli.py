@@ -1,8 +1,23 @@
+"""CLI behaviour.
+
+Most cases call relqosc.cli.main(argv) in this process and read its output
+through capsys. Exit-code tests, byte-determinism across runs and the
+deferred scipy.linalg import run a fresh `python -m relqosc.cli` instead.
+"""
+
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import relqosc.cli
+import relqosc.models
+import relqosc.solver
+import relqosc.verify
+from relqosc.cli import _json_float, _round12, main
 
 CLI = [sys.executable, "-m", "relqosc.cli"]
 
@@ -16,6 +31,20 @@ def run_cli(*args, check=False):
     return proc
 
 
+@pytest.fixture
+def run_main(capsys):
+    """main(argv) in this process, returned with the fields run_cli gives."""
+
+    def run(*args, check=False):
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        if check and code != 0:
+            raise AssertionError(f"exit {code}: {err}")
+        return subprocess.CompletedProcess(list(args), code, out, err)
+
+    return run
+
+
 def parse_csv(text):
     lines = [
         ln for ln in text.splitlines()
@@ -26,8 +55,8 @@ def parse_csv(text):
 
 
 class TestSpectrum:
-    def test_default_table_values(self):
-        proc = run_cli("spectrum", "--family", "1d-ho", "--levels", "3", check=True)
+    def test_default_table_values(self, run_main):
+        proc = run_main("spectrum", "--family", "1d-ho", "--levels", "3", check=True)
         header, rows = parse_csv(proc.stdout)
         assert header[:3] == ["n", "e2_analytic", "e2_numeric"]
         assert [row["e2_analytic"] for row in rows] == ["1", "3", "5"]
@@ -35,8 +64,8 @@ class TestSpectrum:
             rel = abs(float(row["e2_numeric"]) - float(row["e2_analytic"]))
             assert rel <= 1e-4 * float(row["e2_analytic"])
 
-    def test_analytic_only_leaves_solver_cells_empty(self):
-        proc = run_cli(
+    def test_analytic_only_leaves_solver_cells_empty(self, run_main):
+        proc = run_main(
             "spectrum", "--family", "2d-ho", "--ml", "-2", "--levels", "2",
             "--method", "analytic", check=True,
         )
@@ -44,8 +73,8 @@ class TestSpectrum:
         assert [row["e2_analytic"] for row in rows] == ["9", "13"]
         assert all(row["e2_numeric"] == "" and row["rel_err"] == "" for row in rows)
 
-    def test_json_document_round_trips(self):
-        proc = run_cli(
+    def test_json_document_round_trips(self, run_main):
+        proc = run_main(
             "spectrum", "--family", "1d-iso", "--format", "json", "--levels", "4",
             check=True,
         )
@@ -60,9 +89,9 @@ class TestSpectrum:
         second = run_cli(*args, check=True)
         assert first.stdout == second.stdout
 
-    def test_output_file(self, tmp_path):
+    def test_output_file(self, run_main, tmp_path):
         out = tmp_path / "table.csv"
-        proc = run_cli("spectrum", "--family", "1d-ho", "--out", str(out), check=True)
+        proc = run_main("spectrum", "--family", "1d-ho", "--out", str(out), check=True)
         assert proc.stdout == ""
         header, rows = parse_csv(out.read_text())
         assert rows and header[0] == "n"
@@ -95,8 +124,8 @@ class TestValidationExits:
 
 
 class TestWavefunction:
-    def test_csv_has_metadata_and_matching_profiles(self):
-        proc = run_cli(
+    def test_csv_has_metadata_and_matching_profiles(self, run_main):
+        proc = run_main(
             "wavefunction", "--family", "1d-ho", "--n", "1", "--grid-n", "2000",
             check=True,
         )
@@ -110,9 +139,9 @@ class TestWavefunction:
         peak = max(abs(float(r["psi1_analytic"])) for r in rows)
         assert worst <= 1e-3 * peak
 
-    def test_second_component_weight(self):
+    def test_second_component_weight(self, run_main):
         """The lower-component weight satisfies the exact (E-mc2)/(E+mc2) ratio."""
-        proc = run_cli(
+        proc = run_main(
             "wavefunction", "--family", "1d-ho", "--n", "1", "--grid-n", "4000",
             "--format", "json", check=True,
         )
@@ -123,24 +152,90 @@ class TestWavefunction:
         e = doc["e"]
         assert w2 == pytest.approx((e - 1.0) / (e + 1.0), rel=1e-3)
 
+    def test_effective_problem_built_once(self, run_main, monkeypatch):
+        calls = []
+        build = relqosc.models.effective_problem
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for mod in (relqosc.models, relqosc.cli, relqosc.solver, relqosc.verify):
+            monkeypatch.setattr(mod, "effective_problem", counting)
+        run_main("wavefunction", "--family", "2d-iso", "--n", "1", "--grid-n", "500", check=True)
+        assert len(calls) == 1
+
+
+class TestStreamedJson:
+    """The wavefunction document is written sample by sample; it must read
+    exactly as json.dumps(indent=2) prints it."""
+
+    @pytest.mark.parametrize(
+        "model", [("--family", "1d-iso"), ("--family", "2d-ho", "--ml", "-1")]
+    )
+    def test_matches_json_dumps_on_stdout_and_out(self, run_main, tmp_path, model):
+        args = ("wavefunction", *model, "--n", "2", "--grid-n", "300", "--format", "json")
+        text = run_main(*args, check=True).stdout
+        path = tmp_path / "wave.json"
+        assert run_main(*args, "--out", str(path), check=True).stdout == ""
+        assert path.read_text(encoding="utf-8") == text
+        doc = json.loads(text)
+        assert len(doc["samples"]) == doc["grid"]["n_points"] == 300
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.1, 1.0, 1e-5, 1e16, -0.0, math.nan, math.inf, -math.inf,
+            0.1 + 0.2, 1 / 3, -2 / 3, 123456789012.5, 9.9999999999995e-5,
+            1e22, 5e-324, 1.7976931348623157e308,
+        ],
+    )
+    def test_float_spelling_matches_json(self, value):
+        for v in (value, np.float64(value)):
+            assert _json_float(v) == json.dumps(_round12(v))
+
+
+def test_closed_form_commands_never_load_scipy_linalg():
+    script = """
+import contextlib, io, json, sys
+import relqosc, relqosc.cli
+loaded = [["import", None, "scipy.linalg" in sys.modules]]
+for argv in (["spectrum", "--family", "1d-ho", "--method", "analytic"],
+             ["nonrel", "--family", "2d-iso"],
+             ["spectrum", "--family", "1d-ho"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = relqosc.cli.main(argv)
+    loaded.append([" ".join(argv), code, "scipy.linalg" in sys.modules])
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", None, False],
+        ["spectrum --family 1d-ho --method analytic", 0, False],
+        ["nonrel --family 2d-iso", 0, False],
+        ["spectrum --family 1d-ho", 0, True],
+    ]
+
 
 class TestVerifyCommand:
-    def test_single_suite_passes(self):
-        proc = run_cli("verify", "--suite", "pair")
+    def test_single_suite_passes(self, run_main):
+        proc = run_main("verify", "--suite", "pair")
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
         assert all(ln.startswith("[PASS]") for ln in lines[:-1])
         assert "checks passed" in lines[-1]
 
-    def test_unknown_family_lines_absent(self):
-        proc = run_cli("verify", "--suite", "susy")
+    def test_unknown_family_lines_absent(self, run_main):
+        proc = run_main("verify", "--suite", "susy")
         assert proc.returncode == 0
         assert "[FAIL]" not in proc.stdout
 
 
 class TestNonrel:
-    def test_table_and_ratio_column(self):
-        proc = run_cli(
+    def test_table_and_ratio_column(self, run_main):
+        proc = run_main(
             "nonrel", "--family", "1d-ho", "--levels", "3", "--c-list", "10,20,40",
             check=True,
         )
@@ -150,16 +245,16 @@ class TestNonrel:
         assert ratios and all(3.5 <= q <= 4.5 for q in ratios)
         assert proc.stdout.count("[PASS]") >= 1
 
-    def test_json_includes_checks(self):
-        proc = run_cli("nonrel", "--family", "1d-iso", "--format", "json", check=True)
+    def test_json_includes_checks(self, run_main):
+        proc = run_main("nonrel", "--family", "1d-iso", "--format", "json", check=True)
         doc = json.loads(proc.stdout)
         assert doc["rows"] and doc["checks"]
         assert all(chk["passed"] for chk in doc["checks"])
 
 
 class TestAjc:
-    def test_harmonic_2d_rungs_are_integers(self):
-        proc = run_cli("ajc", "--family", "2d-ho", "--ml", "1", "--levels", "4", check=True)
+    def test_harmonic_2d_rungs_are_integers(self, run_main):
+        proc = run_main("ajc", "--family", "2d-ho", "--ml", "1", "--levels", "4", check=True)
         header, rows = parse_csv(proc.stdout)
         assert rows[0]["kernel"] == "genuine"
         for i, row in enumerate(rows):
@@ -167,8 +262,8 @@ class TestAjc:
         matched = [r for r in rows if r["n"] != ""]
         assert matched and all(abs(float(r["rel_err"])) <= 1e-2 for r in matched)
 
-    def test_spurious_kernel_is_flagged(self):
-        proc = run_cli("ajc", "--family", "1d-iso", "--levels", "3", check=True)
+    def test_spurious_kernel_is_flagged(self, run_main):
+        proc = run_main("ajc", "--family", "1d-iso", "--levels", "3", check=True)
         _, rows = parse_csv(proc.stdout)
         spurious = [r for r in rows if r["kernel"] == "spurious"]
         assert len(spurious) == 1
@@ -176,14 +271,14 @@ class TestAjc:
 
 
 class TestConfigFile:
-    def test_config_defaults_and_flag_override(self, tmp_path):
+    def test_config_defaults_and_flag_override(self, run_main, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": "1d-ho", "levels": 2, "omega": 2.0}))
-        proc = run_cli("spectrum", "--config", str(cfg), check=True)
+        proc = run_main("spectrum", "--config", str(cfg), check=True)
         _, rows = parse_csv(proc.stdout)
         assert len(rows) == 2
         assert rows[1]["e2_analytic"] == "5"  # 1 + 2 m omega c^2 n with omega = 2
-        proc2 = run_cli("spectrum", "--config", str(cfg), "--omega", "1", check=True)
+        proc2 = run_main("spectrum", "--config", str(cfg), "--omega", "1", check=True)
         _, rows2 = parse_csv(proc2.stdout)
         assert rows2[1]["e2_analytic"] == "3"
 
