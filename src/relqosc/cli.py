@@ -9,8 +9,12 @@ Subcommands:
     ajc           ladder-operator route: A+A rungs and the paired +/- energies
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or model
-validation, 3 numerical failure. Output is deterministic: identical inputs
-produce byte-identical CSV or JSON, floats printed to 12 significant digits.
+validation, 3 numerical failure. Output is deterministic for a fixed BLAS
+thread count: identical inputs then produce byte-identical CSV or JSON,
+floats printed to 12 significant digits. Eigenvalues do not depend on the
+thread count, but on large grids (N = 16000) the LAPACK stein eigenvectors,
+and so the wavefunction samples, can differ in the 12th digit between one
+and two BLAS threads.
 Output is written as it is made: the wavefunction JSON document is streamed
 one sample at a time rather than built whole.
 """

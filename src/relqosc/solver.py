@@ -12,14 +12,21 @@ residual.
 This route never touches the closed forms, so agreement with the analytic
 module is a genuine cross-check.
 
-scipy.linalg is imported at the first eigensolve, not with the package:
-commands that only evaluate closed forms (spectrum --method analytic,
-nonrel) never load it.
+scipy.linalg is never imported. The two LAPACK routines are called through
+scipy's compiled LAPACK wrapper module (scipy.linalg._flapack, the module
+scipy.linalg.lapack re-exports), which the solver loads on its own at the
+first eigensolve, without running scipy.linalg's package initialisation.
+Commands that only evaluate closed forms (spectrum --method analytic,
+nonrel) load no LAPACK at all. A later `import scipy.linalg` reuses the
+module the solver loaded, and the solver reuses one already imported.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -44,10 +51,6 @@ __all__ = [
     "convergence_order",
     "count_nodes",
 ]
-
-# Eigenvalues are always resolved at least this tightly (relative to the
-# matrix scale); LAPACK's machine-precision default is tighter still.
-BISECTION_TOL_SCALE = 1e-12
 
 # Least multiple of eps ||T||_inf that the eigenpair residual bound allows.
 RESIDUAL_FLOOR = 4.0
@@ -186,23 +189,67 @@ def _first_extremum_sign(v: np.ndarray) -> float:
     return 1.0 if v[j] > 0 else -1.0
 
 
-def _stebz_lowest(op: TridiagonalOperator, k: int, tol: float, eigvals_only: bool):
-    """LAPACK stebz for the k smallest eigenvalues, with stein vectors unless eigvals_only."""
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper module, loaded once without scipy.linalg.
+
+    An already imported module is reused. Otherwise the module is located
+    through the import system's finders inside the scipy.linalg package
+    directory (finding that spec imports only the top-level scipy package)
+    and executed directly. The extension registers itself in sys.modules, so
+    a later `import scipy.linalg` shares this very module.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    package = importlib.util.find_spec("scipy.linalg")
+    for finder in sys.meta_path:
+        find_spec = getattr(finder, "find_spec", None)
+        spec = find_spec(_FLAPACK, package.submodule_search_locations) if find_spec else None
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"cannot locate {_FLAPACK}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise SolverError(f"tridiagonal eigensolve failed: LAPACK {routine} returned info={info}")
+
+
+def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
+    """LAPACK stebz for the k smallest eigenvalues, with stein vectors unless eigvals_only.
+
+    The calls, arguments and checks are those of
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+    lapack_driver="stebz"), so values and vectors are the same bits.
+    """
     n = op.size
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    # Imported here so that commands which never solve (closed forms,
-    # nonrel) do not pay for scipy.linalg; the attribute is looked up at
-    # call time, so a patched scipy.linalg.eigh_tridiagonal is honoured.
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.eigh_tridiagonal(
-            op.diag, op.offdiag, eigvals_only=eigvals_only, select="i",
-            select_range=(0, k - 1), lapack_driver="stebz", tol=tol,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    d, e = op.diag, op.offdiag
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("tridiagonal operator must not contain infs or NaNs")
+    lapack = _flapack()
+    # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
+    # default; vectors need block order ("B"), reordered below.
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E" if eigvals_only else "B")
+    _check_info(info, "stebz")
+    w = w[:m]
+    if eigvals_only:
+        return w
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info(info, "stein")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -213,7 +260,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    lam = np.sort(_stebz_lowest(op, k, 0.0, eigvals_only=True))
+    lam = np.sort(_stebz_lowest(op, k, eigvals_only=True))
     if lam.size != k or not np.all(np.isfinite(lam)):
         raise SolverError(
             f"bisection returned {lam.size} values, {int(np.count_nonzero(np.isfinite(lam)))} "
@@ -222,22 +269,15 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     return lam
 
 
-def eigen_lowest(op: TridiagonalOperator, k: int, tol: Optional[float] = None) -> List[EigenResult]:
+def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     """The k smallest eigenpairs by Sturm-sequence bisection + inverse iteration.
 
     Bisection brackets are disjoint by construction, so duplicate eigenvalues
-    cannot be conflated. tol is the absolute bisection tolerance; None uses
-    the machine-precision default, which is tighter than the guaranteed
-    1e-12 * ||T||_inf. Raises SolverError on inverse-iteration failure or if
-    a residual exceeds the backward-error bound max(sqrt(N), 4) eps ||T||_inf.
+    cannot be conflated; its absolute tolerance is LAPACK's machine-precision
+    default. Raises SolverError on inverse-iteration failure or if a residual
+    exceeds the backward-error bound max(sqrt(N), 4) eps ||T||_inf.
     """
-    if tol is None:
-        tol = 0.0  # LAPACK default, ~eps * ||T||
-    elif not (0 < tol <= BISECTION_TOL_SCALE * op.norm_inf()):
-        raise ValueError(
-            f"bisection tolerance {tol} outside (0, {BISECTION_TOL_SCALE * op.norm_inf():.3g}]"
-        )
-    lam, vec = _stebz_lowest(op, k, tol, eigvals_only=False)
+    lam, vec = _stebz_lowest(op, k, eigvals_only=False)
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
     # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
     # Evaluating the residual itself rounds at a few eps ||T||, which sets the

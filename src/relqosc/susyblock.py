@@ -126,9 +126,6 @@ class BlockHamiltonian:
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
-    def tridiagonal(self) -> TridiagonalOperator:
-        return TridiagonalOperator(diag=self.diag, offdiag=self.offdiag, h=self.pair.h)
-
 
 def default_delta(spec: ModelSpec) -> float:
     """Ladder normalization: 4 m omega (harmonic) or 4 m a (isotonic)."""

@@ -1,8 +1,9 @@
 """CLI behaviour.
 
 Most cases call relqosc.cli.main(argv) in this process and read its output
-through capsys. Exit-code tests, byte-determinism across runs and the
-deferred scipy.linalg import run a fresh `python -m relqosc.cli` instead.
+through capsys. Exit-code tests and byte-determinism across runs start a
+fresh `python -m relqosc.cli`; the tests of which modules a command loads
+run it in a fresh interpreter.
 """
 
 import json
@@ -196,27 +197,49 @@ class TestStreamedJson:
             assert _json_float(v) == json.dumps(_round12(v))
 
 
-def test_closed_form_commands_never_load_scipy_linalg():
-    script = """
+LOADED_SCRIPT = """
 import contextlib, io, json, sys
 import relqosc, relqosc.cli
-loaded = [["import", None, "scipy.linalg" in sys.modules]]
-for argv in (["spectrum", "--family", "1d-ho", "--method", "analytic"],
-             ["nonrel", "--family", "2d-iso"],
-             ["spectrum", "--family", "1d-ho"]):
+def loaded():
+    return ["scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules]
+out = [["import", None, *loaded()]]
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = relqosc.cli.main(argv)
-    loaded.append([" ".join(argv), code, "scipy.linalg" in sys.modules])
-print(json.dumps(loaded))
+    out.append([" ".join(argv), code, *loaded()])
+print(json.dumps(out))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+
+
+def commands_loading(*argvs):
+    """Per command in one fresh interpreter: [argv, exit code, scipy.linalg loaded, LAPACK module loaded]."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        ["import", None, False],
-        ["spectrum --family 1d-ho --method analytic", 0, False],
-        ["nonrel --family 2d-iso", 0, False],
-        ["spectrum --family 1d-ho", 0, True],
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_never_load_scipy_linalg():
+    assert commands_loading(
+        ["spectrum", "--family", "1d-ho", "--method", "analytic"],
+        ["nonrel", "--family", "2d-iso"],
+        ["spectrum", "--family", "1d-ho"],
+    ) == [
+        ["import", None, False, False],
+        ["spectrum --family 1d-ho --method analytic", 0, False, False],
+        ["nonrel --family 2d-iso", 0, False, False],
+        ["spectrum --family 1d-ho", 0, False, True],
     ]
+
+
+def test_solving_commands_never_load_scipy_linalg():
+    argvs = [
+        ["ajc", "--family", "2d-ho"],
+        ["wavefunction", "--family", "1d-iso", "--n", "2", "--grid-n", "400"],
+        ["wavefunction", "--family", "2d-iso", "--n", "3", "--grid-n", "400", "--format", "json"],
+        ["verify", "--suite", "spectrum"],
+    ]
+    assert commands_loading(*argvs)[1:] == [[" ".join(argv), 0, False, True] for argv in argvs]
 
 
 class TestVerifyCommand:

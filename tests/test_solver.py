@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from relqosc import (
     numeric_spectrum,
     residual_pair_check,
 )
-from relqosc.solver import _first_extremum_sign, eigenvalues_lowest
+from relqosc import solver
+from relqosc.solver import _first_extremum_sign, _stebz_lowest, eigenvalues_lowest
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -71,6 +76,27 @@ def free_problem(length: float) -> RadialProblem:
         lambda_gap=2.0,
         lambda_offset=1.0,
     )
+
+
+def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
+    """Make the solver call a fake LAPACK module.
+
+    Each fake routine delegates to the real one and passes its output tuple
+    through the given function, which may corrupt it.
+    """
+    real = solver._flapack()
+    fake = types.SimpleNamespace(
+        dstebz=lambda *args: stebz(real.dstebz(*args)),
+        dstein=lambda *args: stein(real.dstein(*args)),
+    )
+    monkeypatch.setattr(solver, "_flapack", lambda: fake)
+
+
+def run_fresh(script: str):
+    """Run a script in a fresh interpreter and return its JSON stdout."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestGrid:
@@ -164,11 +190,6 @@ class TestEigenLowest:
         with pytest.raises(ValueError):
             eigen_lowest(op, 6)
 
-    def test_tol_validation(self):
-        op = TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0))
-        with pytest.raises(ValueError):
-            eigen_lowest(op, 1, tol=1.0)
-
     def test_particle_in_a_box(self):
         """Compare against (n pi / L)^2 on a fine grid."""
         length = math.pi
@@ -213,16 +234,19 @@ class TestEigenLowest:
             assert res.residual <= 1e-8 * max(1.0, abs(res.eigenvalue))
 
     def test_corrupted_eigenvector_fails_residual_bound(self, monkeypatch):
-        solve = scipy.linalg.eigh_tridiagonal
-
-        def corrupted(*args, **kwargs):
-            lam, vec = solve(*args, **kwargs)
+        def corrupted(out):
+            vec, info = out
             vec[:, 0] += 1e-6 * vec[:, 1]
-            return lam, vec
+            return vec, info
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", corrupted)
+        patch_lapack(monkeypatch, stein=corrupted)
         with pytest.raises(SolverError, match="residual"):
             eigen_lowest(default_operator(ALL_SPECS[0], 4, 4000), 4)
+
+    def test_inverse_iteration_failure_raises(self, monkeypatch):
+        patch_lapack(monkeypatch, stein=lambda out: (out[0], 2))
+        with pytest.raises(SolverError, match="stein"):
+            eigen_lowest(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 2)
 
 
 class TestFirstExtremumSign:
@@ -273,10 +297,91 @@ class TestEigenvaluesLowest:
 
     @pytest.mark.parametrize("bad", [np.array([1.0]), np.array([1.0, np.nan])])
     def test_short_or_nonfinite_bisection_raises(self, monkeypatch, bad):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *a, **kw: bad.copy())
+        patch_lapack(monkeypatch, stebz=lambda out: (bad.size, bad.copy(), *out[2:]))
         op = TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0))
         with pytest.raises(SolverError, match="bisection"):
             eigenvalues_lowest(op, 2)
+
+    @pytest.mark.parametrize("solve", [eigenvalues_lowest, eigen_lowest])
+    def test_bisection_failure_raises(self, monkeypatch, solve):
+        patch_lapack(monkeypatch, stebz=lambda out: (*out[:4], 1))
+        with pytest.raises(SolverError, match="stebz"):
+            solve(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 2)
+
+    @pytest.mark.parametrize("routine, fault", [
+        ("stebz", dict(stebz=lambda out: (*out[:4], -3))),
+        ("stein", dict(stein=lambda out: (out[0], -3))),
+    ], ids=["stebz", "stein"])
+    def test_illegal_argument_info_raises_value_error(self, monkeypatch, routine, fault):
+        patch_lapack(monkeypatch, **fault)
+        with pytest.raises(ValueError, match=f"argument 3 of LAPACK {routine}"):
+            eigen_lowest(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 2)
+
+    @pytest.mark.parametrize("where", ["diag", "offdiag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_operator_raises(self, where, value):
+        d, e = np.full(5, 2.0), np.full(4, -1.0)
+        (d if where == "diag" else e)[2] = value
+        op = TridiagonalOperator(d, e)
+        for solve in (eigenvalues_lowest, eigen_lowest):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(op, 2)
+
+
+def oracle_operators():
+    """Random and default-model operators on N in {3, 4, 160, 2000, 16000}."""
+    rng = np.random.default_rng(2024)
+    for n in (3, 4, 160, 2000, 16000):
+        yield pytest.param(TridiagonalOperator(rng.normal(size=n), rng.normal(size=n - 1)), id=f"random-{n}")
+        for spec in ALL_SPECS:
+            yield pytest.param(default_operator(spec, 8, n), id=f"{spec.family.value}-{n}")
+
+
+class TestLapackCalls:
+    """The direct LAPACK calls reproduce scipy.linalg.eigh_tridiagonal's stebz route bit for bit."""
+
+    @pytest.mark.parametrize("op", oracle_operators())
+    def test_bit_identical_to_eigh_tridiagonal(self, op):
+        n = op.size
+        for k in sorted({k for k in (1, 5, 8) if k <= n} | ({n} if n <= 160 else set())):
+            kwargs = dict(select="i", select_range=(0, k - 1), lapack_driver="stebz")
+            want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, **kwargs)
+            assert _stebz_lowest(op, k, eigvals_only=True).tolist() == want.tolist()
+            want_lam, want_vec = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, **kwargs)
+            lam, vec = _stebz_lowest(op, k, eigvals_only=False)
+            assert lam.tolist() == want_lam.tolist()
+            assert np.array_equal(vec, want_vec)
+
+    def test_solve_then_import_scipy_linalg(self):
+        got = run_fresh("""
+import json, sys
+import numpy as np
+from relqosc import solver
+op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
+lam = solver.eigenvalues_lowest(op, 3).tolist()
+before = "scipy.linalg" in sys.modules
+import scipy.linalg
+want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
+                                     select_range=(0, 2), lapack_driver="stebz").tolist()
+print(json.dumps([before, lam == want, scipy.linalg.lapack.dstebz is solver._flapack().dstebz,
+                  scipy.linalg.lapack.dstein is solver._flapack().dstein]))
+""")
+        assert got == [False, True, True, True]
+
+    def test_import_scipy_linalg_then_solve(self):
+        got = run_fresh("""
+import json, sys
+import numpy as np
+import scipy.linalg
+from relqosc import solver
+op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
+lam = solver.eigenvalues_lowest(op, 3).tolist()
+want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
+                                     select_range=(0, 2), lapack_driver="stebz").tolist()
+print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._flapack"],
+                  solver._flapack() is scipy.linalg.lapack._flapack]))
+""")
+        assert got == [True, True, True]
 
 
 class TestModelSpectra:
