@@ -40,7 +40,7 @@ from .solver import (
     numeric_spectrum,
     residual_pair_check,
 )
-from .specfun import hermite, kummer_terminating, laguerre, log_factorial
+from .specfun import hermite, kummer_terminating
 from .susyblock import (
     KERNEL_LADDER_TOL,
     BlockHamiltonian,
@@ -91,8 +91,6 @@ __all__ = [
     "hermite",
     "isotonic_nu",
     "kummer_terminating",
-    "laguerre",
-    "log_factorial",
     "numeric_levels",
     "numeric_spectrum",
     "pair_recover_psi2",

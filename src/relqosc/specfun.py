@@ -1,19 +1,15 @@
 """Special functions used by the closed-form oscillator wavefunctions.
 
-All three polynomial families are evaluated by their standard three-term
-recurrences (or the terminating series for the confluent hypergeometric
-function), which is exact for polynomial degree and avoids cancellation-prone
-factorial prefactors. Log-factorials are provided for normalization ratios
-that would overflow past n ~ 170.
+Hermite polynomials are evaluated by their three-term recurrence and the
+confluent hypergeometric function by its terminating series, which is exact
+for polynomial degree and avoids cancellation-prone factorial prefactors.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["hermite", "kummer_terminating", "laguerre", "log_factorial"]
+__all__ = ["hermite", "kummer_terminating"]
 
 
 def hermite(n: int, x):
@@ -75,43 +71,3 @@ def kummer_terminating(n: int, b: float, x):
         total = total + term
     return total[()] if total.ndim == 0 else total
 
-
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x).
-
-    Evaluated by the recurrence
-
-        (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}
-
-    with L_0 = 1 and L_1 = 1 + alpha - x.
-
-    Parameters
-    ----------
-    n : int
-        Degree, n >= 0.
-    alpha : float
-        Order parameter; alpha > -1 (the orthogonality weight x^alpha e^{-x}
-        is integrable only there).
-    x : float or ndarray
-        Evaluation points.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"laguerre degree must be a nonnegative integer, got {n}")
-    if alpha <= -1:
-        raise ValueError(f"laguerre requires alpha > -1, got alpha={alpha}")
-    n = int(n)
-    x = np.asarray(x, dtype=float)
-    l_prev = np.ones_like(x)
-    if n == 0:
-        return l_prev[()] if l_prev.ndim == 0 else l_prev
-    l_cur = 1.0 + alpha - x
-    for k in range(1, n):
-        l_prev, l_cur = l_cur, ((2.0 * k + 1.0 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1.0)
-    return l_cur[()] if l_cur.ndim == 0 else l_cur
-
-
-def log_factorial(n: int) -> float:
-    """log(n!) via lgamma, exact enough for ratio work at any practical n."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"log_factorial requires a nonnegative integer, got {n}")
-    return math.lgamma(int(n) + 1.0)

@@ -1,11 +1,17 @@
+import collections
+import contextlib
 import json
 import math
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 import scipy.linalg
 from numpy.testing import assert_allclose
 
@@ -79,17 +85,24 @@ def free_problem(length: float) -> RadialProblem:
 
 
 def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
-    """Make the solver call a fake LAPACK module.
+    """Make the solver call a fake LAPACK module, and return it.
 
     Each fake routine delegates to the real one and passes its output tuple
-    through the given function, which may corrupt it.
+    through the given function, which may corrupt it. The fake counts its
+    calls per routine in `calls`.
     """
     real = solver._flapack()
-    fake = types.SimpleNamespace(
-        dstebz=lambda *args: stebz(real.dstebz(*args)),
-        dstein=lambda *args: stein(real.dstein(*args)),
-    )
+    calls = collections.Counter()
+
+    def routine(name, post):
+        def call(*args):
+            calls[name] += 1
+            return post(getattr(real, name)(*args))
+        return call
+
+    fake = types.SimpleNamespace(dstebz=routine("dstebz", stebz), dstein=routine("dstein", stein), calls=calls)
     monkeypatch.setattr(solver, "_flapack", lambda: fake)
+    return fake
 
 
 def run_fresh(script: str):
@@ -382,6 +395,192 @@ print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._f
                   solver._flapack() is scipy.linalg.lapack._flapack]))
 """)
         assert got == [True, True, True]
+
+
+def bits(values) -> list:
+    """Eigenvalues as int64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# Bigger than any operator these tests solve twice, so solving it replaces
+# the solver's latest-solve entry with one that cannot match.
+UNRELATED = TridiagonalOperator(np.full(201, 3.0), np.full(200, -1.0))
+
+
+def fresh_values(op: TridiagonalOperator, k: int) -> np.ndarray:
+    """eigenvalues_lowest(op, k) right after solving an unrelated operator."""
+    eigenvalues_lowest(UNRELATED, 1)
+    return eigenvalues_lowest(op, k)
+
+
+def small_operator() -> TridiagonalOperator:
+    return TridiagonalOperator(
+        np.array([2.0, 0.0, 1.5, -0.5, 3.0, 1.0]), np.array([-1.0, 0.5, 0.0, -0.25, 0.75]))
+
+
+def changed(op, where, edit):
+    d, e = op.diag.copy(), op.offdiag.copy()
+    edit(d if where == "diag" else e)
+    return TridiagonalOperator(d, e, h=op.h)
+
+
+def one_ulp_up(index):
+    def edit(a):
+        a[index] = np.nextafter(a[index], np.inf)
+    return edit
+
+
+def negate_zero(index):
+    def edit(a):
+        assert a[index] == 0.0 and not np.signbit(a[index])
+        a[index] = -0.0
+    return edit
+
+
+class TestLatestSolve:
+    """A values-only solve of the operator solved just before reuses its eigenvalues."""
+
+    def test_levels_then_spectrum_bisect_once(self, monkeypatch):
+        fake = patch_lapack(monkeypatch)
+        spec = ALL_SPECS[1]
+        grid, results = numeric_levels(spec, 6, n_points=2000)
+        table = numeric_spectrum(spec, 6, grid=grid)
+        assert fake.calls == {"dstebz": 1, "dstein": 1}
+        problem = effective_problem(spec)
+        fresh = fresh_values(discretize(problem, grid), 6)
+        assert fake.calls == {"dstebz": 3, "dstein": 1}
+        assert bits([r.eigenvalue for r in results]) == bits(fresh)
+        assert table == solver.spectrum_table(problem, fresh)
+
+    def test_equal_operator_hits(self, monkeypatch):
+        fake = patch_lapack(monkeypatch)
+        op = small_operator()
+        want = eigenvalues_lowest(op, 3)
+        got = eigenvalues_lowest(small_operator(), 3)
+        assert fake.calls["dstebz"] == 1
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("change", [
+        lambda op: (op, 4),
+        lambda op: (changed(op, "diag", one_ulp_up(2)), 3),
+        lambda op: (changed(op, "offdiag", one_ulp_up(1)), 3),
+        lambda op: (changed(op, "diag", negate_zero(1)), 3),
+        lambda op: (changed(op, "offdiag", negate_zero(2)), 3),
+    ], ids=["k", "diag-ulp", "offdiag-ulp", "diag-signed-zero", "offdiag-signed-zero"])
+    def test_any_change_misses(self, monkeypatch, change):
+        fake = patch_lapack(monkeypatch)
+        op = small_operator()
+        eigenvalues_lowest(op, 3)
+        other, k = change(op)
+        got = eigenvalues_lowest(other, k)
+        assert fake.calls["dstebz"] == 2
+        assert bits(got) == bits(fresh_values(other, k))
+
+    def test_vector_request_runs_lapack(self, monkeypatch):
+        fake = patch_lapack(monkeypatch)
+        op = small_operator()
+        eigenvalues_lowest(op, 3)
+        eigen_lowest(op, 3)
+        eigen_lowest(op, 3)
+        assert fake.calls == {"dstebz": 3, "dstein": 2}
+
+    def test_other_lapack_module_misses(self, monkeypatch):
+        op = small_operator()
+        eigenvalues_lowest(op, 3)
+        first = patch_lapack(monkeypatch)
+        eigenvalues_lowest(op, 3)
+        assert first.calls["dstebz"] == 1
+        second = patch_lapack(monkeypatch)  # delegates to the first fake
+        eigenvalues_lowest(op, 3)
+        assert second.calls["dstebz"] == 1
+
+    @pytest.mark.parametrize("solve, fault, match", [
+        (eigenvalues_lowest, lambda out: (*out[:4], 1), "stebz"),
+        (eigenvalues_lowest, lambda out: (1, out[1][:1].copy(), *out[2:]), "bisection"),
+        (eigen_lowest, lambda out: (*out[:4], 1), "stebz"),
+    ], ids=["values-info", "values-short", "vectors-info"])
+    def test_corrupting_module_after_clean_solve_raises(self, monkeypatch, solve, fault, match):
+        op = small_operator()
+        eigen_lowest(op, 3)
+        eigenvalues_lowest(op, 3)
+        patch_lapack(monkeypatch, stebz=fault)
+        with pytest.raises(SolverError, match=match):
+            solve(op, 3)
+
+    def test_returned_and_operator_arrays_are_not_aliased(self):
+        op = small_operator()
+        want = bits(fresh_values(op, 3))
+        _stebz_lowest(op, 3, eigvals_only=True)[:] = 0.0
+        assert bits(eigenvalues_lowest(op, 3)) == want
+        eigen_lowest(op, 3)
+        _stebz_lowest(op, 3, eigvals_only=False)[0][:] = 0.0
+        assert bits(eigenvalues_lowest(op, 3)) == want
+        op.diag[0] += 1.0
+        got = bits(eigenvalues_lowest(op, 3))
+        assert got != want
+        assert got == bits(fresh_values(op, 3))
+
+    def test_signed_zero_ties_after_vector_solve(self):
+        """Split zero blocks give tied +0.0 and -0.0 eigenvalues, which the two LAPACK orders sort apart."""
+        d = np.zeros(8)
+        d[3], d[6], d[7] = 1e-52, 1.0, -0.0
+        op = TridiagonalOperator(d, np.zeros(7))
+        want = bits(fresh_values(op, 7))
+        eigen_lowest(op, 7)
+        assert bits(eigenvalues_lowest(op, 7)) == want
+
+    def test_threads_get_their_own_operator(self):
+        ops = [TridiagonalOperator(np.full(40, 2.0 + i), np.full(39, -1.0)) for i in range(2)]
+        want = [bits(fresh_values(op, 4)) for op in ops]
+        wrong = []
+
+        def alternate(start):
+            for j in range(300):
+                i = (start + j) % 2
+                if bits(eigenvalues_lowest(ops[i], 4)) != want[i]:
+                    wrong.append((start, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=alternate, args=(start % 2,)) for start in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def values_outcome(op: TridiagonalOperator, k: int):
+    try:
+        return bits(eigenvalues_lowest(op, k))
+    except SolverError as exc:
+        return str(exc)
+
+
+entries = st.floats(-1e3, 1e3, allow_subnormal=False) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def operators_and_k(draw):
+    n = draw(st.integers(3, 200))
+    d = draw(arrays(np.float64, n, elements=entries))
+    e = draw(arrays(np.float64, n - 1, elements=entries))
+    return TridiagonalOperator(d, e), draw(st.integers(1, n))
+
+
+@given(operators_and_k())
+@settings(max_examples=150, deadline=None)
+def test_values_after_eigenpairs_match_fresh_bisection(case):
+    op, k = case
+    eigenvalues_lowest(UNRELATED, 1)
+    want = values_outcome(op, k)
+    with contextlib.suppress(SolverError):
+        eigen_lowest(op, k)
+    assert values_outcome(op, k) == want
 
 
 class TestModelSpectra:

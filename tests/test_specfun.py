@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from relqosc import hermite, kummer_terminating, laguerre, log_factorial
+from relqosc import hermite, kummer_terminating
 
 
 def kummer_term_magnitude_sum(n, b, x):
@@ -76,6 +76,18 @@ class TestKummerTerminating:
         scale = np.array([kummer_term_magnitude_sum(n, b, xi) for xi in x])
         assert np.max(np.abs(kummer_terminating(n, b, x) - oracle) / scale) < 1e-12
 
+    @pytest.mark.parametrize("n,alpha,x", [(5, 0.0, 1.0), (8, 1.5, 4.0), (20, 0.5, 30.0)])
+    def test_laguerre_identity(self, n, alpha, x):
+        """binom(n+alpha, n) 1F1(-n; alpha+1; x) = L_n^alpha(x), scipy's Laguerre as oracle.
+
+        The series alternates; the tolerance is scaled by the total term
+        magnitude, since the value itself can be orders of magnitude below the
+        largest term (n=20, x=30 cancels ~13 digits).
+        """
+        lhs = special.comb(n + alpha, n) * kummer_terminating(n, alpha + 1.0, x)
+        scale = special.comb(n + alpha, n) * kummer_term_magnitude_sum(n, alpha + 1.0, x)
+        assert abs(lhs - special.eval_genlaguerre(n, alpha, x)) <= 1e-12 * scale
+
     def test_array_shape(self):
         x = np.linspace(0.1, 4.0, 11)
         assert kummer_terminating(3, 1.5, x).shape == x.shape
@@ -89,55 +101,6 @@ class TestKummerTerminating:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             kummer_terminating(-3, 1.0, 1.0)
-
-
-class TestLaguerre:
-    def test_low_degrees(self):
-        assert laguerre(0, 0.5, 2.0) == 1.0
-        assert laguerre(1, 1.0, 0.5) == pytest.approx(1.5)  # 1 + alpha - x
-        # L_2^1(x) = (x^2 - 6x + 6) / 2
-        assert laguerre(2, 1.0, 1.0) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("n,alpha", [(2, 0.0), (5, 1.0), (9, 0.5), (15, 2.5)])
-    def test_against_scipy(self, n, alpha):
-        x = np.random.default_rng(3).uniform(0.0, 10.0, 48)
-        oracle = special.eval_genlaguerre(n, alpha, x)
-        scale = np.maximum(1.0, np.abs(oracle))
-        assert np.max(np.abs(laguerre(n, alpha, x) - oracle) / scale) < 1e-11
-
-    @pytest.mark.parametrize("n,alpha,x", [(5, 0.0, 1.0), (8, 1.5, 4.0), (20, 0.5, 30.0)])
-    def test_kummer_identity(self, n, alpha, x):
-        """L_n^alpha(x) = binom(n+alpha, n) 1F1(-n; alpha+1; x).
-
-        Both sides evaluate an alternating sum; the tolerance is scaled by the
-        total term magnitude, since the value itself can be orders of
-        magnitude below the largest term (n=20, x=30 cancels ~13 digits).
-        """
-        lhs = laguerre(n, alpha, x)
-        rhs = special.comb(n + alpha, n) * kummer_terminating(n, alpha + 1.0, x)
-        scale = special.comb(n + alpha, n) * kummer_term_magnitude_sum(n, alpha + 1.0, x)
-        assert abs(lhs - rhs) <= 1e-12 * scale
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            laguerre(2, -1.0, 1.0)
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            laguerre(-1, 0.0, 1.0)
-
-
-class TestLogFactorial:
-    def test_matches_exact_factorials(self):
-        for n in range(15):
-            assert log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-14, abs=1e-14)
-
-    def test_large_argument_is_finite(self):
-        assert math.isfinite(log_factorial(5000))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 def test_hermite_recurrence_consistency():
