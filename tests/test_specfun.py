@@ -76,18 +76,6 @@ class TestKummerTerminating:
         scale = np.array([kummer_term_magnitude_sum(n, b, xi) for xi in x])
         assert np.max(np.abs(kummer_terminating(n, b, x) - oracle) / scale) < 1e-12
 
-    @pytest.mark.parametrize("n,alpha,x", [(5, 0.0, 1.0), (8, 1.5, 4.0), (20, 0.5, 30.0)])
-    def test_laguerre_identity(self, n, alpha, x):
-        """binom(n+alpha, n) 1F1(-n; alpha+1; x) = L_n^alpha(x), scipy's Laguerre as oracle.
-
-        The series alternates; the tolerance is scaled by the total term
-        magnitude, since the value itself can be orders of magnitude below the
-        largest term (n=20, x=30 cancels ~13 digits).
-        """
-        lhs = special.comb(n + alpha, n) * kummer_terminating(n, alpha + 1.0, x)
-        scale = special.comb(n + alpha, n) * kummer_term_magnitude_sum(n, alpha + 1.0, x)
-        assert abs(lhs - special.eval_genlaguerre(n, alpha, x)) <= 1e-12 * scale
-
     def test_array_shape(self):
         x = np.linspace(0.1, 4.0, 11)
         assert kummer_terminating(3, 1.5, x).shape == x.shape
@@ -101,6 +89,22 @@ class TestKummerTerminating:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             kummer_terminating(-3, 1.0, 1.0)
+
+
+class TestLaguerre:
+    """Generalized Laguerre polynomials in their Kummer form, scipy as oracle."""
+
+    @pytest.mark.parametrize("n,alpha,x", [(5, 0.0, 1.0), (8, 1.5, 4.0), (20, 0.5, 30.0)])
+    def test_kummer_identity(self, n, alpha, x):
+        """binom(n+alpha, n) 1F1(-n; alpha+1; x) = L_n^alpha(x), scipy's Laguerre as oracle.
+
+        The series alternates; the tolerance is scaled by the total term
+        magnitude, since the value itself can be orders of magnitude below the
+        largest term (n=20, x=30 cancels ~13 digits).
+        """
+        lhs = special.comb(n + alpha, n) * kummer_terminating(n, alpha + 1.0, x)
+        scale = special.comb(n + alpha, n) * kummer_term_magnitude_sum(n, alpha + 1.0, x)
+        assert abs(lhs - special.eval_genlaguerre(n, alpha, x)) <= 1e-12 * scale
 
 
 def test_hermite_recurrence_consistency():
