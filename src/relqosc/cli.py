@@ -35,10 +35,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
-from .models import Family, ModelSpec, PhysicalParams, RadialProblem, effective_problem, pair_recover_psi2
+from .models import Family, ModelSpec, PhysicalParams, RadialProblem, default_spec, effective_problem, pair_recover_psi2
 from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, numeric_spectrum
-from .susyblock import KERNEL_LADDER_TOL, default_delta, discretize_supercharge
-from .verify import available_suites, nonrel_sweep, run_suite
+from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
+from .verify import available_suites, nonrel_check, nonrel_sweep, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main"]
 
@@ -87,15 +87,11 @@ class RunConfig:
     def model_spec(self) -> ModelSpec:
         if self.family is None:
             raise ValueError("a model family is required (--family or config file)")
-        family = Family.from_label(self.family)
-        b = self.b
-        if b is None:
-            b = 0.25 if family is Family.ISOTONIC_2D else 1.0
-        ml = self.ml
-        if ml is None and family.is_two_dimensional:
-            ml = 1
+        default = default_spec(Family.from_label(self.family))
+        b = default.params.b if self.b is None else self.b
+        ml = default.ml if self.ml is None else self.ml
         params = PhysicalParams(m=self.m, c=self.c, omega=self.omega, a=self.a, b=b)
-        return ModelSpec(family, params, ml=ml)
+        return ModelSpec(default.family, params, ml=ml)
 
     def resolve_grid(self, problem: RadialProblem, k: int) -> Grid:
         if self.grid_max is not None:
@@ -352,9 +348,7 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
                 ratio = prev[n] / diff
             prev[n] = diff
             rows.append((family.value, n, c, shift, eps, diff, ratio))
-    checks = run_suite("nonrel", cfg.tolerance)
-    wanted = {family.value for family in families}
-    checks = [r for r in checks if r.name.split()[-1] in wanted]
+    checks = [nonrel_check(family) for family in families]
     ok = all(r.passed for r in checks)
     if cfg.format == "json":
         doc = {
@@ -398,8 +392,9 @@ def _parse_c_list(text: str) -> List[float]:
 def cmd_ajc(cfg: RunConfig) -> int:
     spec = cfg.model_spec()
     k = cfg.levels
-    delta = cfg.delta if cfg.delta is not None else default_delta(spec)
-    grid = cfg.resolve_grid(effective_problem(spec), k)
+    problem = effective_problem(spec)
+    delta = cfg.delta if cfg.delta is not None else problem.delta
+    grid = cfg.resolve_grid(problem, k)
     pair = discretize_supercharge(spec, grid, delta=delta)
     eigenvalues = eigenvalues_lowest(pair.dtd_operator(), k).tolist()
     mc2 = spec.mc2
@@ -463,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=METHODS, help="which route(s) to tabulate (default both)")
     run.add_argument("--format", choices=FORMATS, help="output format (default csv)")
     run.add_argument("--tolerance", type=float, help="relative tolerance for checks (default 1e-4)")
-    run.add_argument("--delta", type=float, help="ladder normalization (default 4*m*omega or 4*m*a)")
+    run.add_argument("--delta", type=float, help="ladder normalization (default 4*m*omega or 4*a)")
     run.add_argument("--out", help="write output to this file instead of stdout")
     run.add_argument("--config", help="JSON file of option defaults; explicit flags win")
 

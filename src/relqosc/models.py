@@ -27,8 +27,8 @@ __all__ = [
     "ModelSpec",
     "AffineMap",
     "RadialProblem",
-    "superpotential_1d",
-    "superpotential_2d",
+    "default_spec",
+    "superpotential",
     "pair_superpotential",
     "effective_problem",
     "pair_recover_psi2",
@@ -130,11 +130,15 @@ class ModelSpec:
         """Rest energy m*c^2."""
         return self.params.m * self.params.c ** 2
 
-    @property
-    def well_strength(self) -> float:
-        """Coefficient s of the dominant s^2 x^2 tail of the effective potential."""
-        p = self.params
-        return p.a if self.family.is_isotonic else p.m * p.omega
+
+def default_spec(family: Family, c: float = 1.0) -> ModelSpec:
+    """The documented default model of each family.
+
+    Unit m, omega and a; b = 1 except b = 1/4 for 2d-iso; ml = 1 in 2D.
+    """
+    b = 0.25 if family is Family.ISOTONIC_2D else 1.0
+    ml = 1 if family.is_two_dimensional else None
+    return ModelSpec(family, PhysicalParams(c=c, b=b), ml=ml)
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,13 @@ class AffineMap:
 class RadialProblem:
     """Effective flat-measure Sturm-Liouville problem -u'' + V u = lambda u.
 
-    lambda_to_e2 carries the eigenvalue to the squared relativistic energy
-    (slope exactly c^2); lambda_to_eps carries it to the leading-order
+    This is the one record of a family's numeric facts. lambda_to_e2
+    carries the eigenvalue to the squared relativistic energy (slope
+    exactly c^2); lambda_to_eps carries it to the leading-order
     non-relativistic energy via E^2 - (mc^2)^2 = 2 mc^2 eps. lambda_estimate
-    gives the closed-form eigenvalue ladder, used for domain sizing.
+    gives the closed-form eigenvalue ladder, used for domain sizing;
+    well_strength q is the coefficient of the q^2 x^2 tail of V. delta is
+    the default ladder normalization of the supercharge (A = D / sqrt(delta)).
     """
 
     domain: str  # "full-line" or "half-line"
@@ -166,46 +173,27 @@ class RadialProblem:
     well_strength: float
     lambda_gap: float
     lambda_offset: float
+    delta: float
 
     def lambda_estimate(self, n: int) -> float:
         """Closed-form eigenvalue ladder value lambda_n = gap*n + offset."""
         return self.lambda_gap * n + self.lambda_offset
 
 
-def superpotential_1d(spec: ModelSpec, x):
-    """Superpotential W(x) for the 1D families.
+def superpotential(spec: ModelSpec, x):
+    """Superpotential W(x) of a 1D family, or radial profile w(r) of a 2D one.
 
-    Harmonic: W = m omega x on the full line. Isotonic: W = a x + b / x on
-    the half line (x <= 0 is a domain error there).
+    Harmonic: W = m omega x. Isotonic: W = a x + b / x. Only 1d-ho lives on
+    the full line; for every other family x <= 0 is a domain error.
     """
-    if spec.family.is_two_dimensional:
-        raise ValueError(f"superpotential_1d applies to 1D families, not {spec.family.value}")
     p = spec.params
     x = np.asarray(x, dtype=float)
-    if spec.family is Family.HARMONIC_1D:
-        w = p.m * p.omega * x
-        return w[()] if w.ndim == 0 else w
-    if np.any(x <= 0):
-        raise ValueError("1D isotonic superpotential is defined on x > 0 only")
-    w = p.a * x + p.b / x
-    return w[()] if w.ndim == 0 else w
-
-
-def superpotential_2d(spec: ModelSpec, r):
-    """Radial superpotential profile w(r) for the 2D families.
-
-    Harmonic: w = m omega r. Isotonic: w = a r + b / r. Defined on r > 0.
-    """
-    if not spec.family.is_two_dimensional:
-        raise ValueError(f"superpotential_2d applies to 2D families, not {spec.family.value}")
-    p = spec.params
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radial superpotential is defined on r > 0 only")
-    if spec.family is Family.HARMONIC_2D:
-        w = p.m * p.omega * r
+    if spec.family is not Family.HARMONIC_1D and np.any(x <= 0):
+        raise ValueError(f"the {spec.family.value} superpotential is defined on x > 0 only")
+    if spec.family.is_isotonic:
+        w = p.a * x + p.b / x
     else:
-        w = p.a * r + p.b / r
+        w = p.m * p.omega * x
     return w[()] if w.ndim == 0 else w
 
 
@@ -219,12 +207,19 @@ def pair_superpotential(spec: ModelSpec, x):
     """
     if spec.family.is_two_dimensional:
         r = np.asarray(x, dtype=float)
-        return superpotential_2d(spec, r) - (spec.ml + 0.5) / r
-    return superpotential_1d(spec, x)
+        return superpotential(spec, r) - (spec.ml + 0.5) / r
+    return superpotential(spec, x)
 
 
-def _problem_pieces(spec: ModelSpec):
-    """Potential, lambda ladder, and E^2 intercept for each family."""
+def effective_problem(spec: ModelSpec) -> RadialProblem:
+    """Build the effective Sturm-Liouville problem for a model.
+
+    The potential is V = W^2 - W' plus the constant absorbed into the
+    eigenvalue map (2D families also pick up the -1/(4r^2) flat-measure
+    term), so lambda_to_e2 has slope exactly c^2 for every family. Each
+    branch states the family's potential, well strength q, lambda ladder
+    (gap and offset), E^2 intercept and default ladder normalization delta.
+    """
     p = spec.params
     mc2 = spec.mc2
     c2 = p.c ** 2
@@ -236,8 +231,11 @@ def _problem_pieces(spec: ModelSpec):
             return (mw * x) ** 2
 
         # lambda_n = m omega (2n + 1); E^2 = c^2 lambda + (mc^2)^2 - m omega c^2
-        return potential, "full-line", False, 2.0 * mw, mw, mc2 ** 2 - mw * c2
-    if fam is Family.ISOTONIC_1D:
+        domain, q, gap, offset, e2_intercept = "full-line", mw, 2.0 * mw, mw, mc2 ** 2 - mw * c2
+        # Twice the gap, so the A+A rungs read n/2. It stays so because
+        # perfbench/cli_digests.json pins `ajc --family 1d-ho`.
+        delta = 4.0 * mw
+    elif fam is Family.ISOTONIC_1D:
         a, b = p.a, p.b
         cent = b * (b + 1.0)
 
@@ -245,8 +243,9 @@ def _problem_pieces(spec: ModelSpec):
             return (a * x) ** 2 + cent / x ** 2
 
         # lambda_n = a (4n + 2b + 3); E^2 = c^2 lambda + (mc^2)^2 - a c^2 (1 - 2b)
-        return potential, "half-line", True, 4.0 * a, a * (2.0 * b + 3.0), mc2 ** 2 - a * c2 * (1.0 - 2.0 * b)
-    if fam is Family.HARMONIC_2D:
+        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * b + 3.0), mc2 ** 2 - a * c2 * (1.0 - 2.0 * b)
+        delta = gap
+    elif fam is Family.HARMONIC_2D:
         mw = p.m * p.omega
         ml = spec.ml
         cent = ml ** 2 - 0.25
@@ -255,28 +254,19 @@ def _problem_pieces(spec: ModelSpec):
             return (mw * r) ** 2 + cent / r ** 2
 
         # lambda_n = m omega (4n + 2|ml| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 mc^2 omega (1 + ml)
-        return potential, "half-line", True, 4.0 * mw, mw * (2.0 * abs(ml) + 2.0), mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + ml)
-    a, b, ml = p.a, p.b, spec.ml
-    s = abs(ml - b)
-    cent = (ml - b) ** 2 - 0.25
+        domain, q, gap, offset, e2_intercept = "half-line", mw, 4.0 * mw, mw * (2.0 * abs(ml) + 2.0), mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + ml)
+        delta = gap
+    else:
+        a, b, ml = p.a, p.b, spec.ml
+        s = abs(ml - b)
+        cent = (ml - b) ** 2 - 0.25
 
-    def potential(r):
-        return (a * r) ** 2 + cent / r ** 2
+        def potential(r):
+            return (a * r) ** 2 + cent / r ** 2
 
-    # lambda_n = a (4n + 2|ml - b| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 a c^2 (ml - b + 1)
-    return potential, "half-line", True, 4.0 * a, a * (2.0 * s + 2.0), mc2 ** 2 - 2.0 * a * c2 * (ml - b + 1.0)
-
-
-def effective_problem(spec: ModelSpec) -> RadialProblem:
-    """Build the effective Sturm-Liouville problem for a model.
-
-    The potential is V = W^2 - W' plus the constant absorbed into the
-    eigenvalue map (2D families also pick up the -1/(4r^2) flat-measure
-    term), so lambda_to_e2 has slope exactly c^2 for every family.
-    """
-    potential, domain, singular, gap, offset, e2_intercept = _problem_pieces(spec)
-    c2 = spec.params.c ** 2
-    mc2 = spec.mc2
+        # lambda_n = a (4n + 2|ml - b| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 a c^2 (ml - b + 1)
+        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * s + 2.0), mc2 ** 2 - 2.0 * a * c2 * (ml - b + 1.0)
+        delta = gap
     eps_slope = c2 / (2.0 * mc2)
     eps_intercept = (e2_intercept - mc2 ** 2) / (2.0 * mc2)
     return RadialProblem(
@@ -284,10 +274,11 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
         potential=potential,
         lambda_to_e2=AffineMap(c2, e2_intercept),
         lambda_to_eps=AffineMap(eps_slope, eps_intercept),
-        singular_at_zero=singular,
-        well_strength=spec.well_strength,
+        singular_at_zero=domain == "half-line",
+        well_strength=q,
         lambda_gap=gap,
         lambda_offset=offset,
+        delta=delta,
     )
 
 

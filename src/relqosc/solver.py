@@ -54,7 +54,6 @@ __all__ = [
     "numeric_spectrum",
     "residual_pair_check",
     "convergence_order",
-    "count_nodes",
 ]
 
 # Least multiple of eps ||T||_inf that the eigenpair residual bound allows.
@@ -422,11 +421,3 @@ def convergence_order(spec: ModelSpec, n: int, n_points: int = 2000) -> float:
     if errs[1] == 0:
         raise SolverError("refined-grid error vanished; cannot estimate an order")
     return math.log2(errs[0] / errs[1])
-
-
-def count_nodes(v: np.ndarray, rel_floor: float = 1e-6) -> int:
-    """Count sign changes of a sampled function, ignoring near-zero samples."""
-    v = np.asarray(v, dtype=float)
-    keep = np.abs(v) > rel_floor * np.abs(v).max()
-    signs = np.sign(v[keep])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -13,10 +13,11 @@ with lambda an eigenvalue of D^T D. D is discretized with forward differences
 keeps the factorization exact at the matrix level and avoids the fermion
 doubling a centered first derivative would introduce.
 
-Rescaling A by 1/sqrt(delta) gives ladder operators; for the 2D harmonic
-family delta = 4 m omega makes [A, A+] = 1 and the block Hamiltonian is the
-anti-Jaynes-Cummings coupling g (sigma- A + sigma+ A+) + sigma_z mc^2 with
-g = c sqrt(delta).
+Rescaling A by 1/sqrt(delta) gives ladder operators. The default delta is
+the problem's own (RadialProblem.delta): the lambda gap, 4 m omega or 4 a,
+except 4 m omega on 1d-ho, twice its gap. For the 2D families it makes
+[A, A+] = 1 and the block Hamiltonian is the anti-Jaynes-Cummings coupling
+g (sigma- A + sigma+ A+) + sigma_z mc^2 with g = c sqrt(delta).
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .models import Family, ModelSpec, pair_superpotential, superpotential_2d
+from .models import ModelSpec, effective_problem, pair_superpotential, superpotential
 from .solver import Grid, TridiagonalOperator, eigenvalues_lowest
 
 __all__ = [
     "KERNEL_LADDER_TOL",
     "SupersymmetricPair",
     "BlockHamiltonian",
-    "default_delta",
     "discretize_supercharge",
     "build_block_hamiltonian",
     "block_spectrum",
@@ -73,23 +73,6 @@ class SupersymmetricPair:
     def size(self) -> int:
         return self.d_diag.size
 
-    def d_matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.d_diag * v
-        out[:-1] += self.d_super * v[1:]
-        return out
-
-    def dt_matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.d_diag * v
-        out[1:] += self.d_super * v[:-1]
-        return out
-
-    def d_dense(self) -> np.ndarray:
-        return np.diag(self.d_diag) + np.diag(self.d_super, 1)
-
-    def dt_dense(self) -> np.ndarray:
-        # built from the backward-difference formula, not by transposing d_dense
-        return np.diag(self.d_diag) + np.diag(self.d_super, -1)
-
     def dtd_operator(self) -> TridiagonalOperator:
         """Symmetric tridiagonal D^T D."""
         diag = self.d_diag ** 2
@@ -127,22 +110,17 @@ class BlockHamiltonian:
         return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
-def default_delta(spec: ModelSpec) -> float:
-    """Ladder normalization: 4 m omega (harmonic) or 4 m a (isotonic)."""
-    p = spec.params
-    return 4.0 * p.m * (p.a if spec.family.is_isotonic else p.omega)
-
-
 def discretize_supercharge(spec: ModelSpec, grid: Grid, delta: Optional[float] = None) -> SupersymmetricPair:
     """Forward-difference supercharge (D v)_j = (v_{j+1} - v_j)/h + W_eff(x_j) v_j.
 
     The Dirichlet value v_{N+1} = 0 closes the last row, so D is square upper
     bidiagonal with diagonal W_eff - 1/h and superdiagonal 1/h. For 2D
     families W_eff is the flat-measure radial profile w(r) - (ml + 1/2)/r and
-    D maps the angular sector ml into ml + 1.
+    D maps the angular sector ml into ml + 1. delta defaults to the
+    problem's own, effective_problem(spec).delta.
     """
     if delta is None:
-        delta = default_delta(spec)
+        delta = effective_problem(spec).delta
     if not (delta > 0):
         raise ValueError(f"ladder normalization delta must be positive, got {delta}")
     h = grid.h
@@ -235,16 +213,16 @@ def commutator_rayleigh(
     The commutator statement [A, A+] = const pairs adjacent angular sectors:
     on sector ml it is (D_{ml-1} D_{ml-1}^T - D_{ml}^T D_{ml}) / delta, whose
     continuum value is 4a/delta (the sector-shifted centrifugal terms cancel
-    through 2w/r + 2w' = 4a). With the harmonic default delta = 4 m omega the
-    quotients come out at 1. Test functions are interior Gaussians vanishing
-    at both boundaries.
+    through 2w/r + 2w' = 4a, with a = m omega for the harmonic family). With
+    the default delta, the problem's lambda gap 4a, the quotients come out
+    at 1. Test functions are interior Gaussians vanishing at both boundaries.
     """
     if not spec.family.is_two_dimensional:
         raise ValueError("the ladder commutator check applies to the 2D families")
     if delta is None:
-        delta = default_delta(spec)
+        delta = effective_problem(spec).delta
     r = grid.nodes
-    w = np.asarray(superpotential_2d(spec, r), dtype=float)
+    w = np.asarray(superpotential(spec, r), dtype=float)
     w_hi = w - (spec.ml + 0.5) / r    # supercharge out of sector ml
     w_lo = w - (spec.ml - 0.5) / r    # supercharge out of sector ml - 1
     diag, off = _bidiagonal_partner_forms(w_lo, w_hi, grid.h)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .analytic import analytic_e2, analytic_nonrel_eps, build_spectrum_table
-from .models import Family, ModelSpec, PhysicalParams, effective_problem
+from .models import Family, ModelSpec, PhysicalParams, default_spec, effective_problem
 from .solver import (
     Grid,
     choose_domain,
@@ -34,7 +34,7 @@ from .susyblock import (
     susy_isospectrality_check,
 )
 
-__all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "default_spec", "nonrel_sweep"]
+__all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "nonrel_sweep", "nonrel_check"]
 
 MACHINE_REL = 1e-12
 ISOSPECTRAL_REL = 1e-10
@@ -61,19 +61,8 @@ def _spec(family: Family, *, m=1.0, c=1.0, omega=1.0, a=1.0, b=1.0, ml=None) -> 
     return ModelSpec(family, PhysicalParams(m=m, c=c, omega=omega, a=a, b=b), ml=ml)
 
 
-def default_spec(family: Family, c: float = 1.0) -> ModelSpec:
-    """The documented default parameter set of each family."""
-    if family is Family.HARMONIC_1D:
-        return _spec(family, c=c)
-    if family is Family.ISOTONIC_1D:
-        return _spec(family, c=c, a=1.0, b=1.0)
-    if family is Family.HARMONIC_2D:
-        return _spec(family, c=c, omega=1.0, ml=1)
-    return _spec(family, c=c, a=1.0, b=0.25, ml=1)
-
-
-# Three parameter sets per family for the closed-form ladder checks, paired
-# with the expected E^2 gap (2 m omega c^2, 4 a c^2, 4 m omega c^2, 4 a c^2).
+# Three parameter sets per family for the closed-form ladder checks. Each
+# ladder's E^2 gap must be c^2 times its problem's lambda gap.
 EQUISPACING_SETS: Dict[Family, List[ModelSpec]] = {
     Family.HARMONIC_1D: [
         _spec(Family.HARMONIC_1D),
@@ -98,24 +87,15 @@ EQUISPACING_SETS: Dict[Family, List[ModelSpec]] = {
 }
 
 
-def expected_gap(spec: ModelSpec) -> float:
-    """Exact E^2 spacing of the family's ladder."""
-    p = spec.params
-    if spec.family is Family.HARMONIC_1D:
-        return 2.0 * p.m * p.omega * p.c ** 2
-    if spec.family is Family.HARMONIC_2D:
-        return 4.0 * p.m * p.omega * p.c ** 2
-    return 4.0 * p.a * p.c ** 2
-
-
 def _suite_spectrum(tolerance: float) -> List[CheckResult]:
     out = []
     for family in Family:
         for i, spec in enumerate(EQUISPACING_SETS[family]):
             e2 = build_spectrum_table(spec, 6).e2_values()
             gaps = np.diff(e2)
-            dev = float(np.max(np.abs(gaps - expected_gap(spec))))
-            bound = MACHINE_REL * expected_gap(spec)
+            e2_gap = spec.params.c ** 2 * effective_problem(spec).lambda_gap
+            dev = float(np.max(np.abs(gaps - e2_gap)))
+            bound = MACHINE_REL * e2_gap
             out.append(CheckResult(
                 "spectrum", f"equispacing {family.value}[{i}]", dev <= bound,
                 f"max gap deviation {dev:.3e} (bound {bound:.3e})"))
@@ -257,26 +237,28 @@ def nonrel_sweep(spec_at_c, n_max: int, c_values=NONREL_C_VALUES):
     return rows
 
 
+def nonrel_check(family: Family) -> CheckResult:
+    """The c^2 shrink of |E - mc^2 - eps| on the family's default model, c in {10,20,40}."""
+    rows = nonrel_sweep(lambda c: default_spec(family, c=c), 3)
+    worst = None
+    for n in range(4):
+        diffs = [r[4] for r in rows if r[0] == n]
+        scale = max(abs(r[3]) for r in rows if r[0] == n)
+        if scale < 1e-14:  # level sits exactly at E = mc^2; limit is exact
+            continue
+        for d_prev, d_next in zip(diffs, diffs[1:]):
+            ratio = d_prev / d_next
+            if worst is None or abs(ratio - 4.0) > abs(worst - 4.0):
+                worst = ratio
+    passed = worst is None or NONREL_RATIO_LOW <= worst <= NONREL_RATIO_HIGH
+    detail = ("all levels sit exactly at E = mc^2" if worst is None else
+              f"|E - mc^2 - eps| shrink ratio under c doubling: worst {worst:.3f} "
+              f"(accept [{NONREL_RATIO_LOW}, {NONREL_RATIO_HIGH}], c in {{10,20,40}})")
+    return CheckResult("nonrel", f"limit {family.value}", passed, detail)
+
+
 def _suite_nonrel(tolerance: float) -> List[CheckResult]:
-    out = []
-    for family in Family:
-        rows = nonrel_sweep(lambda c, fam=family: default_spec(fam, c=c), 3)
-        worst = None
-        for n in range(4):
-            diffs = [r[4] for r in rows if r[0] == n]
-            scale = max(abs(r[3]) for r in rows if r[0] == n)
-            if scale < 1e-14:  # level sits exactly at E = mc^2; limit is exact
-                continue
-            for d_prev, d_next in zip(diffs, diffs[1:]):
-                ratio = d_prev / d_next
-                if worst is None or abs(ratio - 4.0) > abs(worst - 4.0):
-                    worst = ratio
-        passed = worst is None or NONREL_RATIO_LOW <= worst <= NONREL_RATIO_HIGH
-        detail = ("all levels sit exactly at E = mc^2" if worst is None else
-                  f"|E - mc^2 - eps| shrink ratio under c doubling: worst {worst:.3f} "
-                  f"(accept [{NONREL_RATIO_LOW}, {NONREL_RATIO_HIGH}], c in {{10,20,40}})")
-        out.append(CheckResult("nonrel", f"limit {family.value}", passed, detail))
-    return out
+    return [nonrel_check(family) for family in Family]
 
 
 def _suite_pair(tolerance: float) -> List[CheckResult]:

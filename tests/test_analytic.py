@@ -6,16 +6,14 @@ from numpy.testing import assert_allclose
 
 from relqosc import (
     Family,
-    Level,
     ModelSpec,
     PhysicalParams,
-    SpectrumTable,
     analytic_e2,
     analytic_nonrel_eps,
     analytic_wavefunction,
     build_spectrum_table,
-    isotonic_nu,
 )
+from relqosc.analytic import Level, SpectrumTable, isotonic_nu
 
 
 class TestEnergyLadders:

@@ -18,7 +18,8 @@ import relqosc.cli
 import relqosc.models
 import relqosc.solver
 import relqosc.verify
-from relqosc.cli import _json_float, _round12, main
+from relqosc.cli import RunConfig, _json_float, _round12, main
+from relqosc.models import Family, default_spec
 
 CLI = [sys.executable, "-m", "relqosc.cli"]
 
@@ -285,6 +286,19 @@ class TestAjc:
         matched = [r for r in rows if r["n"] != ""]
         assert matched and all(abs(float(r["rel_err"])) <= 1e-2 for r in matched)
 
+    def test_isotonic_2d_rungs_are_integers_at_m2(self, run_main):
+        proc = run_main("ajc", "--family", "2d-iso", "--m", "2", "--levels", "4", check=True)
+        _, rows = parse_csv(proc.stdout)
+        for i, row in enumerate(rows):
+            assert float(row["ata"]) == pytest.approx(float(i), abs=1e-2)
+
+    def test_isotonic_1d_rungs_do_not_depend_on_mass(self, run_main):
+        rungs = {}
+        for m in ("1", "2"):
+            _, rows = parse_csv(run_main("ajc", "--family", "1d-iso", "--m", m, "--levels", "4", check=True).stdout)
+            rungs[m] = [row["ata"] for row in rows]
+        assert rungs["2"] == rungs["1"]
+
     def test_spurious_kernel_is_flagged(self, run_main):
         proc = run_main("ajc", "--family", "1d-iso", "--levels", "3", check=True)
         _, rows = parse_csv(proc.stdout)
@@ -304,6 +318,10 @@ class TestConfigFile:
         proc2 = run_main("spectrum", "--config", str(cfg), "--omega", "1", check=True)
         _, rows2 = parse_csv(proc2.stdout)
         assert rows2[1]["e2_analytic"] == "3"
+
+    def test_defaults_are_the_default_models(self):
+        for family in Family:
+            assert RunConfig(family=family.value).model_spec() == default_spec(family)
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

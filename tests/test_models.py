@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from relqosc import (
     Family,
-    Grid,
     ModelSpec,
     PhysicalParams,
     analytic_e2,
@@ -15,9 +14,9 @@ from relqosc import (
     effective_problem,
     pair_recover_psi2,
     pair_superpotential,
-    superpotential_1d,
-    superpotential_2d,
 )
+from relqosc.models import superpotential
+from relqosc.solver import Grid
 
 ALL_FAMILY_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -93,36 +92,30 @@ class TestValidation:
     def test_derived_scalars(self):
         spec = ModelSpec(Family.HARMONIC_1D, PhysicalParams(m=2.0, c=3.0, omega=0.5))
         assert spec.mc2 == 18.0
-        assert spec.well_strength == 1.0  # m * omega
+        assert effective_problem(spec).well_strength == 1.0  # m * omega
         iso = ModelSpec(Family.ISOTONIC_1D, PhysicalParams(a=0.7))
-        assert iso.well_strength == 0.7
+        assert effective_problem(iso).well_strength == 0.7
 
 
 class TestSuperpotentials:
     def test_1d_harmonic_profile(self):
         spec = ModelSpec(Family.HARMONIC_1D, PhysicalParams(m=2.0, omega=0.5))
         x = np.array([-1.0, 0.0, 2.0])
-        assert_allclose(superpotential_1d(spec, x), x)  # m omega = 1
+        assert_allclose(superpotential(spec, x), x)  # m omega = 1
 
     def test_1d_isotonic_profile_and_domain(self):
         spec = ModelSpec(Family.ISOTONIC_1D, PhysicalParams(a=2.0, b=0.5))
-        assert superpotential_1d(spec, 1.0) == pytest.approx(2.5)
+        assert superpotential(spec, 1.0) == pytest.approx(2.5)
         with pytest.raises(ValueError, match="x > 0"):
-            superpotential_1d(spec, np.array([0.5, -0.5]))
+            superpotential(spec, np.array([0.5, -0.5]))
 
     def test_2d_profiles(self):
         ho = ModelSpec(Family.HARMONIC_2D, PhysicalParams(m=3.0, omega=2.0), ml=1)
-        assert superpotential_2d(ho, 0.5) == pytest.approx(3.0)
+        assert superpotential(ho, 0.5) == pytest.approx(3.0)
         iso = ModelSpec(Family.ISOTONIC_2D, PhysicalParams(a=1.0, b=2.0), ml=1)
-        assert superpotential_2d(iso, 2.0) == pytest.approx(3.0)
-        with pytest.raises(ValueError, match="r > 0"):
-            superpotential_2d(iso, 0.0)
-
-    def test_wrong_family_errors(self):
-        with pytest.raises(ValueError):
-            superpotential_1d(ModelSpec(Family.HARMONIC_2D, ml=1), 1.0)
-        with pytest.raises(ValueError):
-            superpotential_2d(ModelSpec(Family.HARMONIC_1D), 1.0)
+        assert superpotential(iso, 2.0) == pytest.approx(3.0)
+        with pytest.raises(ValueError, match="x > 0"):
+            superpotential(iso, 0.0)
 
     def test_pair_superpotential_sector_shift(self):
         spec = ModelSpec(Family.HARMONIC_2D, ml=2, params=PhysicalParams(omega=1.5))

@@ -17,17 +17,13 @@ from numpy.testing import assert_allclose
 
 from relqosc import (
     Family,
-    Grid,
     ModelSpec,
     PhysicalParams,
-    RadialProblem,
     SolverError,
-    TridiagonalOperator,
     analytic_e2,
     analytic_wavefunction,
     choose_domain,
     convergence_order,
-    count_nodes,
     discretize,
     effective_problem,
     eigen_lowest,
@@ -36,7 +32,8 @@ from relqosc import (
     residual_pair_check,
 )
 from relqosc import solver
-from relqosc.solver import _first_extremum_sign, _stebz_lowest, eigenvalues_lowest
+from relqosc.models import RadialProblem
+from relqosc.solver import Grid, TridiagonalOperator, _first_extremum_sign, _stebz_lowest, eigenvalues_lowest
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -65,6 +62,14 @@ def first_extremum_sign_loop(v: np.ndarray) -> float:
     return 1.0 if v[j] > 0 else -1.0
 
 
+def count_nodes(v: np.ndarray, rel_floor: float = 1e-6) -> int:
+    """Count sign changes of a sampled function, ignoring near-zero samples."""
+    v = np.asarray(v, dtype=float)
+    keep = np.abs(v) > rel_floor * np.abs(v).max()
+    signs = np.sign(v[keep])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
 def default_operator(spec: ModelSpec, k: int, n_points: int) -> TridiagonalOperator:
     problem = effective_problem(spec)
     return discretize(problem, choose_domain(problem, k, n_points=n_points))
@@ -81,6 +86,7 @@ def free_problem(length: float) -> RadialProblem:
         well_strength=1.0,
         lambda_gap=2.0,
         lambda_offset=1.0,
+        delta=2.0,
     )
 
 
@@ -190,6 +196,7 @@ class TestDiscretize:
             well_strength=1.0,
             lambda_gap=2.0,
             lambda_offset=1.0,
+            delta=2.0,
         )
         with pytest.raises(ValueError, match="finite"):
             discretize(bad, Grid(0.0, 1.0, 9))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from relqosc import hermite, kummer_terminating
+from relqosc.specfun import hermite, kummer_terminating
 
 
 def kummer_term_magnitude_sum(n, b, x):

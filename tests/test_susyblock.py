@@ -6,16 +6,13 @@ from numpy.testing import assert_allclose
 
 from relqosc import (
     Family,
-    Grid,
     ModelSpec,
     PhysicalParams,
-    SupersymmetricPair,
     analytic_e2,
     block_spectrum,
     build_block_hamiltonian,
     choose_domain,
     commutator_rayleigh,
-    default_delta,
     discretize_supercharge,
     effective_problem,
     eigen_lowest,
@@ -23,6 +20,9 @@ from relqosc import (
     pair_superpotential,
     susy_isospectrality_check,
 )
+from relqosc.solver import Grid
+from relqosc.susyblock import SupersymmetricPair
+from relqosc.verify import COMMUTATOR_ABS
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -43,6 +43,27 @@ def toy_pair() -> SupersymmetricPair:
     )
 
 
+def d_matvec(pair: SupersymmetricPair, v: np.ndarray) -> np.ndarray:
+    out = pair.d_diag * v
+    out[:-1] += pair.d_super * v[1:]
+    return out
+
+
+def dt_matvec(pair: SupersymmetricPair, v: np.ndarray) -> np.ndarray:
+    out = pair.d_diag * v
+    out[1:] += pair.d_super * v[:-1]
+    return out
+
+
+def d_dense(pair: SupersymmetricPair) -> np.ndarray:
+    return np.diag(pair.d_diag) + np.diag(pair.d_super, 1)
+
+
+def dt_dense(pair: SupersymmetricPair) -> np.ndarray:
+    # built from the backward-difference formula, not by transposing d_dense
+    return np.diag(pair.d_diag) + np.diag(pair.d_super, -1)
+
+
 def operator_dense(op) -> np.ndarray:
     return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
 
@@ -51,15 +72,15 @@ class TestSupercharge:
     def test_bidiagonal_structure(self):
         pair = toy_pair()
         want = np.array([[1.0, 4.0, 0.0], [0.0, 2.0, 5.0], [0.0, 0.0, 3.0]])
-        assert np.array_equal(pair.d_dense(), want)
+        assert np.array_equal(d_dense(pair), want)
         # the adjoint is assembled independently yet equals the exact transpose
-        assert np.array_equal(pair.dt_dense(), want.T)
+        assert np.array_equal(dt_dense(pair), want.T)
 
     def test_matvecs_match_dense(self):
         pair = toy_pair()
         v = np.array([0.3, -1.1, 0.7])
-        assert_allclose(pair.d_matvec(v.copy()), pair.d_dense() @ v, atol=1e-15)
-        assert_allclose(pair.dt_matvec(v.copy()), pair.dt_dense() @ v, atol=1e-15)
+        assert_allclose(d_matvec(pair, v.copy()), d_dense(pair) @ v, atol=1e-15)
+        assert_allclose(dt_matvec(pair, v.copy()), dt_dense(pair) @ v, atol=1e-15)
 
     def test_partner_products_match_dense(self):
         rng = np.random.default_rng(3)
@@ -71,7 +92,7 @@ class TestSupercharge:
             g=1.0,
             c=1.0,
         )
-        d = pair.d_dense()
+        d = d_dense(pair)
         assert_allclose(operator_dense(pair.dtd_operator()), d.T @ d, atol=1e-14)
         assert_allclose(operator_dense(pair.ddt_operator()), d @ d.T, atol=1e-14)
 
@@ -96,8 +117,10 @@ class TestSupercharge:
             discretize_supercharge(spec, Grid(-2.0, 2.0, 7), delta=-1.0)
 
     def test_default_delta_by_family(self):
-        assert default_delta(ModelSpec(Family.HARMONIC_2D, PhysicalParams(m=2.0, omega=0.5), ml=1)) == 4.0
-        assert default_delta(ModelSpec(Family.ISOTONIC_1D, PhysicalParams(m=1.0, a=0.7))) == pytest.approx(2.8)
+        harmonic = ModelSpec(Family.HARMONIC_2D, PhysicalParams(m=2.0, omega=0.5), ml=1)
+        assert effective_problem(harmonic).delta == 4.0
+        isotonic = ModelSpec(Family.ISOTONIC_1D, PhysicalParams(m=1.0, a=0.7))
+        assert effective_problem(isotonic).delta == pytest.approx(2.8)
 
 
 class TestBlockHamiltonian:
@@ -125,8 +148,8 @@ class TestBlockHamiltonian:
         blocked = dense[np.ix_(perm, perm)]
         assert np.array_equal(blocked[:n, :n], mc2 * np.eye(n))
         assert np.array_equal(blocked[n:, n:], -mc2 * np.eye(n))
-        assert np.array_equal(blocked[n:, :n], 1.3 * pair.d_dense())
-        assert np.array_equal(blocked[:n, n:], 1.3 * pair.dt_dense())
+        assert np.array_equal(blocked[n:, :n], 1.3 * d_dense(pair))
+        assert np.array_equal(blocked[:n, n:], 1.3 * dt_dense(pair))
 
     def test_rejects_nonpositive_rest_energy(self):
         with pytest.raises(ValueError, match="positive"):
@@ -216,10 +239,17 @@ class TestLadderStructure:
         quotients = commutator_rayleigh(spec, grid)
         assert max(abs(q - 1.0) for q in quotients) <= 5e-2
 
+    def test_commutator_quotients_near_unity_2d_isotonic_heavy(self):
+        """The default delta is the lambda gap 4a, whatever the mass."""
+        spec = ModelSpec(Family.ISOTONIC_2D, PhysicalParams(m=2.0, b=0.25), ml=1)
+        grid = choose_domain(effective_problem(spec), 5, n_points=2000)
+        quotients = commutator_rayleigh(spec, grid)
+        assert max(abs(q - 1.0) for q in quotients) <= COMMUTATOR_ABS
+
     def test_commutator_scales_with_delta(self):
         spec = ModelSpec(Family.HARMONIC_2D, ml=1)
         grid = choose_domain(effective_problem(spec), 5, n_points=2000)
-        doubled = commutator_rayleigh(spec, grid, delta=2 * default_delta(spec))
+        doubled = commutator_rayleigh(spec, grid, delta=2 * effective_problem(spec).delta)
         assert max(abs(q - 0.5) for q in doubled) <= 2.5e-2
 
     def test_commutator_rejects_1d(self):
