@@ -15,8 +15,8 @@ floats printed to 12 significant digits. Eigenvalues do not depend on the
 thread count, but on large grids (N = 16000) the LAPACK stein eigenvectors,
 and so the wavefunction samples, can differ in the 12th digit between one
 and two BLAS threads.
-Output is written as it is made: the wavefunction JSON document is streamed
-one sample at a time rather than built whole.
+Output is written as it is made: every JSON table is streamed one row at a
+time rather than built whole.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
 from .models import Family, ModelSpec, PhysicalParams, RadialProblem, default_spec, effective_problem, pair_recover_psi2
-from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, numeric_spectrum
+from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
 from .verify import available_suites, nonrel_check, nonrel_sweep, run_suite
 
@@ -64,7 +64,6 @@ class RunConfig:
     grid_max: Optional[float] = None
     method: str = "both"
     format: str = "csv"
-    tolerance: float = 1e-4
     delta: Optional[float] = None
     out: Optional[str] = None
 
@@ -77,8 +76,6 @@ class RunConfig:
             raise ValueError("levels must be a positive integer")
         if self.grid_n < 3:
             raise ValueError("grid-n must be at least 3")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.grid_max is not None and not self.grid_max > 0:
             raise ValueError("grid-max must be positive")
         if self.delta is not None and not self.delta > 0:
@@ -103,7 +100,7 @@ class RunConfig:
 _FIELD_TYPES = {
     "family": str, "m": float, "c": float, "omega": float, "a": float,
     "b": float, "ml": int, "levels": int, "grid_n": int, "grid_max": float,
-    "method": str, "format": str, "tolerance": float, "delta": float, "out": str,
+    "method": str, "format": str, "delta": float, "out": str,
 }
 
 
@@ -157,9 +154,11 @@ def _round12(value):
     return float(f"{float(value):.12g}")
 
 
-def _json_float(value) -> str:
-    """json.dumps spelling of _round12(value) for a float: repr, or NaN/Infinity/-Infinity."""
+def _json_cell(value) -> str:
+    """json.dumps spelling of _round12(value); floats skip the encoder: repr, or NaN/Infinity/-Infinity."""
     v = _round12(value)
+    if not isinstance(v, float):
+        return json.dumps(v)
     if math.isfinite(v):
         return repr(v)
     if math.isnan(v):
@@ -176,6 +175,27 @@ def _csv_table(header: Sequence[str], rows, comment: Optional[str] = None) -> st
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
+
+
+def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optional[dict]) -> Iterator[str]:
+    """The document {**head, key: [dict(zip(fields, row)), ...], **(tail or {})}
+    exactly as json.dumps(doc, indent=2) + "\n" prints it, made one row at a time.
+
+    json.dumps with indent always runs the pure-Python encoder, which would
+    hold every row dict and the whole text at once. Every command passes a
+    non-empty head and at least one row: json.dumps spells an empty list "[]",
+    which this would print as "[\n  ]".
+    """
+    # Each row is a nested object at depth 2 under indent=2.
+    row_text = "    {{\n" + ",\n".join(f"      {json.dumps(f)}: {{}}" for f in fields) + "\n    }}"
+    # json.dumps(head, indent=2) ends with "\n}"; the list key goes before it.
+    yield json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: ["
+    sep = "\n"
+    for row in rows:
+        yield sep + row_text.format(*map(_json_cell, row))
+        sep = ",\n"
+    # The tail's keys sit at depth 1, as the head's do: drop its opening "{".
+    yield "\n  ]" + ("," + json.dumps(tail, indent=2)[1:] if tail else "\n}") + "\n"
 
 
 def _json_doc(obj) -> str:
@@ -199,14 +219,29 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
             fh.writelines(chunks)
 
 
+def _emit_table(cfg: RunConfig, header: Sequence[str], rows, head: dict, key: str = "rows",
+                comment: Optional[str] = None, tail: Optional[dict] = None) -> None:
+    """Write one table in cfg.format: CSV with an optional '#' comment line, or
+    the JSON document {**head, key: [dict(zip(header, row)), ...], **tail}."""
+    if cfg.format == "json":
+        _emit(_json_table(head, key, header, rows, tail), cfg.out)
+    else:
+        _emit([_csv_table(header, rows, comment)], cfg.out)
+
+
+def _check_line(r) -> str:
+    return f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.name}: {r.detail}"
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     spec = cfg.model_spec()
     k = cfg.levels
     analytic = build_spectrum_table(spec, k) if cfg.method in ("analytic", "both") else None
     numeric = None
     if cfg.method in ("numeric", "both"):
-        grid = cfg.resolve_grid(effective_problem(spec), k) if cfg.grid_max is not None else None
-        numeric = numeric_spectrum(spec, k, grid=grid, n_points=cfg.grid_n)
+        problem = effective_problem(spec)
+        grid = cfg.resolve_grid(problem, k)
+        numeric = spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
     rows = []
     for n in range(k):
         e2_a = analytic.levels[n].e2 if analytic else None
@@ -216,27 +251,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if analytic and numeric:
             rel = abs(e2_n - e2_a) / abs(e2_a)
         rows.append((n, e2_a, e2_n, ref.e, ref.eps, rel))
-    if cfg.format == "json":
-        doc = {
-            "family": spec.family.value,
-            "params": _params_json(spec),
-            "method": cfg.method,
-            "levels": [
-                {
-                    "n": n,
-                    "e2_analytic": _round12(e2_a),
-                    "e2_numeric": _round12(e2_n),
-                    "e": _round12(e),
-                    "eps": _round12(eps),
-                    "rel_err": _round12(rel),
-                }
-                for n, e2_a, e2_n, e, eps, rel in rows
-            ],
-        }
-        _emit([_json_doc(doc)], cfg.out)
-    else:
-        header = ("n", "e2_analytic", "e2_numeric", "e", "eps", "rel_err")
-        _emit([_csv_table(header, rows)], cfg.out)
+    header = ("n", "e2_analytic", "e2_numeric", "e", "eps", "rel_err")
+    head = {"family": spec.family.value, "params": _params_json(spec), "method": cfg.method}
+    _emit_table(cfg, header, rows, head, key="levels")
     return 0
 
 
@@ -267,49 +284,25 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     )
     header = ("x", "psi1_analytic", "psi1_numeric", "psi2_numeric")
     rows = zip(grid.nodes, psi1_ana, psi1_num, psi2_num)
-    if cfg.format == "json":
-        head = {
-            "family": spec.family.value,
-            "params": _params_json(spec),
-            "n": n,
-            "e": _round12(e),
-            "e2": _round12(e2),
-            "grid": {
-                "x_min": _round12(grid.x_min),
-                "x_max": _round12(grid.x_max),
-                "n_points": grid.n_points,
-            },
-        }
-        _emit(_samples_json(head, header, rows), cfg.out)
-    else:
-        _emit([_csv_table(header, rows, comment=meta)], cfg.out)
+    head = {
+        "family": spec.family.value,
+        "params": _params_json(spec),
+        "n": n,
+        "e": _round12(e),
+        "e2": _round12(e2),
+        "grid": {
+            "x_min": _round12(grid.x_min),
+            "x_max": _round12(grid.x_max),
+            "n_points": grid.n_points,
+        },
+    }
+    _emit_table(cfg, header, rows, head, key="samples", comment=meta)
     return 0
-
-
-def _samples_json(head: dict, fields: Sequence[str], rows) -> Iterator[str]:
-    """The document {**head, "samples": [dict(zip(fields, row)), ...]} exactly as
-    _json_doc prints it, made one sample at a time.
-
-    json.dumps with indent always runs the pure-Python encoder, which would
-    hold every sample dict and the whole text at once.
-    """
-    # Each sample is a nested object at depth 2 under indent=2.
-    sample = "    {{\n" + ",\n".join(f"      {json.dumps(f)}: {{}}" for f in fields) + "\n    }}"
-    # json.dumps(head, indent=2) ends with "\n}"; the samples key goes before it.
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "samples": ['
-    sep = "\n"
-    for row in rows:
-        yield sep + sample.format(*map(_json_float, row))
-        sep = ",\n"
-    yield "\n  ]\n}\n"
 
 
 def cmd_verify(suite: str, tolerance: float) -> int:
     results = run_suite(suite, tolerance)
-    lines = []
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{tag}] {r.suite}/{r.name}: {r.detail}")
+    lines = [_check_line(r) for r in results]
     summary_failures = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(summary_failures)}/{len(results)} checks passed")
     _emit(["\n".join(lines) + "\n"], None)
@@ -350,28 +343,17 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
             rows.append((family.value, n, c, shift, eps, diff, ratio))
     checks = [nonrel_check(family) for family in families]
     ok = all(r.passed for r in checks)
-    if cfg.format == "json":
-        doc = {
-            "c_values": [_round12(c) for c in c_values],
-            "rows": [
-                {
-                    "family": fam, "n": n, "c": _round12(c),
-                    "e_minus_mc2": _round12(shift), "eps": _round12(eps),
-                    "diff": _round12(diff), "ratio": _round12(ratio),
-                }
-                for fam, n, c, shift, eps, diff, ratio in rows
-            ],
-            "checks": [
-                {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in checks
-            ],
-        }
-        _emit([_json_doc(doc)], cfg.out)
-    else:
-        header = ("family", "n", "c", "e_minus_mc2", "eps", "diff", "ratio")
-        _emit([_csv_table(header, rows)], cfg.out)
-        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.name}: {r.detail}" for r in checks]
-        _emit(["\n".join(lines) + "\n"], None)
+    header = ("family", "n", "c", "e_minus_mc2", "eps", "diff", "ratio")
+    head = {"c_values": [_round12(c) for c in c_values]}
+    tail = {
+        "checks": [
+            {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in checks
+        ],
+    }
+    _emit_table(cfg, header, rows, head, tail=tail)
+    if cfg.format == "csv":
+        _emit(["\n".join(map(_check_line, checks)) + "\n"], None)
     return 0 if ok else 1
 
 
@@ -418,26 +400,10 @@ def cmd_ajc(cfg: RunConfig) -> int:
             e2_a = analytic_e2(spec, n)
             rel = abs(e2 - e2_a) / abs(e2_a)
         rows.append((i, ata, kernel, e_plus, -e_plus, e2, n, e2_a, rel))
-    if cfg.format == "json":
-        doc = {
-            "family": spec.family.value,
-            "params": _params_json(spec),
-            "delta": _round12(delta),
-            "rows": [
-                {
-                    "index": i, "ata": _round12(ata), "kernel": kernel,
-                    "e_plus": _round12(ep), "e_minus": _round12(em),
-                    "e2": _round12(e2), "n": n,
-                    "e2_analytic": _round12(e2_a), "rel_err": _round12(rel),
-                }
-                for i, ata, kernel, ep, em, e2, n, e2_a, rel in rows
-            ],
-        }
-        _emit([_json_doc(doc)], cfg.out)
-    else:
-        header = ("index", "ata", "kernel", "e_plus", "e_minus", "e2", "n", "e2_analytic", "rel_err")
-        meta = f"family={spec.family.value} delta={_fmt(delta)} grid_n={grid.n_points} x_max={_fmt(grid.x_max)}"
-        _emit([_csv_table(header, rows, comment=meta)], cfg.out)
+    header = ("index", "ata", "kernel", "e_plus", "e_minus", "e2", "n", "e2_analytic", "rel_err")
+    head = {"family": spec.family.value, "params": _params_json(spec), "delta": _round12(delta)}
+    meta = f"family={spec.family.value} delta={_fmt(delta)} grid_n={grid.n_points} x_max={_fmt(grid.x_max)}"
+    _emit_table(cfg, header, rows, head, comment=meta)
     return 0
 
 
@@ -457,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid-max", type=float, dest="grid_max", help="outer edge of the grid (default: automatic)")
     run.add_argument("--method", choices=METHODS, help="which route(s) to tabulate (default both)")
     run.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-    run.add_argument("--tolerance", type=float, help="relative tolerance for checks (default 1e-4)")
     run.add_argument("--delta", type=float, help="ladder normalization (default 4*m*omega or 4*a)")
     run.add_argument("--out", help="write output to this file instead of stdout")
     run.add_argument("--config", help="JSON file of option defaults; explicit flags win")

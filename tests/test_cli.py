@@ -18,7 +18,7 @@ import relqosc.cli
 import relqosc.models
 import relqosc.solver
 import relqosc.verify
-from relqosc.cli import RunConfig, _json_float, _round12, main
+from relqosc.cli import RunConfig, _json_cell, _round12, main
 from relqosc.models import Family, default_spec
 
 CLI = [sys.executable, "-m", "relqosc.cli"]
@@ -109,6 +109,7 @@ class TestValidationExits:
             ("ajc", "--family", "2d-ho", "--ml", "1", "--delta", "-1"),
             ("nonrel", "--family", "1d-ho", "--c-list", "10,10"),
             ("nonrel", "--family", "1d-ho", "--c-list", "10,-3"),
+            ("spectrum", "--family", "1d-ho", "--tolerance", "1e-3"),  # verify-only flag
         ],
     )
     def test_bad_input_exits_2(self, args):
@@ -154,7 +155,14 @@ class TestWavefunction:
         e = doc["e"]
         assert w2 == pytest.approx((e - 1.0) / (e + 1.0), rel=1e-3)
 
-    def test_effective_problem_built_once(self, run_main, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("wavefunction", "--family", "2d-iso", "--n", "1", "--grid-n", "500"),
+            ("spectrum", "--family", "2d-iso", "--grid-max", "9", "--grid-n", "500"),
+        ],
+    )
+    def test_effective_problem_built_once(self, run_main, monkeypatch, argv):
         calls = []
         build = relqosc.models.effective_problem
 
@@ -164,25 +172,31 @@ class TestWavefunction:
 
         for mod in (relqosc.models, relqosc.cli, relqosc.solver, relqosc.verify):
             monkeypatch.setattr(mod, "effective_problem", counting)
-        run_main("wavefunction", "--family", "2d-iso", "--n", "1", "--grid-n", "500", check=True)
+        run_main(*argv, check=True)
         assert len(calls) == 1
 
 
 class TestStreamedJson:
-    """The wavefunction document is written sample by sample; it must read
-    exactly as json.dumps(indent=2) prints it."""
+    """Every JSON table is written row by row; it must read exactly as
+    json.dumps(indent=2) prints it."""
 
     @pytest.mark.parametrize(
-        "model", [("--family", "1d-iso"), ("--family", "2d-ho", "--ml", "-1")]
+        "argv",
+        [
+            ("wavefunction", "--family", "1d-iso", "--n", "2", "--grid-n", "300"),
+            ("wavefunction", "--family", "2d-ho", "--ml", "-1", "--n", "2", "--grid-n", "300"),
+            ("spectrum", "--family", "1d-ho", "--method", "analytic"),  # null solver cells
+            ("ajc", "--family", "1d-iso", "--levels", "3"),  # spurious kernel row: null n, string kernel
+            ("nonrel",),  # a null ratio and the trailing checks key
+        ],
     )
-    def test_matches_json_dumps_on_stdout_and_out(self, run_main, tmp_path, model):
-        args = ("wavefunction", *model, "--n", "2", "--grid-n", "300", "--format", "json")
+    def test_matches_json_dumps_on_stdout_and_out(self, run_main, tmp_path, argv):
+        args = (*argv, "--format", "json")
         text = run_main(*args, check=True).stdout
-        path = tmp_path / "wave.json"
+        path = tmp_path / "table.json"
         assert run_main(*args, "--out", str(path), check=True).stdout == ""
         assert path.read_text(encoding="utf-8") == text
         doc = json.loads(text)
-        assert len(doc["samples"]) == doc["grid"]["n_points"] == 300
         assert text == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize(
@@ -191,11 +205,12 @@ class TestStreamedJson:
             0.1, 1.0, 1e-5, 1e16, -0.0, math.nan, math.inf, -math.inf,
             0.1 + 0.2, 1 / 3, -2 / 3, 123456789012.5, 9.9999999999995e-5,
             1e22, 5e-324, 1.7976931348623157e308,
+            None, "spurious", 3, True,
         ],
     )
     def test_float_spelling_matches_json(self, value):
-        for v in (value, np.float64(value)):
-            assert _json_float(v) == json.dumps(_round12(v))
+        for v in (value, np.float64(value)) if isinstance(value, float) else (value,):
+            assert _json_cell(v) == json.dumps(_round12(v))
 
 
 LOADED_SCRIPT = """
@@ -325,9 +340,10 @@ class TestConfigFile:
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"familly": "1d-ho"}))
-        proc = run_cli("spectrum", "--config", str(cfg))
-        assert proc.returncode == 2
+        for bad in ({"familly": "1d-ho"}, {"family": "1d-ho", "tolerance": 1e-3}):
+            cfg.write_text(json.dumps(bad))
+            proc = run_cli("spectrum", "--config", str(cfg))
+            assert proc.returncode == 2 and "unknown key" in proc.stderr
 
     def test_missing_config_file_exits_3(self, tmp_path):
         proc = run_cli("spectrum", "--family", "1d-ho", "--config", str(tmp_path / "absent.json"))
