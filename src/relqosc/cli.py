@@ -15,22 +15,22 @@ floats printed to 12 significant digits. Eigenvalues do not depend on the
 thread count, but on large grids (N = 16000) the LAPACK stein eigenvectors,
 and so the wavefunction samples, can differ in the 12th digit between one
 and two BLAS threads.
-Output is written as it is made: every JSON table is streamed one row at a
-time rather than built whole.
+Output is written as it is made: every CSV and JSON table is streamed one
+chunk of rows at a time rather than built whole, and each chunk's float
+cells are spelled together by a single "%.12g" format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,31 +155,95 @@ def _round12(value):
 
 
 def _json_cell(value) -> str:
-    """json.dumps spelling of _round12(value); floats skip the encoder: repr, or NaN/Infinity/-Infinity."""
-    v = _round12(value)
-    if not isinstance(v, float):
-        return json.dumps(v)
-    if math.isfinite(v):
-        return repr(v)
-    if math.isnan(v):
-        return "NaN"
-    return "Infinity" if v > 0 else "-Infinity"
+    return json.dumps(_round12(value))
 
 
-def _csv_table(header: Sequence[str], rows, comment: Optional[str] = None) -> str:
-    buf = io.StringIO()
+# Table rows are pulled, spelled and written this many at a time.
+_CHUNK_ROWS = 256
+
+# Cells spelled by one "%.12g" per chunk (np.float64 subclasses float); any
+# other cell goes through _fmt or _json_cell on its own.
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cell_chunks(rows) -> Iterator[Tuple[int, tuple]]:
+    """(row count, the cells of those rows in order) for each chunk of rows."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield len(chunk), tuple(chain.from_iterable(chunk))
+
+
+def _all_floats(cells: tuple) -> bool:
+    return _FLOAT_TYPES.issuperset(map(type, cells))
+
+
+def _csv_floats(floats: tuple) -> List[str]:
+    """_fmt of each float, from one % call."""
+    return ("%.12g\n" * len(floats) % floats).splitlines()
+
+
+def _json_floats(floats: tuple) -> List[str]:
+    """_json_cell of each float, from one % call.
+
+    A "%.12g" token already holds the digits of repr(float(token)); only the
+    layout can differ, so a chunk whose every token has a "." and no e+1x or
+    e-3xx exponent is spelled as json spells it.
+    """
+    text = "%.12g\n" * len(floats) % floats
+    tokens = text.splitlines()
+    if text.count(".") == len(tokens) and "e+1" not in text and "e-3" not in text:
+        return tokens
+    return [_json_token(t) for t in tokens]
+
+
+def _json_token(token: str) -> str:
+    # repr prints 1e12 <= |v| < 1e16 positionally and subnormals with fewer digits.
+    if "e+1" in token or "e-3" in token:
+        return repr(float(token))
+    if "." in token or "e" in token:
+        return token
+    return _JSON_NONFINITE.get(token, token + ".0")
+
+
+def _spell_cells(cells: tuple, spell_floats, spell_other) -> List[str]:
+    """The text of each cell: spell_floats on all float cells at once, spell_other on each other cell."""
+    if _all_floats(cells):
+        return spell_floats(cells)
+    spelled = iter(spell_floats(tuple(v for v in cells if type(v) in _FLOAT_TYPES)))
+    return [next(spelled) if type(v) in _FLOAT_TYPES else spell_other(v) for v in cells]
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: csv.writer's minimal quoting, applied when it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_cell(value) -> str:
+    return _csv_field(_fmt(value))
+
+
+def _csv_table(header: Sequence[str], rows, comment: Optional[str] = None) -> Iterator[str]:
+    """An optional '# comment' line, the header and the rows, made one chunk of rows at a time."""
     if comment is not None:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+        yield f"# {comment}\n"
+    yield ",".join(map(_csv_field, header)) + "\n"
+    row_floats = ",".join(["%.12g"] * len(header)) + "\n"
+    row_text = row_floats.replace("%.12g", "%s")
+    for n, cells in _cell_chunks(rows):
+        if _all_floats(cells):
+            yield row_floats * n % cells
+        else:
+            yield row_text * n % tuple(_spell_cells(cells, _csv_floats, _csv_cell))
 
 
 def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optional[dict]) -> Iterator[str]:
     """The document {**head, key: [dict(zip(fields, row)), ...], **(tail or {})}
-    exactly as json.dumps(doc, indent=2) + "\n" prints it, made one row at a time.
+    exactly as json.dumps(doc, indent=2) + "\n" prints it, made one chunk of
+    rows at a time.
 
     json.dumps with indent always runs the pure-Python encoder, which would
     hold every row dict and the whole text at once. Every command passes a
@@ -187,12 +251,13 @@ def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optiona
     which this would print as "[\n  ]".
     """
     # Each row is a nested object at depth 2 under indent=2.
-    row_text = "    {{\n" + ",\n".join(f"      {json.dumps(f)}: {{}}" for f in fields) + "\n    }}"
+    names = [json.dumps(f).replace("%", "%%") for f in fields]
+    row_text = "    {\n" + ",\n".join(f"      {name}: %s" for name in names) + "\n    }"
     # json.dumps(head, indent=2) ends with "\n}"; the list key goes before it.
     yield json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: ["
     sep = "\n"
-    for row in rows:
-        yield sep + row_text.format(*map(_json_cell, row))
+    for n, cells in _cell_chunks(rows):
+        yield sep + ",\n".join([row_text] * n) % tuple(_spell_cells(cells, _json_floats, _json_cell))
         sep = ",\n"
     # The tail's keys sit at depth 1, as the head's do: drop its opening "{".
     yield "\n  ]" + ("," + json.dumps(tail, indent=2)[1:] if tail else "\n}") + "\n"
@@ -226,7 +291,7 @@ def _emit_table(cfg: RunConfig, header: Sequence[str], rows, head: dict, key: st
     if cfg.format == "json":
         _emit(_json_table(head, key, header, rows, tail), cfg.out)
     else:
-        _emit([_csv_table(header, rows, comment)], cfg.out)
+        _emit(_csv_table(header, rows, comment), cfg.out)
 
 
 def _check_line(r) -> str:

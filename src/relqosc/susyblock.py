@@ -39,6 +39,7 @@ __all__ = [
     "build_block_hamiltonian",
     "block_spectrum",
     "susy_isospectrality_check",
+    "kernel_dimension",
     "commutator_rayleigh",
 ]
 
@@ -184,10 +185,15 @@ def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, obj
     return {
         "dtd_eigenvalues": dtd,
         "ddt_eigenvalues": ddt,
-        "kernel_dim_dtd": int(np.count_nonzero(dtd < cut)),
-        "kernel_dim_ddt": int(np.count_nonzero(ddt < cut)),
+        "kernel_dim_dtd": kernel_dimension(dtd, pair.delta),
+        "kernel_dim_ddt": kernel_dimension(ddt, pair.delta),
         "max_rel_mismatch": max_rel,
     }
+
+
+def kernel_dimension(eigenvalues: np.ndarray, delta: float) -> int:
+    """Kernel modes among partner-operator eigenvalues: ladder value lambda/delta below KERNEL_LADDER_TOL."""
+    return int(np.count_nonzero(eigenvalues < KERNEL_LADDER_TOL * delta))
 
 
 def _bidiagonal_partner_forms(w_lo: np.ndarray, w_hi: np.ndarray, h: float):

@@ -31,6 +31,7 @@ from .susyblock import (
     build_block_hamiltonian,
     commutator_rayleigh,
     discretize_supercharge,
+    kernel_dimension,
     susy_isospectrality_check,
 )
 
@@ -156,11 +157,17 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             "susy", f"isospectrality {family.value}", rel <= ISOSPECTRAL_REL,
             f"nonzero partner spectra agree to {rel:.3e} "
             f"(kernels {report['kernel_dim_dtd']}/{report['kernel_dim_ddt']})"))
+    # D^T D lowest eigenvalues of each block-route model, as (spec, grid, pair,
+    # values) for the ladder-integers and route-equivalence checks below.
+    dtd_lowest = {}
     for family in (Family.HARMONIC_1D, Family.HARMONIC_2D):
         spec = default_spec(family)
         grid = choose_domain(effective_problem(spec), 4, n_points=4000)
-        ham = build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
-        branches = block_spectrum(ham, 4)
+        pair = discretize_supercharge(spec, grid)
+        branches = block_spectrum(build_block_hamiltonian(pair, spec.mc2), 4)
+        # The operator block_spectrum has just solved: the solver's latest solve
+        # returns these values again without a second bisection.
+        dtd_lowest[family] = spec, grid, pair, eigenvalues_lowest(pair.dtd_operator(), 4)
         pos = branches[branches > 0]
         exact = np.array([math.sqrt(analytic_e2(spec, n)) for n in range(4)])
         rel = float(np.max(np.abs(pos - exact) / exact))
@@ -183,10 +190,8 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             dev <= 1e-8 and pairing <= 1e-8 * max(1.0, float(np.max(np.abs(dense)))),
             f"factorized route vs dense 2Nx2N diagonalization: max rel dev {dev:.3e}; "
             f"+/- pairing dev {pairing:.3e}"))
-    spec = default_spec(Family.HARMONIC_2D)
-    grid = choose_domain(effective_problem(spec), 4, n_points=4000)
-    pair = discretize_supercharge(spec, grid)
-    ladder = eigenvalues_lowest(pair.dtd_operator(), 4) / pair.delta
+    _, _, pair, lam = dtd_lowest[Family.HARMONIC_2D]
+    ladder = lam / pair.delta
     dev = float(np.max(np.abs(ladder - np.round(ladder))))
     out.append(CheckResult(
         "susy", "ladder-integers 2d-ho", dev <= LADDER_ABS,
@@ -200,10 +205,7 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
         out.append(CheckResult(
             "susy", f"commutator 2d-ho ml={ml}", dev <= COMMUTATOR_ABS,
             f"ladder commutator Rayleigh quotients off 1 by {dev:.3e} (tol {COMMUTATOR_ABS:.1e})"))
-    spec = default_spec(Family.HARMONIC_1D)
-    grid = choose_domain(effective_problem(spec), 4, n_points=4000)
-    pair = discretize_supercharge(spec, grid)
-    lam = eigenvalues_lowest(pair.dtd_operator(), 4)
+    spec, grid, _, lam = dtd_lowest[Family.HARMONIC_1D]
     e2_susy = spec.mc2 ** 2 + spec.params.c ** 2 * lam
     e2_num = numeric_spectrum(spec, 4, grid=grid).e2_values()
     rel = float(np.max(np.abs(e2_susy - e2_num) / e2_num))
@@ -213,8 +215,8 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
     for family, expect in ((Family.HARMONIC_1D, 1), (Family.ISOTONIC_1D, 1)):
         spec = default_spec(family)
         grid = choose_domain(effective_problem(spec), 5, n_points=2000)
-        report = susy_isospectrality_check(discretize_supercharge(spec, grid), 5)
-        got = report["kernel_dim_dtd"]
+        pair = discretize_supercharge(spec, grid)
+        got = kernel_dimension(eigenvalues_lowest(pair.dtd_operator(), 5), pair.delta)
         out.append(CheckResult(
             "susy", f"kernel-dimension {family.value}", got == expect,
             f"numerical kernel modes of D: {got} (expected {expect})"))

@@ -6,19 +6,38 @@ fresh `python -m relqosc.cli`; the tests of which modules a command loads
 run it in a fresh interpreter.
 """
 
+import csv
+import io
 import json
 import math
+import struct
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relqosc.cli
 import relqosc.models
 import relqosc.solver
 import relqosc.verify
-from relqosc.cli import RunConfig, _json_cell, _round12, main
+from relqosc.cli import (
+    _CHUNK_ROWS,
+    RunConfig,
+    _csv_floats,
+    _csv_table,
+    _emit_table,
+    _fmt,
+    _json_cell,
+    _json_floats,
+    _json_table,
+    _round12,
+    _spell_cells,
+    main,
+)
 from relqosc.models import Family, default_spec
 
 CLI = [sys.executable, "-m", "relqosc.cli"]
@@ -176,9 +195,81 @@ class TestWavefunction:
         assert len(calls) == 1
 
 
+def csv_reference(header, rows, comment=None):
+    """The CSV table as csv.writer writes the _fmt spelling of each cell."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def json_reference(head, key, fields, rows, tail=None):
+    doc = {**head, key: [dict(zip(fields, map(_round12, row))) for row in rows], **(tail or {})}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Floats where a "%.12g" token and repr lay the same value out differently:
+# NaN, +-inf, subnormals, integral values, the 1e12-1e16 band; plus any bit pattern.
+PLAIN_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e12, max_value=1e16),
+    st.floats(min_value=-1e16, max_value=-1e12),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.integers(-10 ** 16, 10 ** 16).map(float),
+    st.integers(0, 2 ** 64 - 1).map(from_bits),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]),
+)
+FLOATS = st.builds(lambda v, wrap: np.float64(v) if wrap else v, PLAIN_FLOATS, st.booleans())
+# csv.writer quotes a field holding CR only from Python 3.12 on; the table never does.
+TEXT = st.text(st.characters(blacklist_characters="\r"), max_size=8)
+CELLS = st.one_of(FLOATS, st.none(), TEXT, st.integers(), st.just(True))
+
+
+class TestBulkSpelling:
+    """Each chunk's float cells are spelled by one %-format; the text must equal
+    the per-cell spelling: _fmt for CSV, json.dumps(_round12(v)) for JSON."""
+
+    @given(st.lists(FLOATS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_floats(self, cells):
+        cells = tuple(cells)
+        assert _spell_cells(cells, _csv_floats, _fmt) == [_fmt(v) for v in cells]
+        assert _spell_cells(cells, _json_floats, _json_cell) == [json.dumps(_round12(v)) for v in cells]
+
+    @given(st.lists(CELLS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_cells(self, cells):
+        cells = tuple(cells)
+        assert _spell_cells(cells, _csv_floats, _fmt) == [_fmt(v) for v in cells]
+        assert _spell_cells(cells, _json_floats, _json_cell) == [json.dumps(_round12(v)) for v in cells]
+
+    @given(st.lists(st.tuples(CELLS, FLOATS, CELLS), min_size=1, max_size=12),
+           st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_tables_across_chunks(self, mixed, floats):
+        """Small chunks, so that tables span several, some all-float and some mixed."""
+        rows = mixed + floats
+        fields = ("x", "y,\"z", "100%")
+        with mock.patch.object(relqosc.cli, "_CHUNK_ROWS", 3):
+            assert "".join(_csv_table(fields, rows, "c=1")) == csv_reference(fields, rows, "c=1")
+            assert "".join(_json_table({"h": 1}, "rows", fields, rows, {"t": None})) == json_reference(
+                {"h": 1}, "rows", fields, rows, {"t": None})
+
+    def test_csv_quotes_carriage_return(self):
+        assert "".join(_csv_table(("a", "b"), [("x\ry", 1.0)])) == 'a,b\n"x\ry",1\n'
+
+
 class TestStreamedJson:
-    """Every JSON table is written row by row; it must read exactly as
-    json.dumps(indent=2) prints it."""
+    """Every CSV and JSON table is written one chunk of rows at a time; JSON must
+    read exactly as json.dumps(indent=2) prints it."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -199,6 +290,52 @@ class TestStreamedJson:
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("dest", ["stdout", "out"])
+    def test_wavefunction_at_chunk_edges(self, run_main, tmp_path, fmt, n_rows, dest):
+        argv = ("wavefunction", "--family", "1d-ho", "--n", "1", "--grid-n", str(n_rows))
+        doc_text = run_main(*argv, "--format", "json", check=True).stdout
+        doc = json.loads(doc_text)
+        assert len(doc["samples"]) == n_rows
+        if fmt == "json":
+            want = json.dumps(doc, indent=2) + "\n"
+        else:
+            # _fmt of a 12-digit rounded value spells the value itself.
+            header = tuple(doc["samples"][0])
+            want = csv_reference(header, [tuple(row.values()) for row in doc["samples"]])
+        if dest == "stdout":
+            text = run_main(*argv, "--format", fmt, check=True).stdout
+        else:
+            path = tmp_path / f"table.{fmt}"
+            assert run_main(*argv, "--format", fmt, "--out", str(path), check=True).stdout == ""
+            text = path.read_text(encoding="utf-8")
+        if fmt == "csv":
+            assert text.startswith("# family=1d-ho n=1 ")
+            text = text.split("\n", 1)[1]
+        assert text == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_chunk_written_before_rows_run_out(self, monkeypatch, fmt):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        seen = []
+
+        def rows():
+            for i in range(3 * _CHUNK_ROWS):
+                if i == _CHUNK_ROWS:
+                    seen.append(out.getvalue())
+                yield (float(i), i / 7)
+
+        _emit_table(RunConfig(format=fmt), ("a", "b"), rows(), {"h": 1})
+        first = list(zip(map(float, range(_CHUNK_ROWS)), (i / 7 for i in range(_CHUNK_ROWS))))
+        if fmt == "csv":
+            assert seen == [csv_reference(("a", "b"), first)]
+        else:
+            assert seen[0].startswith('{\n  "h": 1,\n  "rows": [\n    {\n')
+            assert seen[0].count("{") == 1 + _CHUNK_ROWS
+        assert out.getvalue().count("\n") > seen[0].count("\n")
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -210,7 +347,8 @@ class TestStreamedJson:
     )
     def test_float_spelling_matches_json(self, value):
         for v in (value, np.float64(value)) if isinstance(value, float) else (value,):
-            assert _json_cell(v) == json.dumps(_round12(v))
+            assert _spell_cells((v,), _json_floats, _json_cell) == [json.dumps(_round12(v))]
+            assert _spell_cells((v, 0.5) * 2, _json_floats, _json_cell) == [json.dumps(_round12(v)), "0.5"] * 2
 
 
 LOADED_SCRIPT = """

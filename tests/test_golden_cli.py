@@ -7,18 +7,28 @@ count. golden_cli.json holds the digests; rewrite it only for an intended
 change of the output, and name each changed argv in the change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The N = 16000 wavefunction tables are checked against the benchmark's own
+digests (perfbench/cli_digests.json, read only), each in a fresh
+`python -m relqosc.cli` with one BLAS thread, as the benchmark runs them.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from relqosc.cli import main
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+BENCH_DIGESTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "cli_digests.json"
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 FAMILIES = ("1d-ho", "1d-iso", "2d-ho", "2d-iso")
 FORMATS = ((), ("--format", "json"))
@@ -84,6 +94,26 @@ def test_stdout_matches_golden_digests():
     assert sorted(golden) == sorted(golden_argvs())
     changed = [argv for argv in golden_argvs() if stdout_digest(argv) != golden[argv]]
     assert changed == []
+
+
+def large_grid_digests():
+    digests = json.loads(BENCH_DIGESTS_PATH.read_text(encoding="utf-8"))
+    return {argv: d for argv, d in digests.items()
+            if argv.startswith("wavefunction ") and "--grid-n 16000" in argv}
+
+
+def test_large_grid_digests_cover_every_family():
+    assert sorted(large_grid_digests()) == [
+        f"wavefunction --family {family} --n 3 --grid-n 16000 --format json" for family in FAMILIES
+    ]
+
+
+@pytest.mark.parametrize("argv", sorted(large_grid_digests()))
+def test_large_grid_stdout_matches_benchmark_digest(argv):
+    proc = subprocess.run([sys.executable, "-m", "relqosc.cli", *argv.split()],
+                          capture_output=True, timeout=300, env={**os.environ, **ONE_BLAS_THREAD})
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == large_grid_digests()[argv]
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from relqosc import (
     numeric_levels,
     numeric_spectrum,
     residual_pair_check,
+    run_suite,
 )
 from relqosc import solver
 from relqosc.models import RadialProblem
@@ -482,6 +483,13 @@ class TestLatestSolve:
         got = eigenvalues_lowest(other, k)
         assert fake.calls["dstebz"] == 2
         assert bits(got) == bits(fresh_values(other, k))
+
+    def test_verify_all_bisects_each_operator_once(self, monkeypatch):
+        """block-route's D^T D solves serve ladder-integers and route-equivalence,
+        and kernel-dimension bisects D^T D alone."""
+        fake = patch_lapack(monkeypatch)
+        assert all(r.passed for r in run_suite("all"))
+        assert fake.calls == {"dstebz": 26, "dstein": 4}
 
     def test_vector_request_runs_lapack(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
