@@ -9,7 +9,7 @@ Subcommands:
     ajc           ladder-operator route: A+A rungs and the paired +/- energies
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or model
-validation, 3 numerical failure. Output is deterministic for a fixed BLAS
+validation, 3 runtime or solver error. Output is deterministic for a fixed BLAS
 thread count: identical inputs then produce byte-identical CSV or JSON,
 floats printed to 12 significant digits. Eigenvalues do not depend on the
 thread count, but on large grids (N = 16000) the LAPACK stein eigenvectors,
@@ -18,12 +18,15 @@ and two BLAS threads.
 Output is written as it is made: every CSV and JSON table is streamed one
 chunk of rows at a time rather than built whole, and each chunk's float
 cells are spelled together by a single "%.12g" format.
+The console script and `python -m relqosc.cli` both start through entry(),
+which freezes the imported objects before it runs main().
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -40,7 +43,7 @@ from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, 
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
 from .verify import available_suites, nonrel_check, nonrel_sweep, run_suite
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["RunConfig", "build_parser", "main", "entry"]
 
 FAMILY_LABELS = [f.value for f in Family]
 METHODS = ("analytic", "numeric", "both")
@@ -76,10 +79,10 @@ class RunConfig:
             raise ValueError("levels must be a positive integer")
         if self.grid_n < 3:
             raise ValueError("grid-n must be at least 3")
-        if self.grid_max is not None and not self.grid_max > 0:
-            raise ValueError("grid-max must be positive")
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if self.grid_max is not None and not 0 < self.grid_max < math.inf:
+            raise ValueError(f"grid-max must be positive and finite, got {self.grid_max}")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     def model_spec(self) -> ModelSpec:
         if self.family is None:
@@ -429,6 +432,8 @@ def _parse_c_list(text: str) -> List[float]:
         raise ValueError(f"bad --c-list {text!r}: entries must be numbers") from exc
     if not values:
         raise ValueError("--c-list must contain at least one light speed")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("--c-list entries must be finite")
     if any(not v > 0 for v in values):
         raise ValueError("--c-list entries must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -539,5 +544,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Process entry of the `relqosc` console script and `python -m relqosc.cli`."""
+    # Everything imported so far lives until the process ends. Freezing moves
+    # it out of the collector's generations, so the cyclic collections of
+    # interpreter shutdown skip numpy's import graph, while shutdown itself
+    # (atexit handlers, stream flushes, profilers, coverage) still runs in
+    # full. Only the process entry freezes: main() also runs inside tests and
+    # other programs, whose garbage a freeze would pin for good.
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -15,6 +15,7 @@ discretization. All formulas take hbar = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -66,7 +67,8 @@ class PhysicalParams:
 
     omega is the harmonic frequency (harmonic families); a and b are the
     linear and inverse strengths of the isotonic profile (isotonic families).
-    Unused parameters may stay at their defaults.
+    Unused parameters may stay at their defaults. Every parameter must be
+    finite, used or not.
     """
 
     m: float = 1.0
@@ -80,6 +82,10 @@ class PhysicalParams:
             raise ValueError(f"mass must be positive, got m={self.m}")
         if not (self.c > 0):
             raise ValueError(f"light speed must be positive, got c={self.c}")
+        for name in ("m", "c", "omega", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name} must be finite, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,9 @@ class ModelSpec:
     and forbidden for the 1D ones. Validation rejects sub-critical
     centrifugal sectors (ml^2 < 1/4, or (ml - b)^2 < 1/4 for the 2D
     isotonic family) where the radial problem loses its unique ground
-    branch; those sectors are out of the solver's contract.
+    branch; those sectors are out of the solver's contract. It also rejects
+    a rest energy whose square (mc^2)^2, the E^2 intercept every family
+    uses, is not a finite float.
     """
 
     family: Family
@@ -99,6 +107,12 @@ class ModelSpec:
 
     def __post_init__(self):
         fam, p = self.family, self.params
+        try:
+            finite = math.isfinite(self.mc2 ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"(mc^2)^2 must be finite, got m={p.m}, c={p.c}")
         if fam.is_two_dimensional:
             if self.ml is None:
                 raise ValueError(f"family {fam.value} requires an angular index ml")

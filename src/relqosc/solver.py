@@ -20,7 +20,8 @@ module is a genuine cross-check.
 scipy.linalg is never imported. The two LAPACK routines are called through
 scipy's compiled LAPACK wrapper module (scipy.linalg._flapack, the module
 scipy.linalg.lapack re-exports), which the solver loads on its own at the
-first eigensolve, without running scipy.linalg's package initialisation.
+first eigensolve, without running the package initialisation of scipy or
+scipy.linalg: scipy itself is never imported either.
 Commands that only evaluate closed forms (spectrum --method analytic,
 nonrel) load no LAPACK at all. A later `import scipy.linalg` reuses the
 module the solver loaded, and the solver reuses one already imported.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -198,21 +200,25 @@ _FLAPACK = "scipy.linalg._flapack"
 
 @functools.cache
 def _flapack():
-    """scipy's compiled LAPACK wrapper module, loaded once without scipy.linalg.
+    """scipy's compiled LAPACK wrapper module, loaded once without scipy's package init.
 
     An already imported module is reused. Otherwise the module is located
-    through the import system's finders inside the scipy.linalg package
-    directory (finding that spec imports only the top-level scipy package)
-    and executed directly. The extension registers itself in sys.modules, so
-    a later `import scipy.linalg` shares this very module.
+    through the import system's finders inside the linalg directory of each
+    scipy location and executed directly. Finding the spec of the top-level
+    scipy package imports nothing, so neither scipy's nor scipy.linalg's
+    package initialisation runs. The extension registers itself in
+    sys.modules, so a later `import scipy.linalg` shares this very module.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
         return module
-    package = importlib.util.find_spec("scipy.linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError(f"cannot locate {_FLAPACK}: scipy is not installed", name=_FLAPACK)
+    path = [os.path.join(location, "linalg") for location in scipy.submodule_search_locations]
     for finder in sys.meta_path:
         find_spec = getattr(finder, "find_spec", None)
-        spec = find_spec(_FLAPACK, package.submodule_search_locations) if find_spec else None
+        spec = find_spec(_FLAPACK, path) if find_spec else None
         if spec is not None:
             break
     else:

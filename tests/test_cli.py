@@ -7,12 +7,15 @@ run it in a fresh interpreter.
 """
 
 import csv
+import gc
+import importlib
 import io
 import json
 import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -129,12 +132,22 @@ class TestValidationExits:
             ("nonrel", "--family", "1d-ho", "--c-list", "10,10"),
             ("nonrel", "--family", "1d-ho", "--c-list", "10,-3"),
             ("spectrum", "--family", "1d-ho", "--tolerance", "1e-3"),  # verify-only flag
+            ("spectrum", "--family", "1d-ho", "--c", "inf"),
+            ("spectrum", "--family", "1d-ho", "--omega", "inf"),
+            ("spectrum", "--family", "2d-iso", "--b", "nan"),
+            ("nonrel", "--family", "1d-ho", "--c-list", "10,inf"),
+            ("ajc", "--family", "2d-ho", "--delta", "inf"),
+            ("spectrum", "--family", "1d-ho", "--m", "1e200"),  # (mc^2)^2 overflows
+            ("spectrum", "--family", "1d-iso", "--a", "inf"),
+            ("spectrum", "--family", "1d-ho", "--grid-max", "inf"),
         ],
     )
     def test_bad_input_exits_2(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
+        if "--tolerance" not in args:  # argparse prints its usage before the error line
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_unknown_suite_exits_2(self):
         proc = run_cli("verify", "--suite", "nope")
@@ -354,8 +367,9 @@ class TestStreamedJson:
 LOADED_SCRIPT = """
 import contextlib, io, json, sys
 import relqosc, relqosc.cli
+modules = json.loads(sys.argv[2])
 def loaded():
-    return ["scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules]
+    return [name in sys.modules for name in modules]
 out = [["import", None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -365,9 +379,9 @@ print(json.dumps(out))
 """
 
 
-def commands_loading(*argvs):
-    """Per command in one fresh interpreter: [argv, exit code, scipy.linalg loaded, LAPACK module loaded]."""
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(argvs)],
+def commands_loading(*argvs, modules=("scipy.linalg", "scipy.linalg._flapack")):
+    """Per command in one fresh interpreter: [argv, exit code, whether each of modules is loaded]."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(argvs), json.dumps(modules)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -394,6 +408,67 @@ def test_solving_commands_never_load_scipy_linalg():
         ["verify", "--suite", "spectrum"],
     ]
     assert commands_loading(*argvs)[1:] == [[" ".join(argv), 0, False, True] for argv in argvs]
+
+
+def test_solving_commands_never_import_scipy():
+    argvs = [
+        ["spectrum", "--family", "1d-ho"],
+        ["ajc", "--family", "2d-ho"],
+        ["wavefunction", "--family", "1d-iso", "--n", "2", "--grid-n", "400"],
+        ["wavefunction", "--family", "2d-iso", "--n", "3", "--grid-n", "400", "--format", "json"],
+        ["verify", "--suite", "spectrum"],
+    ]
+    assert commands_loading(*argvs, modules=("scipy", "scipy.linalg._flapack")) == [
+        ["import", None, False, False],
+        *([" ".join(argv), 0, False, True] for argv in argvs),
+    ]
+
+
+class TestProcessEntry:
+    """`python -m relqosc.cli` starts through entry(); main(argv) in process must behave the same."""
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, ["spectrum", "--family", "1d-ho"]),
+            (1, ["verify", "--suite", "spectrum", "--tolerance", "1e-30"]),
+            (2, ["spectrum", "--family", "1d-ho", "--levels", "0"]),
+            (3, ["spectrum", "--family", "1d-ho", "--omega", "1e-14"]),
+        ],
+    )
+    def test_entry_matches_main(self, capsys, code, argv):
+        child = subprocess.run(CLI + argv, capture_output=True, timeout=300)
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen
+        assert child.returncode == code
+        assert child.stdout == capsys.readouterr().out.encode()
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        argv = ["wavefunction", "--family", "2d-ho", "--n", "1", "--grid-n", "2000", "--format", "json"]
+        out = tmp_path / "samples.json"
+        run_cli(*argv, "--out", str(out), check=True)
+        assert main(argv) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_entry_freezes_and_shutdown_still_runs(self):
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+            "runpy.run_module('relqosc.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, "spectrum", "--family", "1d-ho"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("n,e2_analytic,")
+        assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        module, _, name = scripts["relqosc"].partition(":")
+        assert getattr(importlib.import_module(module), name) is relqosc.cli.entry
 
 
 class TestVerifyCommand:

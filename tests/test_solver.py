@@ -1,5 +1,7 @@
 import collections
 import contextlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import subprocess
@@ -403,6 +405,21 @@ print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._f
                   solver._flapack() is scipy.linalg.lapack._flapack]))
 """)
         assert got == [True, True, True]
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as excinfo:
+            solver._flapack.__wrapped__()
+        assert excinfo.value.name == "scipy.linalg._flapack"
+
+    def test_scipy_without_lapack_raises_import_error(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: empty)
+        with pytest.raises(ImportError, match=r"cannot locate scipy\.linalg\._flapack"):
+            solver._flapack.__wrapped__()
 
 
 def bits(values) -> list:
