@@ -92,11 +92,17 @@ def _e2_shift(spec: ModelSpec, n: int) -> float:
     return 2.0 * p.a * c2 * (2.0 * n + abs(d) - d)
 
 
+def _finite_level(value: float, name: str, spec: ModelSpec, n: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} of level {n} overflows for this {spec.family.value} model")
+    return value
+
+
 def analytic_e2(spec: ModelSpec, n: int) -> float:
-    """Closed-form squared energy E_n^2 of level n >= 0."""
+    """Closed-form squared energy E_n^2 of level n >= 0; ValueError where it overflows."""
     if n < 0 or n != int(n):
         raise ValueError(f"level index must be a nonnegative integer, got {n}")
-    return spec.mc2 ** 2 + _e2_shift(spec, int(n))
+    return _finite_level(spec.mc2 ** 2 + _e2_shift(spec, int(n)), "E^2", spec, n)
 
 
 def analytic_nonrel_eps(spec: ModelSpec, n: int) -> float:
@@ -104,11 +110,11 @@ def analytic_nonrel_eps(spec: ModelSpec, n: int) -> float:
 
     Computed uniformly for all families, which is exactly the c -> infinity
     limit of E_n - mc^2 (the spectra shift linearly in c^2, so eps_n is
-    c-independent).
+    c-independent). ValueError where it overflows.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"level index must be a nonnegative integer, got {n}")
-    return _e2_shift(spec, int(n)) / (2.0 * spec.mc2)
+    return _finite_level(_e2_shift(spec, int(n)) / (2.0 * spec.mc2), "eps", spec, n)
 
 
 def analytic_wavefunction(spec: ModelSpec, n: int, x):

@@ -41,14 +41,13 @@ from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
 from .models import Family, ModelSpec, PhysicalParams, RadialProblem, default_spec, effective_problem, pair_recover_psi2
 from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
-from .verify import available_suites, nonrel_check, nonrel_sweep, run_suite
+from .verify import NONREL_C_VALUES, available_suites, nonrel_check, nonrel_sweep, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main", "entry"]
 
 FAMILY_LABELS = [f.value for f in Family]
 METHODS = ("analytic", "numeric", "both")
 FORMATS = ("csv", "json")
-DEFAULT_C_LIST = "10,20,40"
 
 
 @dataclass
@@ -95,7 +94,7 @@ class RunConfig:
 
     def resolve_grid(self, problem: RadialProblem, k: int) -> Grid:
         if self.grid_max is not None:
-            x_min = 0.0 if problem.singular_at_zero else -self.grid_max
+            x_min = -self.grid_max if problem.domain == "full-line" else 0.0
             return Grid(x_min, self.grid_max, self.grid_n)
         return choose_domain(problem, k, n_points=self.grid_n)
 
@@ -120,9 +119,13 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"config file {path}: unknown key {key!r}")
         if value is None:
             continue
+        kind = _FIELD_TYPES[key]
+        # As the flags do: no booleans, and no fraction where an integer goes.
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"config file {path}: bad value for {key!r}: {value!r}")
         try:
-            values[key] = _FIELD_TYPES[key](value)
-        except (TypeError, ValueError) as exc:
+            values[key] = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"config file {path}: bad value for {key!r}: {value!r}") from exc
     return values
 
@@ -333,11 +336,8 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     problem = effective_problem(spec)
     grid = cfg.resolve_grid(problem, k)
     results = eigen_lowest(discretize(problem, grid), k)
-    lam = results[n].eigenvalue
-    e2 = problem.lambda_to_e2(lam)
-    if e2 < 0:
-        raise SolverError(f"negative E^2 = {e2:.6g} at level {n}; refine the grid")
-    e = math.sqrt(e2)
+    level = spectrum_table(problem, [results[n].eigenvalue]).levels[0]
+    e, e2 = level.e, level.e2
     psi1_num = results[n].vector
     psi1_ana = analytic_wavefunction(spec, n, grid.nodes)
     norm = math.sqrt(grid.h * float(np.sum(psi1_ana ** 2)))
@@ -395,15 +395,9 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
     n_max = cfg.levels - 1
     rows = []
     for family in families:
-        base = dataclasses.replace(cfg, family=family.value)
-        template = base.model_spec()
-
-        def at_c(c, t=template):
-            return ModelSpec(t.family, dataclasses.replace(t.params, c=c), ml=t.ml)
-
-        sweep = nonrel_sweep(at_c, n_max, c_values=c_values)
+        spec = dataclasses.replace(cfg, family=family.value).model_spec()
         prev = {}
-        for n, c, shift, eps, diff in sweep:
+        for n, c, shift, eps, diff in nonrel_sweep(spec, n_max, c_values=c_values):
             ratio = None
             if n in prev and diff > 0:
                 ratio = prev[n] / diff
@@ -509,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=available_suites(), default="all")
     p_verify.add_argument("--tolerance", type=float, default=1e-4)
     p_nonrel = sub.add_parser("nonrel", parents=[model], help="weak-relativistic sweep")
-    p_nonrel.add_argument("--c-list", dest="c_list", default=DEFAULT_C_LIST,
-                          help="comma separated light speeds (default 10,20,40)")
+    p_nonrel.add_argument("--c-list", dest="c_list", default=",".join(f"{c:g}" for c in NONREL_C_VALUES),
+                          help="comma separated light speeds (default %(default)s, the nonrel suite's)")
     sub.add_parser("ajc", parents=[model], help="ladder route: A+A rungs and paired energies")
     return parser
 

@@ -97,8 +97,10 @@ class ModelSpec:
     centrifugal sectors (ml^2 < 1/4, or (ml - b)^2 < 1/4 for the 2D
     isotonic family) where the radial problem loses its unique ground
     branch; those sectors are out of the solver's contract. It also rejects
-    a rest energy whose square (mc^2)^2, the E^2 intercept every family
-    uses, is not a finite float.
+    what the parameters alone make unrepresentable: a rest energy whose
+    square (mc^2)^2 underflows to 0, and any of the model's scales (well
+    strength, lambda ladder, E^2 and eps maps, delta; see effective_problem)
+    that overflows.
     """
 
     family: Family
@@ -107,12 +109,6 @@ class ModelSpec:
 
     def __post_init__(self):
         fam, p = self.family, self.params
-        try:
-            finite = math.isfinite(self.mc2 ** 2)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"(mc^2)^2 must be finite, got m={p.m}, c={p.c}")
         if fam.is_two_dimensional:
             if self.ml is None:
                 raise ValueError(f"family {fam.value} requires an angular index ml")
@@ -133,10 +129,23 @@ class ModelSpec:
             raise ValueError(
                 f"2D harmonic sector ml={self.ml} is sub-critical (ml^2 < 1/4); not supported"
             )
-        if fam is Family.ISOTONIC_2D and (self.ml - p.b) ** 2 < 0.25:
+        # |ml - b| < 1/2 is (ml - b)^2 < 1/4 without the square, which overflows.
+        if fam is Family.ISOTONIC_2D and abs(self.ml - p.b) < 0.5:
             raise ValueError(
                 f"2D isotonic sector ml={self.ml}, b={p.b} is sub-critical "
                 f"((ml - b)^2 < 1/4); not supported"
+            )
+        try:
+            # E^2 of a level at rest would be 0, and relative errors divide by it.
+            if self.mc2 ** 2 == 0:
+                raise ValueError(f"(mc^2)^2 underflows to 0, got m={p.m}, c={p.c}")
+            finite = all(map(math.isfinite, _facts(self)[1:]))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"{fam.value} model scales overflow, got m={p.m}, c={p.c}, "
+                f"omega={p.omega}, a={p.a}, b={p.b}"
             )
 
     @property
@@ -145,14 +154,14 @@ class ModelSpec:
         return self.params.m * self.params.c ** 2
 
 
-def default_spec(family: Family, c: float = 1.0) -> ModelSpec:
+def default_spec(family: Family) -> ModelSpec:
     """The documented default model of each family.
 
-    Unit m, omega and a; b = 1 except b = 1/4 for 2d-iso; ml = 1 in 2D.
+    Unit m, c, omega and a; b = 1 except b = 1/4 for 2d-iso; ml = 1 in 2D.
     """
     b = 0.25 if family is Family.ISOTONIC_2D else 1.0
     ml = 1 if family.is_two_dimensional else None
-    return ModelSpec(family, PhysicalParams(c=c, b=b), ml=ml)
+    return ModelSpec(family, PhysicalParams(b=b), ml=ml)
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,6 @@ class RadialProblem:
     potential: Callable[[np.ndarray], np.ndarray]
     lambda_to_e2: AffineMap
     lambda_to_eps: AffineMap
-    singular_at_zero: bool
     well_strength: float
     lambda_gap: float
     lambda_offset: float
@@ -225,14 +233,12 @@ def pair_superpotential(spec: ModelSpec, x):
     return superpotential(spec, x)
 
 
-def effective_problem(spec: ModelSpec) -> RadialProblem:
-    """Build the effective Sturm-Liouville problem for a model.
+def _facts(spec: ModelSpec):
+    """(domain, q, cent, gap, offset, c^2, E^2 intercept, eps slope, eps intercept, delta).
 
-    The potential is V = W^2 - W' plus the constant absorbed into the
-    eigenvalue map (2D families also pick up the -1/(4r^2) flat-measure
-    term), so lambda_to_e2 has slope exactly c^2 for every family. Each
-    branch states the family's potential, well strength q, lambda ladder
-    (gap and offset), E^2 intercept and default ladder normalization delta.
+    The numbers effective_problem is built from; ModelSpec requires every
+    one of them to be finite. cent is the 1/x^2 coefficient of V on the
+    half-line. Raises OverflowError where a power overflows.
     """
     p = spec.params
     mc2 = spec.mc2
@@ -240,10 +246,7 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
     fam = spec.family
     if fam is Family.HARMONIC_1D:
         mw = p.m * p.omega
-
-        def potential(x):
-            return (mw * x) ** 2
-
+        cent = 0.0
         # lambda_n = m omega (2n + 1); E^2 = c^2 lambda + (mc^2)^2 - m omega c^2
         domain, q, gap, offset, e2_intercept = "full-line", mw, 2.0 * mw, mw, mc2 ** 2 - mw * c2
         # Twice the gap, so the A+A rungs read n/2. It stays so because
@@ -252,10 +255,6 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
     elif fam is Family.ISOTONIC_1D:
         a, b = p.a, p.b
         cent = b * (b + 1.0)
-
-        def potential(x):
-            return (a * x) ** 2 + cent / x ** 2
-
         # lambda_n = a (4n + 2b + 3); E^2 = c^2 lambda + (mc^2)^2 - a c^2 (1 - 2b)
         domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * b + 3.0), mc2 ** 2 - a * c2 * (1.0 - 2.0 * b)
         delta = gap
@@ -263,10 +262,6 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
         mw = p.m * p.omega
         ml = spec.ml
         cent = ml ** 2 - 0.25
-
-        def potential(r):
-            return (mw * r) ** 2 + cent / r ** 2
-
         # lambda_n = m omega (4n + 2|ml| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 mc^2 omega (1 + ml)
         domain, q, gap, offset, e2_intercept = "half-line", mw, 4.0 * mw, mw * (2.0 * abs(ml) + 2.0), mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + ml)
         delta = gap
@@ -274,21 +269,35 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
         a, b, ml = p.a, p.b, spec.ml
         s = abs(ml - b)
         cent = (ml - b) ** 2 - 0.25
-
-        def potential(r):
-            return (a * r) ** 2 + cent / r ** 2
-
         # lambda_n = a (4n + 2|ml - b| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 a c^2 (ml - b + 1)
         domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * s + 2.0), mc2 ** 2 - 2.0 * a * c2 * (ml - b + 1.0)
         delta = gap
     eps_slope = c2 / (2.0 * mc2)
     eps_intercept = (e2_intercept - mc2 ** 2) / (2.0 * mc2)
+    return domain, q, cent, gap, offset, c2, e2_intercept, eps_slope, eps_intercept, delta
+
+
+def effective_problem(spec: ModelSpec) -> RadialProblem:
+    """Build the effective Sturm-Liouville problem for a model.
+
+    The potential is V = W^2 - W' plus the constant absorbed into the
+    eigenvalue map (2D families also pick up the -1/(4r^2) flat-measure
+    term), so lambda_to_e2 has slope exactly c^2 for every family. Every
+    family's V is q^2 x^2, plus cent / x^2 on the half-line; _facts states
+    each family's q, cent, lambda ladder (gap and offset), E^2 intercept
+    and default ladder normalization delta.
+    """
+    domain, q, cent, gap, offset, c2, e2_intercept, eps_slope, eps_intercept, delta = _facts(spec)
+
+    def potential(x):
+        v = (q * x) ** 2
+        return v if domain == "full-line" else v + cent / x ** 2
+
     return RadialProblem(
         domain=domain,
         potential=potential,
         lambda_to_e2=AffineMap(c2, e2_intercept),
         lambda_to_eps=AffineMap(eps_slope, eps_intercept),
-        singular_at_zero=domain == "half-line",
         well_strength=q,
         lambda_gap=gap,
         lambda_offset=offset,

@@ -172,7 +172,7 @@ def choose_domain(problem: RadialProblem, k: int, n_points: int = DEFAULT_N_POIN
 
 def discretize(problem: RadialProblem, grid: Grid) -> TridiagonalOperator:
     """3-point Dirichlet discretization of -u'' + V u on the grid."""
-    if problem.singular_at_zero and grid.x_min < 0:
+    if problem.domain == "half-line" and grid.x_min < 0:
         raise ValueError(
             f"half-line problem discretized on a grid reaching x_min={grid.x_min} < 0"
         )
@@ -242,7 +242,7 @@ _last_solve = None
 
 
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
-    """LAPACK stebz for the k smallest eigenvalues, with stein vectors unless eigvals_only.
+    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors unless eigvals_only.
 
     The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
@@ -292,7 +292,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    lam = np.sort(_stebz_lowest(op, k, eigvals_only=True))
+    lam = _stebz_lowest(op, k, eigvals_only=True)
     if lam.size != k or not np.all(np.isfinite(lam)):
         raise SolverError(
             f"bisection returned {lam.size} values, {int(np.count_nonzero(np.isfinite(lam)))} "
@@ -315,15 +315,14 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     # Evaluating the residual itself rounds at a few eps ||T||, which sets the
     # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
     bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * op.norm_inf()
-    order = np.argsort(lam)
     results = []
-    for idx in order:
+    for idx in range(lam.size):
         v = vec[:, idx]
         v = v * (_first_extremum_sign(v) / math.sqrt(op.h * float(v @ v)))
         res = float(np.linalg.norm(op.matvec(v) - lam[idx] * v) / np.linalg.norm(v))
         if res > bound:
             raise SolverError(
-                f"inverse iteration for eigenvalue index {int(idx)} left residual "
+                f"inverse iteration for eigenvalue index {idx} left residual "
                 f"{res:.3e} above bound {bound:.3e}"
             )
         results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=res))

@@ -22,9 +22,8 @@ g (sigma- A + sigma+ A+) + sigma_z mc^2 with g = c sqrt(delta).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -54,14 +53,15 @@ class SupersymmetricPair:
 
     D has diagonal d_diag and superdiagonal d_super; the adjoint D^T is the
     exact transpose, applied through the same two arrays. delta is the ladder
-    normalization (A = D / sqrt(delta)), g = c sqrt(delta) the block coupling.
+    normalization (A = D / sqrt(delta)) and c the light speed that scales D
+    in the block Hamiltonian. dtd_operator and ddt_operator are the partner
+    products D^T D and D D^T.
     """
 
     d_diag: np.ndarray
     d_super: np.ndarray
     h: float
     delta: float
-    g: float
     c: float
 
     def __post_init__(self):
@@ -93,22 +93,27 @@ class SupersymmetricPair:
 class BlockHamiltonian:
     """Real symmetric block Hamiltonian [[mc^2, c D^T], [c D, -mc^2]].
 
-    Interleaving the two spinor components node by node makes the matrix
-    symmetric tridiagonal (bandwidth 1): the diagonal alternates +/- mc^2 and
-    the off-diagonal alternates the coupling entries c d_j and c s_j.
+    Held as the supercharge and the rest energy. Interleaving the two spinor
+    components node by node makes the matrix symmetric tridiagonal
+    (bandwidth 1): in to_dense the diagonal alternates +/- mc^2 and the
+    off-diagonal alternates the coupling entries c d_j and c s_j.
     """
 
     pair: SupersymmetricPair
     mc2: float
-    diag: np.ndarray
-    offdiag: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.diag.size
+        return 2 * self.pair.size
 
     def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
+        diag = np.empty(self.size)
+        diag[0::2] = self.mc2
+        diag[1::2] = -self.mc2
+        offdiag = np.empty(self.size - 1)
+        offdiag[0::2] = self.pair.c * self.pair.d_diag
+        offdiag[1::2] = self.pair.c * self.pair.d_super
+        return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
 
 
 def discretize_supercharge(spec: ModelSpec, grid: Grid, delta: Optional[float] = None) -> SupersymmetricPair:
@@ -131,23 +136,15 @@ def discretize_supercharge(spec: ModelSpec, grid: Grid, delta: Optional[float] =
         d_super=np.full(grid.n_points - 1, 1.0 / h),
         h=h,
         delta=float(delta),
-        g=spec.params.c * math.sqrt(delta),
         c=spec.params.c,
     )
 
 
 def build_block_hamiltonian(pair: SupersymmetricPair, mc2: float) -> BlockHamiltonian:
-    """Assemble the interleaved real symmetric block Hamiltonian."""
+    """The real symmetric block Hamiltonian of a supercharge at rest energy mc2 > 0."""
     if not (mc2 > 0):
         raise ValueError(f"rest energy mc^2 must be positive, got {mc2}")
-    n = pair.size
-    diag = np.empty(2 * n)
-    diag[0::2] = mc2
-    diag[1::2] = -mc2
-    offdiag = np.empty(2 * n - 1)
-    offdiag[0::2] = pair.c * pair.d_diag
-    offdiag[1::2] = pair.c * pair.d_super
-    return BlockHamiltonian(pair=pair, mc2=mc2, diag=diag, offdiag=offdiag)
+    return BlockHamiltonian(pair=pair, mc2=mc2)
 
 
 def block_spectrum(hamiltonian: BlockHamiltonian, k: int) -> np.ndarray:
@@ -196,24 +193,7 @@ def kernel_dimension(eigenvalues: np.ndarray, delta: float) -> int:
     return int(np.count_nonzero(eigenvalues < KERNEL_LADDER_TOL * delta))
 
 
-def _bidiagonal_partner_forms(w_lo: np.ndarray, w_hi: np.ndarray, h: float):
-    """Tridiagonal entries of D_lo D_lo^T and D_hi^T D_hi for given profiles."""
-    d_lo = w_lo - 1.0 / h
-    d_hi = w_hi - 1.0 / h
-    s = 1.0 / h
-    ddt_diag = d_lo ** 2
-    ddt_diag[:-1] += s ** 2
-    ddt_off = s * d_lo[1:]
-    dtd_diag = d_hi ** 2
-    dtd_diag[1:] += s ** 2
-    dtd_off = d_hi[:-1] * s
-    return ddt_diag - dtd_diag, ddt_off - dtd_off
-
-
-def commutator_rayleigh(
-    spec: ModelSpec, grid: Grid, delta: Optional[float] = None,
-    centers: Optional[Sequence[float]] = None, width: Optional[float] = None,
-) -> List[float]:
+def commutator_rayleigh(spec: ModelSpec, grid: Grid, delta: Optional[float] = None) -> List[float]:
     """Rayleigh quotients of the discrete ladder commutator on test Gaussians.
 
     The commutator statement [A, A+] = const pairs adjacent angular sectors:
@@ -221,25 +201,25 @@ def commutator_rayleigh(
     continuum value is 4a/delta (the sector-shifted centrifugal terms cancel
     through 2w/r + 2w' = 4a, with a = m omega for the harmonic family). With
     the default delta, the problem's lambda gap 4a, the quotients come out
-    at 1. Test functions are interior Gaussians vanishing at both boundaries.
+    at 1. The test functions are three Gaussians of width span/12 centred at
+    0.35, 0.5 and 0.65 of the grid's span, so they vanish at both boundaries.
     """
     if not spec.family.is_two_dimensional:
         raise ValueError("the ladder commutator check applies to the 2D families")
     if delta is None:
         delta = effective_problem(spec).delta
     r = grid.nodes
-    w = np.asarray(superpotential(spec, r), dtype=float)
-    w_hi = w - (spec.ml + 0.5) / r    # supercharge out of sector ml
-    w_lo = w - (spec.ml - 0.5) / r    # supercharge out of sector ml - 1
-    diag, off = _bidiagonal_partner_forms(w_lo, w_hi, grid.h)
+    hi = discretize_supercharge(spec, grid, delta=delta)  # out of sector ml
+    # Out of sector ml - 1, from the profile itself: ModelSpec rejects that
+    # sector when it is sub-critical, though its supercharge is well defined.
+    lo = replace(hi, d_diag=superpotential(spec, r) - (spec.ml - 0.5) / r - 1.0 / grid.h)
+    ddt, dtd = lo.ddt_operator(), hi.dtd_operator()
+    diag, off = ddt.diag - dtd.diag, ddt.offdiag - dtd.offdiag
     span = grid.x_max - grid.x_min
-    if centers is None:
-        centers = [grid.x_min + f * span for f in (0.35, 0.5, 0.65)]
-    if width is None:
-        width = span / 12.0
+    width = span / 12.0
     out = []
-    for c0 in centers:
-        v = np.exp(-0.5 * ((r - c0) / width) ** 2)
+    for f in (0.35, 0.5, 0.65):
+        v = np.exp(-0.5 * ((r - (grid.x_min + f * span)) / width) ** 2)
         form = float(v @ (diag * v)) + 2.0 * float(v[:-1] @ (off * v[1:]))
         out.append(form / (delta * float(v @ v)))
     return out

@@ -9,7 +9,7 @@ get exercised (see README for the same table in prose).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -223,16 +223,16 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
     return out
 
 
-def nonrel_sweep(spec_at_c, n_max: int, c_values=NONREL_C_VALUES):
-    """Rows (n, c, E - mc^2, eps, |diff|) for a family at each light speed.
+def nonrel_sweep(model: ModelSpec, n_max: int, c_values=NONREL_C_VALUES):
+    """Rows (n, c, E - mc^2, eps, |diff|) for the model at each light speed in c_values.
 
-    spec_at_c maps a light speed to the model at that c; eps is c-independent
-    for these ladders, so the diff column isolates the relativistic residue.
+    Each c replaces the model's own; eps is c-independent for these ladders,
+    so the diff column isolates the relativistic residue.
     """
+    specs = [replace(model, params=replace(model.params, c=c)) for c in c_values]
     rows = []
     for n in range(n_max + 1):
-        for c in c_values:
-            spec = spec_at_c(c)
+        for c, spec in zip(c_values, specs):
             e = math.sqrt(analytic_e2(spec, n))
             eps = analytic_nonrel_eps(spec, n)
             rows.append((n, c, e - spec.mc2, eps, abs((e - spec.mc2) - eps)))
@@ -241,7 +241,7 @@ def nonrel_sweep(spec_at_c, n_max: int, c_values=NONREL_C_VALUES):
 
 def nonrel_check(family: Family) -> CheckResult:
     """The c^2 shrink of |E - mc^2 - eps| on the family's default model, c in {10,20,40}."""
-    rows = nonrel_sweep(lambda c: default_spec(family, c=c), 3)
+    rows = nonrel_sweep(default_spec(family), 3)
     worst = None
     for n in range(4):
         diffs = [r[4] for r in rows if r[0] == n]

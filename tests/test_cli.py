@@ -140,6 +140,15 @@ class TestValidationExits:
             ("spectrum", "--family", "1d-ho", "--m", "1e200"),  # (mc^2)^2 overflows
             ("spectrum", "--family", "1d-iso", "--a", "inf"),
             ("spectrum", "--family", "1d-ho", "--grid-max", "inf"),
+            # derived scales that overflow or underflow
+            ("spectrum", "--family", "2d-iso", "--b", "1e200"),
+            ("ajc", "--family", "2d-iso", "--b", "1e200"),
+            ("spectrum", "--family", "1d-ho", "--m", "1e-300", "--c", "1e-300"),
+            ("spectrum", "--family", "1d-ho", "--m", "1e-300", "--c", "1e-300", "--method", "analytic"),
+            ("spectrum", "--family", "1d-ho", "--m", "1e10", "--omega", "1e300"),
+            ("spectrum", "--family", "1d-ho", "--m", "1e10", "--omega", "1e300", "--method", "analytic"),
+            ("spectrum", "--family", "1d-iso", "--b", "1e200", "--method", "analytic"),
+            ("ajc", "--family", "1d-ho", "--m", "1e-200", "--omega", "1e200"),  # E_0^2 = (mc^2)^2 = 0
         ],
     )
     def test_bad_input_exits_2(self, args):
@@ -550,6 +559,30 @@ class TestConfigFile:
     def test_defaults_are_the_default_models(self):
         for family in Family:
             assert RunConfig(family=family.value).model_spec() == default_spec(family)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"family": "2d-ho", "ml": 1.5, "levels": 2.7},
+            {"family": "1d-ho", "levels": 2.7},
+            {"family": "1d-ho", "grid_n": 1000.5},
+            {"family": "1d-ho", "levels": True},
+            {"family": "1d-ho", "m": True},
+            {"family": "1d-ho", "levels": math.inf},
+        ],
+    )
+    def test_non_integral_or_boolean_values_exit_2(self, tmp_path, bad):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(bad))
+        proc = run_cli("spectrum", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_integral_float_counts_as_integer(self, run_main, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "2d-ho", "ml": 2.0, "levels": 3.0}))
+        _, rows = parse_csv(run_main("spectrum", "--config", str(cfg), check=True).stdout)
+        assert len(rows) == 3
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -8,9 +8,10 @@ change of the output, and name each changed argv in the change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-The N = 16000 wavefunction tables are checked against the benchmark's own
-digests (perfbench/cli_digests.json, read only), each in a fresh
-`python -m relqosc.cli` with one BLAS thread, as the benchmark runs them.
+Every argv of the benchmark's own digests (perfbench/cli_digests.json, read
+only) is checked too. The 21 at N <= 4000 run in this process; the N = 16000
+wavefunction tables each run in a fresh `python -m relqosc.cli` with one
+BLAS thread, as the benchmark runs them.
 """
 
 import contextlib
@@ -96,24 +97,31 @@ def test_stdout_matches_golden_digests():
     assert changed == []
 
 
-def large_grid_digests():
+def bench_digests(large_grid: bool):
+    """The benchmark's pinned digests of the N = 16000 argvs, or of all the others."""
     digests = json.loads(BENCH_DIGESTS_PATH.read_text(encoding="utf-8"))
-    return {argv: d for argv, d in digests.items()
-            if argv.startswith("wavefunction ") and "--grid-n 16000" in argv}
+    return {argv: d for argv, d in digests.items() if ("--grid-n 16000" in argv) == large_grid}
+
+
+def test_small_grid_stdout_matches_benchmark_digests():
+    digests = bench_digests(large_grid=False)
+    assert len(digests) == 21
+    changed = [argv for argv, d in sorted(digests.items()) if stdout_digest(argv) != d]
+    assert changed == []
 
 
 def test_large_grid_digests_cover_every_family():
-    assert sorted(large_grid_digests()) == [
+    assert sorted(bench_digests(large_grid=True)) == [
         f"wavefunction --family {family} --n 3 --grid-n 16000 --format json" for family in FAMILIES
     ]
 
 
-@pytest.mark.parametrize("argv", sorted(large_grid_digests()))
+@pytest.mark.parametrize("argv", sorted(bench_digests(large_grid=True)))
 def test_large_grid_stdout_matches_benchmark_digest(argv):
     proc = subprocess.run([sys.executable, "-m", "relqosc.cli", *argv.split()],
                           capture_output=True, timeout=300, env={**os.environ, **ONE_BLAS_THREAD})
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == large_grid_digests()[argv]
+    assert hashlib.sha256(proc.stdout).hexdigest() == bench_digests(large_grid=True)[argv]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relqosc import (
@@ -11,6 +13,7 @@ from relqosc import (
     analytic_e2,
     analytic_nonrel_eps,
     analytic_wavefunction,
+    build_spectrum_table,
     effective_problem,
     pair_recover_psi2,
     pair_superpotential,
@@ -96,6 +99,75 @@ class TestValidation:
         iso = ModelSpec(Family.ISOTONIC_1D, PhysicalParams(a=0.7))
         assert effective_problem(iso).well_strength == 0.7
 
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [
+            (Family.HARMONIC_1D, PhysicalParams(m=1e-300, c=1e-300), "underflows"),  # mc^2
+            (Family.HARMONIC_1D, PhysicalParams(m=1e-200, omega=1e200), "underflows"),  # (mc^2)^2
+            (Family.HARMONIC_1D, PhysicalParams(m=1e200), "overflow"),  # (mc^2)^2
+            (Family.HARMONIC_1D, PhysicalParams(m=1e10, omega=1e300), "overflow"),  # m omega
+            (Family.ISOTONIC_1D, PhysicalParams(b=1e200), "overflow"),  # b (b + 1)
+            (Family.ISOTONIC_2D, PhysicalParams(b=1e200), "overflow"),  # (ml - b)^2
+        ],
+    )
+    def test_unrepresentable_scales_rejected(self, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(family, params, ml=1 if family.is_two_dimensional else None)
+
+    def test_overflowing_level_raises(self):
+        spec = ModelSpec(Family.HARMONIC_1D, PhysicalParams(omega=1e300))
+        assert math.isfinite(analytic_e2(spec, 1))
+        with pytest.raises(ValueError, match="E\\^2 of level 1000000000 overflows"):
+            analytic_e2(spec, 10 ** 9)
+        # eps_0 = 3 a / m overflows while its intercept a / (2m) and E_0^2 do not
+        iso = ModelSpec(Family.ISOTONIC_1D, PhysicalParams(m=1e-8, a=1e300))
+        assert math.isfinite(analytic_e2(iso, 0))
+        with pytest.raises(ValueError, match="eps of level 0 overflows"):
+            analytic_nonrel_eps(iso, 0)
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda p: 10.0 ** p)
+
+
+SCALES = _decades(1e-300, 1e300)
+INVERSE_STRENGTHS = st.one_of(
+    st.floats(-1e200, 1e200),
+    _decades(1e-300, 1e200),
+    _decades(1e-300, 1e200).map(lambda b: -b),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+class TestParameterDecades:
+    """Any model ModelSpec accepts has finite scales and finite (or refused) closed-form levels."""
+
+    @given(
+        family=st.sampled_from(list(Family)),
+        m=SCALES, c=SCALES, omega=SCALES, a=SCALES, b=INVERSE_STRENGTHS,
+        ml=st.integers(-3, 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_models_are_finite(self, family, m, c, omega, a, b, ml):
+        try:
+            spec = ModelSpec(family, PhysicalParams(m=m, c=c, omega=omega, a=a, b=b),
+                             ml=ml if family.is_two_dimensional else None)
+        except ValueError:
+            return
+        problem = effective_problem(spec)
+        scales = (
+            problem.well_strength, problem.lambda_gap, problem.lambda_offset, problem.delta,
+            problem.lambda_to_e2.slope, problem.lambda_to_e2.intercept,
+            problem.lambda_to_eps.slope, problem.lambda_to_eps.intercept,
+        )
+        assert all(map(math.isfinite, scales)), scales
+        try:
+            table = build_spectrum_table(spec, 5)
+        except ValueError:
+            return
+        values = [v for lev in table.levels for v in (lev.e2, lev.e, lev.eps)]
+        assert all(map(math.isfinite, values)), values
+
 
 class TestSuperpotentials:
     def test_1d_harmonic_profile(self):
@@ -169,10 +241,8 @@ class TestEffectiveProblem:
 
     def test_domain_flags(self):
         assert effective_problem(ModelSpec(Family.HARMONIC_1D)).domain == "full-line"
-        assert not effective_problem(ModelSpec(Family.HARMONIC_1D)).singular_at_zero
         for spec in (ModelSpec(Family.ISOTONIC_1D), ModelSpec(Family.HARMONIC_2D, ml=1)):
-            prob = effective_problem(spec)
-            assert prob.domain == "half-line" and prob.singular_at_zero
+            assert effective_problem(spec).domain == "half-line"
 
 
 class TestPairRecovery:

@@ -85,7 +85,6 @@ def free_problem(length: float) -> RadialProblem:
         potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lambda_to_e2=effective_problem(ALL_SPECS[0]).lambda_to_e2,
         lambda_to_eps=effective_problem(ALL_SPECS[0]).lambda_to_eps,
-        singular_at_zero=False,
         well_strength=1.0,
         lambda_gap=2.0,
         lambda_offset=1.0,
@@ -195,7 +194,6 @@ class TestDiscretize:
             potential=lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0),
             lambda_to_e2=problem.lambda_to_e2,
             lambda_to_eps=problem.lambda_to_eps,
-            singular_at_zero=False,
             well_strength=1.0,
             lambda_gap=2.0,
             lambda_offset=1.0,

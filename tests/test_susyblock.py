@@ -38,7 +38,6 @@ def toy_pair() -> SupersymmetricPair:
         d_super=np.array([4.0, 5.0]),
         h=1.0,
         delta=2.0,
-        g=math.sqrt(2.0),
         c=1.0,
     )
 
@@ -89,7 +88,6 @@ class TestSupercharge:
             d_super=rng.normal(size=6),
             h=0.5,
             delta=1.0,
-            g=1.0,
             c=1.0,
         )
         d = d_dense(pair)
@@ -98,9 +96,9 @@ class TestSupercharge:
 
     def test_shape_and_delta_validation(self):
         with pytest.raises(ValueError, match="superdiag"):
-            SupersymmetricPair(np.zeros(3), np.zeros(3), 1.0, 1.0, 1.0, 1.0)
+            SupersymmetricPair(np.zeros(3), np.zeros(3), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
-            SupersymmetricPair(np.zeros(3), np.zeros(2), 1.0, 0.0, 1.0, 1.0)
+            SupersymmetricPair(np.zeros(3), np.zeros(2), 1.0, 0.0, 1.0)
 
     def test_discretization_entries(self):
         spec = ModelSpec(Family.HARMONIC_1D)
@@ -109,7 +107,6 @@ class TestSupercharge:
         assert_allclose(pair.d_diag, pair_superpotential(spec, grid.nodes) - 1.0 / grid.h)
         assert_allclose(pair.d_super, 1.0 / grid.h)
         assert pair.delta == pytest.approx(4.0)  # 4 m omega
-        assert pair.g == pytest.approx(spec.params.c * 2.0)
 
     def test_discretization_rejects_bad_delta(self):
         spec = ModelSpec(Family.HARMONIC_1D)
@@ -126,9 +123,9 @@ class TestSupercharge:
 class TestBlockHamiltonian:
     def test_interleaved_layout(self):
         pair = toy_pair()
-        ham = build_block_hamiltonian(pair, mc2=1.5)
-        assert_allclose(ham.diag, [1.5, -1.5, 1.5, -1.5, 1.5, -1.5])
-        assert_allclose(ham.offdiag, [1.0, 4.0, 2.0, 5.0, 3.0])
+        dense = build_block_hamiltonian(pair, mc2=1.5).to_dense()
+        assert_allclose(np.diag(dense), [1.5, -1.5, 1.5, -1.5, 1.5, -1.5])
+        assert_allclose(np.diag(dense, 1), [1.0, 4.0, 2.0, 5.0, 3.0])
 
     def test_permutation_to_two_by_two_blocks(self):
         """Reordering components recovers [[mc2, c D^T], [c D, -mc2]] exactly."""
@@ -138,7 +135,6 @@ class TestBlockHamiltonian:
             d_super=rng.normal(size=4),
             h=1.0,
             delta=1.0,
-            g=1.0,
             c=1.3,
         )
         mc2 = 2.0
@@ -157,7 +153,7 @@ class TestBlockHamiltonian:
 
     def test_vanishing_coupling_gives_rest_energies(self):
         pair = SupersymmetricPair(
-            d_diag=np.zeros(4), d_super=np.zeros(3), h=1.0, delta=1.0, g=1.0, c=1.0
+            d_diag=np.zeros(4), d_super=np.zeros(3), h=1.0, delta=1.0, c=1.0
         )
         ham = build_block_hamiltonian(pair, mc2=2.0)
         assert_allclose(np.linalg.eigvalsh(ham.to_dense()), [-2.0] * 4 + [2.0] * 4)
