@@ -16,8 +16,9 @@ thread count, but on large grids (N = 16000) the LAPACK stein eigenvectors,
 and so the wavefunction samples, can differ in the 12th digit between one
 and two BLAS threads.
 Output is written as it is made: every CSV and JSON table is streamed one
-chunk of rows at a time rather than built whole, and each chunk's float
-cells are spelled together by a single "%.12g" format.
+chunk of rows at a time rather than built whole. A chunk of float cells only
+(the wavefunction samples) is spelled by a single "%.12g" format; the short
+tables that mix in integers, strings or empty cells are spelled cell by cell.
 The console script and `python -m relqosc.cli` both start through entry(),
 which freezes the imported objects before it runs main().
 """
@@ -167,8 +168,9 @@ def _json_cell(value) -> str:
 # Table rows are pulled, spelled and written this many at a time.
 _CHUNK_ROWS = 256
 
-# Cells spelled by one "%.12g" per chunk (np.float64 subclasses float); any
-# other cell goes through _fmt or _json_cell on its own.
+# A chunk whose cells are all of these types (np.float64 subclasses float) is
+# spelled by one "%.12g" format; any other chunk cell by cell, by _csv_cell or
+# _json_cell.
 _FLOAT_TYPES = frozenset((float, np.float64))
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -183,11 +185,6 @@ def _cell_chunks(rows) -> Iterator[Tuple[int, tuple]]:
 
 def _all_floats(cells: tuple) -> bool:
     return _FLOAT_TYPES.issuperset(map(type, cells))
-
-
-def _csv_floats(floats: tuple) -> List[str]:
-    """_fmt of each float, from one % call."""
-    return ("%.12g\n" * len(floats) % floats).splitlines()
 
 
 def _json_floats(floats: tuple) -> List[str]:
@@ -213,14 +210,6 @@ def _json_token(token: str) -> str:
     return _JSON_NONFINITE.get(token, token + ".0")
 
 
-def _spell_cells(cells: tuple, spell_floats, spell_other) -> List[str]:
-    """The text of each cell: spell_floats on all float cells at once, spell_other on each other cell."""
-    if _all_floats(cells):
-        return spell_floats(cells)
-    spelled = iter(spell_floats(tuple(v for v in cells if type(v) in _FLOAT_TYPES)))
-    return [next(spelled) if type(v) in _FLOAT_TYPES else spell_other(v) for v in cells]
-
-
 def _csv_field(text: str) -> str:
     """text as one CSV field: csv.writer's minimal quoting, applied when it holds , " CR or LF."""
     if any(c in text for c in ',"\r\n'):
@@ -243,7 +232,7 @@ def _csv_table(header: Sequence[str], rows, comment: Optional[str] = None) -> It
         if _all_floats(cells):
             yield row_floats * n % cells
         else:
-            yield row_text * n % tuple(_spell_cells(cells, _csv_floats, _csv_cell))
+            yield row_text * n % tuple(map(_csv_cell, cells))
 
 
 def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optional[dict]) -> Iterator[str]:
@@ -263,7 +252,8 @@ def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optiona
     yield json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: ["
     sep = "\n"
     for n, cells in _cell_chunks(rows):
-        yield sep + ",\n".join([row_text] * n) % tuple(_spell_cells(cells, _json_floats, _json_cell))
+        spelled = _json_floats(cells) if _all_floats(cells) else map(_json_cell, cells)
+        yield sep + ",\n".join([row_text] * n) % tuple(spelled)
         sep = ",\n"
     # The tail's keys sit at depth 1, as the head's do: drop its opening "{".
     yield "\n  ]" + ("," + json.dumps(tail, indent=2)[1:] if tail else "\n}") + "\n"

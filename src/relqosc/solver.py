@@ -3,16 +3,19 @@
 The effective problem -u'' + V u = lambda u is discretized on a uniform
 Dirichlet grid with the standard 3-point stencil, giving a symmetric
 tridiagonal matrix whose lowest eigenvalues are found by Sturm-sequence
-bisection (LAPACK stebz). Callers that read only eigenvalues use bisection
-alone (eigenvalues_lowest), which certifies each value to its absolute
+bisection (LAPACK stebz). Values-only (eigenvalues_lowest) and eigenpair
+(eigen_lowest) requests make the same single stebz call and sort its values
+the same way, so both return the same bits; on every operator that stebz
+does not split into blocks these equal the values of
+scipy.linalg.eigh_tridiagonal. Bisection certifies each value to its absolute
 tolerance without any eigenvector. Inverse iteration (LAPACK stein) runs only
-where eigenvectors are returned (eigen_lowest), and each of those eigenpairs
-must pass the backward-error bound max(sqrt(N), 4) eps ||T||_inf on its
-residual.
-The solver remembers its latest solve. A values-only solve of the operator
-solved just before (same k, same diagonal and off-diagonal bits) returns
-those eigenvalues again without a second bisection; they are bit-identical
-and certified by the same bisection. Eigenvectors are never reused: every
+where eigenvectors are returned, and each of those eigenpairs must pass the
+backward-error bound max(sqrt(N), 4) eps ||T||_inf on its residual; a NaN
+residual fails the bound.
+The solver remembers its latest successful solve. A values-only solve of the
+operator solved just before (same k, same diagonal and off-diagonal bits)
+returns those eigenvalues again without a second bisection; they are the bits
+a second bisection would give. Eigenvectors are never reused: every
 eigen_lowest call runs both routines and checks every residual.
 This route never touches the closed forms, so agreement with the analytic
 module is a genuine cross-check.
@@ -235,21 +238,24 @@ def _check_info(info: int, routine: str) -> None:
         raise SolverError(f"tridiagonal eigensolve failed: LAPACK {routine} returned info={info}")
 
 
-# The latest solve as (LAPACK module, (k, diag bytes, offdiag bytes), ascending
-# eigenvalues). It is swapped by a single assignment, so a thread reads either
-# a whole entry or none.
+# The latest successful solve as (LAPACK module, (k, diag bytes, offdiag
+# bytes), ascending eigenvalues). It is swapped by a single assignment, so a
+# thread reads either a whole entry or none.
 _last_solve = None
 
 
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors unless eigvals_only.
 
-    The calls, arguments and checks are those of
+    Both requests make the same stebz call, in block order as stein needs,
+    and sort its values by one stable argsort, so values and eigenpairs are
+    the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-    lapack_driver="stebz"), so values and vectors are the same bits. A
-    values-only request for the operator and k of the latest solve returns a
-    copy of that solve's eigenvalues instead of calling LAPACK again. The
-    operator is compared by its bytes, so -0.0 and 0.0 differ.
+    lapack_driver="stebz"); its values are the same bits on every operator
+    that stebz does not split into blocks. A values-only request for the
+    operator and k of the latest successful solve returns a copy of that
+    solve's eigenvalues instead of calling LAPACK again. The operator is
+    compared by its bytes, so -0.0 and 0.0 differ.
     """
     global _last_solve
     n = op.size
@@ -265,23 +271,17 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
         return last[2].copy()
     _last_solve = None
     # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
-    # default; vectors need block order ("B"), reordered below.
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E" if eigvals_only else "B")
+    # default; block order ("B"), sorted below.
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     _check_info(info, "stebz")
     w = w[:m]
-    if eigvals_only:
-        _last_solve = (lapack, key, w.copy())
-        return w
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
-    _check_info(info, "stein")
-    order = np.argsort(w)
-    w = w[order]
-    # This sort and LAPACK's own sort of a values-only solve can leave tied
-    # values in different orders, and +0.0 ties -0.0, so only strictly
-    # ascending values stand in for a values-only solve bit for bit.
-    if np.all(w[1:] > w[:-1]):
-        _last_solve = (lapack, key, w.copy())
-    return w, v[:, order]
+    order = np.argsort(w, kind="stable")
+    lam = w[order]
+    if not eigvals_only:
+        v, info = lapack.dstein(d, e, w, iblock, isplit)
+        _check_info(info, "stein")
+    _last_solve = (lapack, key, lam.copy())
+    return lam if eigvals_only else (lam, v[:, order])
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -307,7 +307,7 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     Bisection brackets are disjoint by construction, so duplicate eigenvalues
     cannot be conflated; its absolute tolerance is LAPACK's machine-precision
     default. Raises SolverError on inverse-iteration failure or if a residual
-    exceeds the backward-error bound max(sqrt(N), 4) eps ||T||_inf.
+    exceeds the backward-error bound max(sqrt(N), 4) eps ||T||_inf or is NaN.
     """
     lam, vec = _stebz_lowest(op, k, eigvals_only=False)
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
@@ -320,7 +320,7 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
         v = vec[:, idx]
         v = v * (_first_extremum_sign(v) / math.sqrt(op.h * float(v @ v)))
         res = float(np.linalg.norm(op.matvec(v) - lam[idx] * v) / np.linalg.norm(v))
-        if res > bound:
+        if not res <= bound:  # a NaN residual fails too
             raise SolverError(
                 f"inverse iteration for eigenvalue index {idx} left residual "
                 f"{res:.3e} above bound {bound:.3e}"

@@ -30,15 +30,12 @@ import relqosc.verify
 from relqosc.cli import (
     _CHUNK_ROWS,
     RunConfig,
-    _csv_floats,
     _csv_table,
     _emit_table,
     _fmt,
-    _json_cell,
     _json_floats,
     _json_table,
     _round12,
-    _spell_cells,
     main,
 )
 from relqosc.models import Family, default_spec
@@ -158,6 +155,15 @@ class TestValidationExits:
         if "--tolerance" not in args:  # argparse prints its usage before the error line
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_nan_eigenvectors_exit_3(self):
+        """LAPACK stein returns NaN vectors on this operator; their NaN residuals fail the bound."""
+        proc = run_cli("wavefunction", "--family", "1d-iso", "--m", "1.0495113244875367e+39",
+                       "--c", "1.230231004254882e-28", "--a", "7.703013544560719e+150",
+                       "--b=3.634207307325429e-73", "--grid-n", "50")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("solver error: ") and proc.stderr.count("\n") == 1
+
     def test_unknown_suite_exits_2(self):
         proc = run_cli("verify", "--suite", "nope")
         assert proc.returncode == 2
@@ -256,22 +262,16 @@ CELLS = st.one_of(FLOATS, st.none(), TEXT, st.integers(), st.just(True))
 
 
 class TestBulkSpelling:
-    """Each chunk's float cells are spelled by one %-format; the text must equal
+    """A chunk of float cells only is spelled by one %-format; the text must equal
     the per-cell spelling: _fmt for CSV, json.dumps(_round12(v)) for JSON."""
 
-    @given(st.lists(FLOATS, max_size=40))
+    @given(st.lists(FLOATS, min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_floats(self, cells):
         cells = tuple(cells)
-        assert _spell_cells(cells, _csv_floats, _fmt) == [_fmt(v) for v in cells]
-        assert _spell_cells(cells, _json_floats, _json_cell) == [json.dumps(_round12(v)) for v in cells]
-
-    @given(st.lists(CELLS, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_mixed_cells(self, cells):
-        cells = tuple(cells)
-        assert _spell_cells(cells, _csv_floats, _fmt) == [_fmt(v) for v in cells]
-        assert _spell_cells(cells, _json_floats, _json_cell) == [json.dumps(_round12(v)) for v in cells]
+        fields = tuple(f"c{i}" for i in range(len(cells)))
+        assert "".join(_csv_table(fields, [cells])) == csv_reference(fields, [cells])
+        assert _json_floats(cells) == [json.dumps(_round12(v)) for v in cells]
 
     @given(st.lists(st.tuples(CELLS, FLOATS, CELLS), min_size=1, max_size=12),
            st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=12))
@@ -369,8 +369,12 @@ class TestStreamedJson:
     )
     def test_float_spelling_matches_json(self, value):
         for v in (value, np.float64(value)) if isinstance(value, float) else (value,):
-            assert _spell_cells((v,), _json_floats, _json_cell) == [json.dumps(_round12(v))]
-            assert _spell_cells((v, 0.5) * 2, _json_floats, _json_cell) == [json.dumps(_round12(v)), "0.5"] * 2
+            if isinstance(v, float):
+                assert _json_floats((v,)) == [json.dumps(_round12(v))]
+                assert _json_floats((v, 0.5) * 2) == [json.dumps(_round12(v)), "0.5"] * 2
+            rows = [(v, 0.5)] * 2
+            assert "".join(_json_table({"h": 1}, "rows", ("a", "b"), rows, None)) == json_reference(
+                {"h": 1}, "rows", ("a", "b"), rows)
 
 
 LOADED_SCRIPT = """

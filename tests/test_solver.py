@@ -23,7 +23,6 @@ from relqosc import (
     PhysicalParams,
     SolverError,
     analytic_e2,
-    analytic_wavefunction,
     choose_domain,
     convergence_order,
     discretize,
@@ -264,6 +263,16 @@ class TestEigenLowest:
         with pytest.raises(SolverError, match="residual"):
             eigen_lowest(default_operator(ALL_SPECS[0], 4, 4000), 4)
 
+    def test_nan_eigenvector_fails_residual_bound(self, monkeypatch):
+        def nan_vector(out):
+            vec, info = out
+            vec[:, 1] = np.nan
+            return vec, info
+
+        patch_lapack(monkeypatch, stein=nan_vector)
+        with pytest.raises(SolverError, match="index 1 left residual nan"):
+            eigen_lowest(default_operator(ALL_SPECS[0], 4, 4000), 4)
+
     def test_inverse_iteration_failure_raises(self, monkeypatch):
         patch_lapack(monkeypatch, stein=lambda out: (out[0], 2))
         with pytest.raises(SolverError, match="stein"):
@@ -359,7 +368,8 @@ def oracle_operators():
 
 
 class TestLapackCalls:
-    """The direct LAPACK calls reproduce scipy.linalg.eigh_tridiagonal's stebz route bit for bit."""
+    """The direct LAPACK calls reproduce scipy.linalg.eigh_tridiagonal's stebz route bit for bit
+    on operators that stebz does not split into blocks."""
 
     @pytest.mark.parametrize("op", oracle_operators())
     def test_bit_identical_to_eigh_tridiagonal(self, op):
@@ -441,6 +451,13 @@ def small_operator() -> TridiagonalOperator:
         np.array([2.0, 0.0, 1.5, -0.5, 3.0, 1.0]), np.array([-1.0, 0.5, 0.0, -0.25, 0.75]))
 
 
+def split_zero_operator() -> TridiagonalOperator:
+    """Zero off-diagonal, so stebz splits it into blocks with tied +0.0 and -0.0 eigenvalues."""
+    d = np.zeros(8)
+    d[3], d[6], d[7] = 1e-52, 1.0, -0.0
+    return TridiagonalOperator(d, np.zeros(7))
+
+
 def changed(op, where, edit):
     d, e = op.diag.copy(), op.offdiag.copy()
     edit(d if where == "diag" else e)
@@ -501,10 +518,10 @@ class TestLatestSolve:
 
     def test_verify_all_bisects_each_operator_once(self, monkeypatch):
         """block-route's D^T D solves serve ladder-integers and route-equivalence,
-        and kernel-dimension bisects D^T D alone."""
+        and kernel-dimension reads the kernels of the isospectrality solves."""
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("all"))
-        assert fake.calls == {"dstebz": 26, "dstein": 4}
+        assert fake.calls == {"dstebz": 24, "dstein": 4}
 
     def test_vector_request_runs_lapack(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
@@ -551,13 +568,17 @@ class TestLatestSolve:
         assert got == bits(fresh_values(op, 3))
 
     def test_signed_zero_ties_after_vector_solve(self):
-        """Split zero blocks give tied +0.0 and -0.0 eigenvalues, which the two LAPACK orders sort apart."""
-        d = np.zeros(8)
-        d[3], d[6], d[7] = 1e-52, 1.0, -0.0
-        op = TridiagonalOperator(d, np.zeros(7))
+        """Tied +0.0 and -0.0 eigenvalues keep one order whether the entry or a bisection answers."""
+        op = split_zero_operator()
         want = bits(fresh_values(op, 7))
         eigen_lowest(op, 7)
         assert bits(eigenvalues_lowest(op, 7)) == want
+
+    def test_signed_zero_ties_without_the_entry(self):
+        """Values and eigenpairs come from one stebz order, so they agree bit for bit with no reuse between them."""
+        op = split_zero_operator()
+        lam = [r.eigenvalue for r in eigen_lowest(op, 7)]
+        assert bits(fresh_values(op, 7)) == bits(lam)
 
     def test_threads_get_their_own_operator(self):
         ops = [TridiagonalOperator(np.full(40, 2.0 + i), np.full(39, -1.0)) for i in range(2)]
