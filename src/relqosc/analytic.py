@@ -92,6 +92,12 @@ def _e2_shift(spec: ModelSpec, n: int) -> float:
     return 2.0 * p.a * c2 * (2.0 * n + abs(d) - d)
 
 
+def _level_index(n) -> int:
+    if n < 0 or n != int(n):
+        raise ValueError(f"level index must be a nonnegative integer, got {n}")
+    return int(n)
+
+
 def _finite_level(value: float, name: str, spec: ModelSpec, n: int) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} of level {n} overflows for this {spec.family.value} model")
@@ -100,9 +106,8 @@ def _finite_level(value: float, name: str, spec: ModelSpec, n: int) -> float:
 
 def analytic_e2(spec: ModelSpec, n: int) -> float:
     """Closed-form squared energy E_n^2 of level n >= 0; ValueError where it overflows."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n}")
-    return _finite_level(spec.mc2 ** 2 + _e2_shift(spec, int(n)), "E^2", spec, n)
+    n = _level_index(n)
+    return _finite_level(spec.mc2 ** 2 + _e2_shift(spec, n), "E^2", spec, n)
 
 
 def analytic_nonrel_eps(spec: ModelSpec, n: int) -> float:
@@ -112,9 +117,8 @@ def analytic_nonrel_eps(spec: ModelSpec, n: int) -> float:
     limit of E_n - mc^2 (the spectra shift linearly in c^2, so eps_n is
     c-independent). ValueError where it overflows.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n}")
-    return _finite_level(_e2_shift(spec, int(n)) / (2.0 * spec.mc2), "eps", spec, n)
+    n = _level_index(n)
+    return _finite_level(_e2_shift(spec, n) / (2.0 * spec.mc2), "eps", spec, n)
 
 
 def analytic_wavefunction(spec: ModelSpec, n: int, x):
@@ -126,9 +130,7 @@ def analytic_wavefunction(spec: ModelSpec, n: int, x):
     r^(s + 1/2) exp(-q r^2 / 2) 1F1(-n; s + 1; q r^2) on r > 0, with
     s = |ml| and q = m omega (harmonic) or s = |ml - b| and q = a (isotonic).
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _level_index(n)
     p = spec.params
     x = np.asarray(x, dtype=float)
     fam = spec.family

@@ -259,10 +259,6 @@ def _json_table(head: dict, key: str, fields: Sequence[str], rows, tail: Optiona
     yield "\n  ]" + ("," + json.dumps(tail, indent=2)[1:] if tail else "\n}") + "\n"
 
 
-def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _params_json(spec: ModelSpec) -> dict:
     p = spec.params
     return {
@@ -361,17 +357,12 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
 def cmd_verify(suite: str, tolerance: float) -> int:
     results = run_suite(suite, tolerance)
     lines = [_check_line(r) for r in results]
-    summary_failures = [r for r in results if not r.passed]
-    lines.append(f"{len(results) - len(summary_failures)}/{len(results)} checks passed")
+    failures = [r for r in results if not r.passed]
+    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
     _emit(["\n".join(lines) + "\n"], None)
-    if summary_failures:
-        doc = {
-            "failures": [
-                {"suite": r.suite, "name": r.name, "detail": r.detail}
-                for r in summary_failures
-            ]
-        }
-        sys.stderr.write(_json_doc(doc))
+    if failures:
+        doc = {"failures": [{"suite": r.suite, "name": r.name, "detail": r.detail} for r in failures]}
+        sys.stderr.write(json.dumps(doc, indent=2) + "\n")
         return 1
     return 0
 
@@ -490,8 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave = sub.add_parser("wavefunction", parents=[model], help="sample one level's spinor profile")
     p_wave.add_argument("--n", type=int, default=0, help="level index (default 0, must be < levels)")
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--suite", choices=available_suites(), default="all")
-    p_verify.add_argument("--tolerance", type=float, default=1e-4)
+    p_verify.add_argument("--suite", choices=available_suites(), default="all",
+                          help="the suite to run, or all of them (default %(default)s)")
+    p_verify.add_argument("--tolerance", type=float, default=1e-4,
+                          help="relative E^2 tolerance of the spectrum suite's two numeric checks "
+                               "(default %(default)g); every other check has a fixed bound")
     p_nonrel = sub.add_parser("nonrel", parents=[model], help="weak-relativistic sweep")
     p_nonrel.add_argument("--c-list", dest="c_list", default=",".join(f"{c:g}" for c in NONREL_C_VALUES),
                           help="comma separated light speeds (default %(default)s, the nonrel suite's)")

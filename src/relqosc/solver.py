@@ -12,11 +12,9 @@ tolerance without any eigenvector. Inverse iteration (LAPACK stein) runs only
 where eigenvectors are returned, and each of those eigenpairs must pass the
 backward-error bound max(sqrt(N), 4) eps ||T||_inf on its residual; a NaN
 residual fails the bound.
-The solver remembers its latest successful solve. A values-only solve of the
-operator solved just before (same k, same diagonal and off-diagonal bits)
-returns those eigenvalues again without a second bisection; they are the bits
-a second bisection would give. Eigenvectors are never reused: every
-eigen_lowest call runs both routines and checks every residual.
+numeric_spectrum reuses the eigenvalues of the latest numeric_levels or
+numeric_spectrum solve of an equal (spec, grid, k); every other request runs
+LAPACK.
 This route never touches the closed forms, so agreement with the analytic
 module is a genuine cross-check.
 
@@ -82,7 +80,8 @@ class Grid:
 
     The n_points nodes are x_min + j h for j = 1..n_points with
     h = (x_max - x_min) / (n_points + 1); both endpoints are excluded,
-    which keeps half-line grids away from a singular origin.
+    which keeps half-line grids away from a singular origin. h^2 and 2/h^2
+    must be finite and nonzero, so every stencil built on the grid is finite.
     """
 
     x_min: float
@@ -94,6 +93,9 @@ class Grid:
             raise ValueError(f"grid needs at least 3 interior points, got {self.n_points}")
         if not (self.x_max > self.x_min):
             raise ValueError(f"grid requires x_max > x_min, got [{self.x_min}, {self.x_max}]")
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 2.0 / h2 < math.inf):
+            raise ValueError(f"grid spacing h={self.h:.3g} is out of range: h^2 and 2/h^2 must be finite and nonzero")
 
     @property
     def h(self) -> float:
@@ -238,12 +240,6 @@ def _check_info(info: int, routine: str) -> None:
         raise SolverError(f"tridiagonal eigensolve failed: LAPACK {routine} returned info={info}")
 
 
-# The latest successful solve as (LAPACK module, (k, diag bytes, offdiag
-# bytes), ascending eigenvalues). It is swapped by a single assignment, so a
-# thread reads either a whole entry or none.
-_last_solve = None
-
-
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors unless eigvals_only.
 
@@ -252,12 +248,8 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
     lapack_driver="stebz"); its values are the same bits on every operator
-    that stebz does not split into blocks. A values-only request for the
-    operator and k of the latest successful solve returns a copy of that
-    solve's eigenvalues instead of calling LAPACK again. The operator is
-    compared by its bytes, so -0.0 and 0.0 differ.
+    that stebz does not split into blocks.
     """
-    global _last_solve
     n = op.size
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -265,11 +257,6 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
     lapack = _flapack()
-    key = (k, np.asarray(d, dtype=float).tobytes(), np.asarray(e, dtype=float).tobytes())
-    last = _last_solve
-    if eigvals_only and last is not None and last[0] is lapack and last[1] == key:
-        return last[2].copy()
-    _last_solve = None
     # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
     # default; block order ("B"), sorted below.
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
@@ -277,11 +264,11 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     w = w[:m]
     order = np.argsort(w, kind="stable")
     lam = w[order]
-    if not eigvals_only:
-        v, info = lapack.dstein(d, e, w, iblock, isplit)
-        _check_info(info, "stein")
-    _last_solve = (lapack, key, lam.copy())
-    return lam if eigvals_only else (lam, v[:, order])
+    if eigvals_only:
+        return lam
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info(info, "stein")
+    return lam, v[:, order]
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -329,15 +316,24 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     return results
 
 
+# The latest numeric_levels or numeric_spectrum solve as ((spec, grid, k), its
+# eigenvalues as a tuple of floats), swapped by a single assignment so a thread
+# reads a whole entry or none. Equal keys build bit-equal operators: 0.0 and
+# -0.0, equal but not in bits, reach one only through ml - b or x_min + j h.
+_latest_model_solve = None
+
+
 def numeric_levels(
     spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = DEFAULT_N_POINTS
 ) -> Tuple[Grid, List[EigenResult]]:
     """Solve the effective problem for the k lowest eigenpairs."""
+    global _latest_model_solve
     problem = effective_problem(spec)
     if grid is None:
         grid = choose_domain(problem, k, n_points=n_points)
-    op = discretize(problem, grid)
-    return grid, eigen_lowest(op, k)
+    results = eigen_lowest(discretize(problem, grid), k)
+    _latest_model_solve = ((spec, grid, k), tuple(r.eigenvalue for r in results))
+    return grid, results
 
 
 def spectrum_table(problem: RadialProblem, eigenvalues) -> SpectrumTable:
@@ -364,12 +360,18 @@ def numeric_spectrum(
 ) -> SpectrumTable:
     """Spectrum table of the k lowest levels from the finite-difference route.
 
-    Only eigenvalues are computed (bisection, no inverse iteration).
+    Only eigenvalues are computed (bisection, no inverse iteration), and none
+    when the latest numeric_levels or numeric_spectrum solve had an equal (spec, grid, k).
     """
+    global _latest_model_solve
     problem = effective_problem(spec)
     if grid is None:
         grid = choose_domain(problem, k, n_points=n_points)
-    return spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
+    latest = _latest_model_solve
+    if latest is None or latest[0] != (spec, grid, k):
+        lam = tuple(eigenvalues_lowest(discretize(problem, grid), k).tolist())
+        latest = _latest_model_solve = ((spec, grid, k), lam)
+    return spectrum_table(problem, latest[1])
 
 
 def residual_pair_check(spec: ModelSpec, energy: float, grid: Grid, psi1: np.ndarray) -> float:

@@ -37,6 +37,7 @@ __all__ = [
     "discretize_supercharge",
     "build_block_hamiltonian",
     "block_spectrum",
+    "block_branches",
     "susy_isospectrality_check",
     "kernel_dimension",
     "commutator_rayleigh",
@@ -127,8 +128,6 @@ def discretize_supercharge(spec: ModelSpec, grid: Grid, delta: Optional[float] =
     """
     if delta is None:
         delta = effective_problem(spec).delta
-    if not (delta > 0):
-        raise ValueError(f"ladder normalization delta must be positive, got {delta}")
     h = grid.h
     w = np.asarray(pair_superpotential(spec, grid.nodes), dtype=float)
     return SupersymmetricPair(
@@ -148,16 +147,16 @@ def build_block_hamiltonian(pair: SupersymmetricPair, mc2: float) -> BlockHamilt
 
 
 def block_spectrum(hamiltonian: BlockHamiltonian, k: int) -> np.ndarray:
-    """Lowest 2k block eigenvalues via the factorized route.
+    """Lowest 2k block eigenvalues via the factorized route: block_branches of D^T D's k lowest eigenvalues."""
+    return block_branches(hamiltonian, eigenvalues_lowest(hamiltonian.pair.dtd_operator(), k))
 
-    Solves D^T D (symmetric tridiagonal) for its k lowest eigenvalues lambda
-    and returns both branches +/- sqrt((mc^2)^2 + c^2 lambda), sorted
-    ascending. The list is symmetric under negation by construction; kernel
-    modes of D land exactly at +/- mc^2.
+
+def block_branches(hamiltonian: BlockHamiltonian, lam: np.ndarray) -> np.ndarray:
+    """Both branches +/- sqrt((mc^2)^2 + c^2 lambda) of D^T D eigenvalues lambda, sorted ascending.
+
+    Symmetric under negation by construction; kernel modes of D land exactly at +/- mc^2.
     """
-    pair = hamiltonian.pair
-    lam = eigenvalues_lowest(pair.dtd_operator(), k)
-    e = np.sqrt(hamiltonian.mc2 ** 2 + pair.c ** 2 * np.maximum(lam, 0.0))
+    e = np.sqrt(hamiltonian.mc2 ** 2 + hamiltonian.pair.c ** 2 * np.maximum(lam, 0.0))
     return np.sort(np.concatenate([-e, e]))
 
 

@@ -25,6 +25,7 @@ from .solver import (
     spectrum_table,
 )
 from .susyblock import (
+    block_branches,
     block_spectrum,
     build_block_hamiltonian,
     commutator_rayleigh,
@@ -162,10 +163,9 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
         spec = default_spec(family)
         grid = choose_domain(effective_problem(spec), 4, n_points=4000)
         pair = discretize_supercharge(spec, grid)
-        branches = block_spectrum(build_block_hamiltonian(pair, spec.mc2), 4)
-        # The operator block_spectrum has just solved: the solver's latest solve
-        # returns these values again without a second bisection.
-        dtd_lowest[family] = spec, grid, pair, eigenvalues_lowest(pair.dtd_operator(), 4)
+        lam = eigenvalues_lowest(pair.dtd_operator(), 4)
+        dtd_lowest[family] = spec, grid, pair, lam
+        branches = block_branches(build_block_hamiltonian(pair, spec.mc2), lam)
         pos = branches[branches > 0]
         exact = np.array([math.sqrt(analytic_e2(spec, n)) for n in range(4)])
         rel = float(np.max(np.abs(pos - exact) / exact))

@@ -1,9 +1,11 @@
 """CLI behaviour.
 
-Most cases call relqosc.cli.main(argv) in this process and read its output
-through capsys. Exit-code tests and byte-determinism across runs start a
-fresh `python -m relqosc.cli`; the tests of which modules a command loads
-run it in a fresh interpreter.
+Most cases, the exit-code tests included, call relqosc.cli.main(argv) in
+this process and read its output through capsys; the exit-code tests also
+require that no warning is raised. TestProcessEntry pins a fresh
+`python -m relqosc.cli` against main(argv) for every exit code, byte
+determinism across runs starts two of them, and the tests of which modules a
+command loads run it in a fresh interpreter.
 """
 
 import csv
@@ -146,31 +148,49 @@ class TestValidationExits:
             ("spectrum", "--family", "1d-ho", "--m", "1e10", "--omega", "1e300", "--method", "analytic"),
             ("spectrum", "--family", "1d-iso", "--b", "1e200", "--method", "analytic"),
             ("ajc", "--family", "1d-ho", "--m", "1e-200", "--omega", "1e200"),  # E_0^2 = (mc^2)^2 = 0
+            # grid spacings whose h^2 or 2/h^2 is not finite and nonzero
+            ("spectrum", "--family", "1d-ho", "--grid-max", "1e-160"),
+            ("wavefunction", "--family", "1d-ho", "--grid-max", "1e-300"),
+            ("spectrum", "--family", "1d-ho", "--grid-max", "1e300"),
+            ("spectrum", "--family", "2d-iso", "--grid-max", "1e-300"),
+            ("ajc", "--family", "2d-ho", "--grid-max", "1e-200"),
+            ("spectrum", "--family", "2d-ho", "--omega", "1e306"),
         ],
     )
-    def test_bad_input_exits_2(self, args):
-        proc = run_cli(*args)
-        assert proc.returncode == 2
-        assert "error" in proc.stderr.lower()
-        if "--tolerance" not in args:  # argparse prints its usage before the error line
+    def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):
+        if "--tolerance" in args:  # argparse prints its usage before the error line
+            with pytest.raises(SystemExit) as exc:
+                run_main(*args)
+            assert exc.value.code == 2
+            assert "error: unrecognized arguments: --tolerance" in capsys.readouterr().err
+        else:
+            proc = run_main(*args)
+            assert proc.returncode == 2
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
 
-    def test_nan_eigenvectors_exit_3(self):
+    def test_nan_eigenvectors_exit_3(self, run_main, recwarn):
         """LAPACK stein returns NaN vectors on this operator; their NaN residuals fail the bound."""
-        proc = run_cli("wavefunction", "--family", "1d-iso", "--m", "1.0495113244875367e+39",
-                       "--c", "1.230231004254882e-28", "--a", "7.703013544560719e+150",
-                       "--b=3.634207307325429e-73", "--grid-n", "50")
+        proc = run_main("wavefunction", "--family", "1d-iso", "--m", "1.0495113244875367e+39",
+                        "--c", "1.230231004254882e-28", "--a", "7.703013544560719e+150",
+                        "--b=3.634207307325429e-73", "--grid-n", "50")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("solver error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
 
-    def test_unknown_suite_exits_2(self):
-        proc = run_cli("verify", "--suite", "nope")
-        assert proc.returncode == 2
+    def test_unknown_suite_exits_2(self, run_main, capsys, recwarn):
+        with pytest.raises(SystemExit) as exc:
+            run_main("verify", "--suite", "nope")
+        assert exc.value.code == 2
+        assert "error: argument --suite: invalid choice: 'nope'" in capsys.readouterr().err
+        assert not recwarn.list
 
-    def test_wavefunction_level_bound(self):
-        proc = run_cli("wavefunction", "--family", "1d-ho", "--levels", "3", "--n", "7")
+    def test_wavefunction_level_bound(self, run_main, recwarn):
+        proc = run_main("wavefunction", "--family", "1d-ho", "--levels", "3", "--n", "7")
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error: level index n=7 ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
 
 
 class TestWavefunction:
@@ -575,12 +595,13 @@ class TestConfigFile:
             {"family": "1d-ho", "levels": math.inf},
         ],
     )
-    def test_non_integral_or_boolean_values_exit_2(self, tmp_path, bad):
+    def test_non_integral_or_boolean_values_exit_2(self, run_main, recwarn, tmp_path, bad):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(bad))
-        proc = run_cli("spectrum", "--config", str(cfg))
+        proc = run_main("spectrum", "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
 
     def test_integral_float_counts_as_integer(self, run_main, tmp_path):
         cfg = tmp_path / "run.json"
@@ -588,13 +609,17 @@ class TestConfigFile:
         _, rows = parse_csv(run_main("spectrum", "--config", str(cfg), check=True).stdout)
         assert len(rows) == 3
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, run_main, recwarn, tmp_path):
         cfg = tmp_path / "run.json"
         for bad in ({"familly": "1d-ho"}, {"family": "1d-ho", "tolerance": 1e-3}):
             cfg.write_text(json.dumps(bad))
-            proc = run_cli("spectrum", "--config", str(cfg))
+            proc = run_main("spectrum", "--config", str(cfg))
             assert proc.returncode == 2 and "unknown key" in proc.stderr
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
 
-    def test_missing_config_file_exits_3(self, tmp_path):
-        proc = run_cli("spectrum", "--family", "1d-ho", "--config", str(tmp_path / "absent.json"))
+    def test_missing_config_file_exits_3(self, run_main, recwarn, tmp_path):
+        proc = run_main("spectrum", "--family", "1d-ho", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 3
+        assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,8 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
 
     Each fake routine delegates to the real one and passes its output tuple
     through the given function, which may corrupt it. The fake counts its
-    calls per routine in `calls`.
+    calls per routine in `calls`. The latest model solve is cleared, so that
+    numeric_spectrum's first request reaches the fake.
     """
     real = solver._flapack()
     calls = collections.Counter()
@@ -109,6 +111,7 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
 
     fake = types.SimpleNamespace(dstebz=routine("dstebz", stebz), dstein=routine("dstein", stein), calls=calls)
     monkeypatch.setattr(solver, "_flapack", lambda: fake)
+    monkeypatch.setattr(solver, "_latest_model_solve", None)
     return fake
 
 
@@ -130,6 +133,18 @@ class TestGrid:
             Grid(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        (0.0, 4e-200),      # h^2 underflows to 0
+        (0.0, 4e-160),      # h^2 is subnormal and 2/h^2 overflows
+        (-1e300, 1e300),    # h^2 overflows
+        (-1e308, 1e308),    # x_max - x_min overflows
+        (0.0, math.inf),
+    ])
+    def test_spacing_out_of_range(self, x_min, x_max):
+        with pytest.raises(ValueError, match="grid spacing"):
+            Grid(x_min, x_max, 3)
+        assert Grid(0.0, 4e-150, 3).h == pytest.approx(1e-150)
 
 
 class TestTridiagonalOperator:
@@ -435,17 +450,6 @@ def bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-# Bigger than any operator these tests solve twice, so solving it replaces
-# the solver's latest-solve entry with one that cannot match.
-UNRELATED = TridiagonalOperator(np.full(201, 3.0), np.full(200, -1.0))
-
-
-def fresh_values(op: TridiagonalOperator, k: int) -> np.ndarray:
-    """eigenvalues_lowest(op, k) right after solving an unrelated operator."""
-    eigenvalues_lowest(UNRELATED, 1)
-    return eigenvalues_lowest(op, k)
-
-
 def small_operator() -> TridiagonalOperator:
     return TridiagonalOperator(
         np.array([2.0, 0.0, 1.5, -0.5, 3.0, 1.0]), np.array([-1.0, 0.5, 0.0, -0.25, 0.75]))
@@ -458,27 +462,19 @@ def split_zero_operator() -> TridiagonalOperator:
     return TridiagonalOperator(d, np.zeros(7))
 
 
-def changed(op, where, edit):
-    d, e = op.diag.copy(), op.offdiag.copy()
-    edit(d if where == "diag" else e)
-    return TridiagonalOperator(d, e, h=op.h)
+def ulp_up(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
 
 
-def one_ulp_up(index):
-    def edit(a):
-        a[index] = np.nextafter(a[index], np.inf)
-    return edit
-
-
-def negate_zero(index):
-    def edit(a):
-        assert a[index] == 0.0 and not np.signbit(a[index])
-        a[index] = -0.0
-    return edit
+def fresh_spectrum(spec: ModelSpec, k: int, grid: Grid):
+    """numeric_spectrum's table from a bisection of its own, never from the latest model solve."""
+    problem = effective_problem(spec)
+    return solver.spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
 
 
 class TestLatestSolve:
-    """A values-only solve of the operator solved just before reuses its eigenvalues."""
+    """The LAPACK seam keeps no state; numeric_spectrum reuses the eigenvalues of the
+    latest numeric_levels or numeric_spectrum solve of an equal (spec, grid, k)."""
 
     def test_levels_then_spectrum_bisect_once(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
@@ -487,38 +483,62 @@ class TestLatestSolve:
         table = numeric_spectrum(spec, 6, grid=grid)
         assert fake.calls == {"dstebz": 1, "dstein": 1}
         problem = effective_problem(spec)
-        fresh = fresh_values(discretize(problem, grid), 6)
-        assert fake.calls == {"dstebz": 3, "dstein": 1}
+        fresh = eigenvalues_lowest(discretize(problem, grid), 6)
+        assert fake.calls == {"dstebz": 2, "dstein": 1}
         assert bits([r.eigenvalue for r in results]) == bits(fresh)
         assert table == solver.spectrum_table(problem, fresh)
 
-    def test_equal_operator_hits(self, monkeypatch):
+    def test_equal_model_hits(self, monkeypatch):
+        """Equal keys that are not the same objects: the spec built again, the chosen grid passed in."""
+        fake = patch_lapack(monkeypatch)
+        table = numeric_spectrum(ModelSpec(Family.HARMONIC_2D, ml=2), 4, n_points=400)
+        spec = ModelSpec(Family.HARMONIC_2D, ml=2)
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        assert numeric_spectrum(spec, 4, grid=grid) == table
+        assert fake.calls == {"dstebz": 1}
+
+    def test_seam_keeps_no_state(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
         op = small_operator()
-        want = eigenvalues_lowest(op, 3)
-        got = eigenvalues_lowest(small_operator(), 3)
-        assert fake.calls["dstebz"] == 1
-        assert bits(got) == bits(want)
+        want = bits(eigenvalues_lowest(op, 3))
+        assert bits(eigenvalues_lowest(op, 3)) == want
+        eigen_lowest(op, 3)
+        assert bits(eigenvalues_lowest(op, 3)) == want
+        assert fake.calls == {"dstebz": 4, "dstein": 1}
 
     @pytest.mark.parametrize("change", [
-        lambda op: (op, 4),
-        lambda op: (changed(op, "diag", one_ulp_up(2)), 3),
-        lambda op: (changed(op, "offdiag", one_ulp_up(1)), 3),
-        lambda op: (changed(op, "diag", negate_zero(1)), 3),
-        lambda op: (changed(op, "offdiag", negate_zero(2)), 3),
-    ], ids=["k", "diag-ulp", "offdiag-ulp", "diag-signed-zero", "offdiag-signed-zero"])
+        lambda spec, grid: (spec, grid, 5),
+        lambda spec, grid: (replace(spec, params=replace(spec.params, omega=ulp_up(1.0))), grid, 4),
+        lambda spec, grid: (spec, replace(grid, x_max=ulp_up(grid.x_max)), 4),
+    ], ids=["k", "diag-ulp", "offdiag-ulp"])
     def test_any_change_misses(self, monkeypatch, change):
+        """A key that differs in k, or by one ulp in the spec (which reaches only the
+        operator's diagonal) or in the grid (which reaches its off-diagonal), misses."""
         fake = patch_lapack(monkeypatch)
-        op = small_operator()
-        eigenvalues_lowest(op, 3)
-        other, k = change(op)
-        got = eigenvalues_lowest(other, k)
+        spec = ModelSpec(Family.HARMONIC_2D, ml=1)
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        numeric_spectrum(spec, 4, grid=grid)
+        other_spec, other_grid, k = change(spec, grid)
+        got = numeric_spectrum(other_spec, k, grid=other_grid)
         assert fake.calls["dstebz"] == 2
-        assert bits(got) == bits(fresh_values(other, k))
+        assert got == fresh_spectrum(other_spec, k, other_grid)
+
+    def test_signed_zero_keys_hit_with_equal_bits(self, monkeypatch):
+        """0.0 and -0.0 make equal keys, and through ml - b and x_min + j h they build bit-equal operators."""
+        fake = patch_lapack(monkeypatch)
+        spec = ModelSpec(Family.ISOTONIC_2D, PhysicalParams(b=0.0), ml=1)
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        neg_spec = ModelSpec(Family.ISOTONIC_2D, PhysicalParams(b=-0.0), ml=1)
+        neg_grid = replace(grid, x_min=-0.0)
+        op, neg_op = discretize(effective_problem(spec), grid), discretize(effective_problem(neg_spec), neg_grid)
+        assert bits(op.diag) == bits(neg_op.diag) and bits(op.offdiag) == bits(neg_op.offdiag)
+        table = numeric_spectrum(spec, 4, grid=grid)
+        assert numeric_spectrum(neg_spec, 4, grid=neg_grid) == table
+        assert fake.calls == {"dstebz": 1}
 
     def test_verify_all_bisects_each_operator_once(self, monkeypatch):
-        """block-route's D^T D solves serve ladder-integers and route-equivalence,
-        and kernel-dimension reads the kernels of the isospectrality solves."""
+        """block-route keeps the D^T D values of its solves for ladder-integers and
+        route-equivalence, and kernel-dimension reads the kernels of the isospectrality solves."""
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("all"))
         assert fake.calls == {"dstebz": 24, "dstein": 4}
@@ -530,16 +550,6 @@ class TestLatestSolve:
         eigen_lowest(op, 3)
         eigen_lowest(op, 3)
         assert fake.calls == {"dstebz": 3, "dstein": 2}
-
-    def test_other_lapack_module_misses(self, monkeypatch):
-        op = small_operator()
-        eigenvalues_lowest(op, 3)
-        first = patch_lapack(monkeypatch)
-        eigenvalues_lowest(op, 3)
-        assert first.calls["dstebz"] == 1
-        second = patch_lapack(monkeypatch)  # delegates to the first fake
-        eigenvalues_lowest(op, 3)
-        assert second.calls["dstebz"] == 1
 
     @pytest.mark.parametrize("solve, fault, match", [
         (eigenvalues_lowest, lambda out: (*out[:4], 1), "stebz"),
@@ -556,39 +566,29 @@ class TestLatestSolve:
 
     def test_returned_and_operator_arrays_are_not_aliased(self):
         op = small_operator()
-        want = bits(fresh_values(op, 3))
+        want = bits(eigenvalues_lowest(op, 3))
         _stebz_lowest(op, 3, eigvals_only=True)[:] = 0.0
-        assert bits(eigenvalues_lowest(op, 3)) == want
-        eigen_lowest(op, 3)
         _stebz_lowest(op, 3, eigvals_only=False)[0][:] = 0.0
         assert bits(eigenvalues_lowest(op, 3)) == want
         op.diag[0] += 1.0
-        got = bits(eigenvalues_lowest(op, 3))
-        assert got != want
-        assert got == bits(fresh_values(op, 3))
-
-    def test_signed_zero_ties_after_vector_solve(self):
-        """Tied +0.0 and -0.0 eigenvalues keep one order whether the entry or a bisection answers."""
-        op = split_zero_operator()
-        want = bits(fresh_values(op, 7))
-        eigen_lowest(op, 7)
-        assert bits(eigenvalues_lowest(op, 7)) == want
+        assert bits(eigenvalues_lowest(op, 3)) != want
 
     def test_signed_zero_ties_without_the_entry(self):
-        """Values and eigenpairs come from one stebz order, so they agree bit for bit with no reuse between them."""
+        """Values and eigenpairs come from one stebz order, so they agree bit for bit, tied +0.0 and -0.0 included."""
         op = split_zero_operator()
         lam = [r.eigenvalue for r in eigen_lowest(op, 7)]
-        assert bits(fresh_values(op, 7)) == bits(lam)
+        assert bits(eigenvalues_lowest(op, 7)) == bits(lam)
 
     def test_threads_get_their_own_operator(self):
-        ops = [TridiagonalOperator(np.full(40, 2.0 + i), np.full(39, -1.0)) for i in range(2)]
-        want = [bits(fresh_values(op, 4)) for op in ops]
+        specs = [ModelSpec(Family.HARMONIC_1D, PhysicalParams(omega=1.0 + i)) for i in range(2)]
+        grid = Grid(-6.0, 6.0, 40)
+        want = [fresh_spectrum(spec, 4, grid) for spec in specs]
         wrong = []
 
         def alternate(start):
             for j in range(300):
                 i = (start + j) % 2
-                if bits(eigenvalues_lowest(ops[i], 4)) != want[i]:
+                if numeric_spectrum(specs[i], 4, grid=grid) != want[i]:
                     wrong.append((start, j))
 
         interval = sys.getswitchinterval()
@@ -627,7 +627,6 @@ def operators_and_k(draw):
 @settings(max_examples=150, deadline=None)
 def test_values_after_eigenpairs_match_fresh_bisection(case):
     op, k = case
-    eigenvalues_lowest(UNRELATED, 1)
     want = values_outcome(op, k)
     with contextlib.suppress(SolverError):
         eigen_lowest(op, k)
