@@ -472,6 +472,31 @@ def fresh_spectrum(spec: ModelSpec, k: int, grid: Grid):
     return solver.spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
 
 
+def changed_key(change):
+    """numeric_spectrum of 2d-ho ml=1, then of the (spec, grid, k) that change(spec, grid) returns."""
+    def solve_twice():
+        spec = ModelSpec(Family.HARMONIC_2D, ml=1)
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        numeric_spectrum(spec, 4, grid=grid)
+        other_spec, other_grid, k = change(spec, grid)
+        return numeric_spectrum(other_spec, k, grid=other_grid), lambda: fresh_spectrum(other_spec, k, other_grid)
+    return solve_twice
+
+
+def negated_zero(field, index):
+    """eigenvalues_lowest of small_operator(), then of a copy whose +0.0 at field[index] is -0.0."""
+    def solve_twice():
+        op = small_operator()
+        eigenvalues_lowest(op, 3)
+        d, e = op.diag.copy(), op.offdiag.copy()
+        a = d if field == "diag" else e
+        assert a[index] == 0.0 and not np.signbit(a[index])
+        a[index] = -0.0
+        other = TridiagonalOperator(d, e, h=op.h)
+        return bits(eigenvalues_lowest(other, 3)), lambda: bits(eigenvalues_lowest(other, 3))
+    return solve_twice
+
+
 class TestLatestSolve:
     """The LAPACK seam keeps no state; numeric_spectrum reuses the eigenvalues of the
     latest numeric_levels or numeric_spectrum solve of an equal (spec, grid, k)."""
@@ -506,22 +531,21 @@ class TestLatestSolve:
         assert bits(eigenvalues_lowest(op, 3)) == want
         assert fake.calls == {"dstebz": 4, "dstein": 1}
 
-    @pytest.mark.parametrize("change", [
-        lambda spec, grid: (spec, grid, 5),
-        lambda spec, grid: (replace(spec, params=replace(spec.params, omega=ulp_up(1.0))), grid, 4),
-        lambda spec, grid: (spec, replace(grid, x_max=ulp_up(grid.x_max)), 4),
-    ], ids=["k", "diag-ulp", "offdiag-ulp"])
-    def test_any_change_misses(self, monkeypatch, change):
+    @pytest.mark.parametrize("solve_twice", [
+        changed_key(lambda spec, grid: (spec, grid, 5)),
+        changed_key(lambda spec, grid: (replace(spec, params=replace(spec.params, omega=ulp_up(1.0))), grid, 4)),
+        changed_key(lambda spec, grid: (spec, replace(grid, x_max=ulp_up(grid.x_max)), 4)),
+        negated_zero("diag", 1),
+        negated_zero("offdiag", 2),
+    ], ids=["k", "diag-ulp", "offdiag-ulp", "diag-signed-zero", "offdiag-signed-zero"])
+    def test_any_change_misses(self, monkeypatch, solve_twice):
         """A key that differs in k, or by one ulp in the spec (which reaches only the
-        operator's diagonal) or in the grid (which reaches its off-diagonal), misses."""
+        operator's diagonal) or in the grid (which reaches its off-diagonal), misses; and
+        the seam solves again an operator that differs from the last only in the sign of a zero."""
         fake = patch_lapack(monkeypatch)
-        spec = ModelSpec(Family.HARMONIC_2D, ml=1)
-        grid = choose_domain(effective_problem(spec), 4, n_points=400)
-        numeric_spectrum(spec, 4, grid=grid)
-        other_spec, other_grid, k = change(spec, grid)
-        got = numeric_spectrum(other_spec, k, grid=other_grid)
+        got, fresh = solve_twice()
         assert fake.calls["dstebz"] == 2
-        assert got == fresh_spectrum(other_spec, k, other_grid)
+        assert got == fresh()
 
     def test_signed_zero_keys_hit_with_equal_bits(self, monkeypatch):
         """0.0 and -0.0 make equal keys, and through ml - b and x_min + j h they build bit-equal operators."""
