@@ -23,8 +23,8 @@ The console script and `python -m relqosc.cli` both start through entry(),
 which freezes the imported objects before it runs main().
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: make_config converts config
+# values by RunConfig's field types, which must be objects, not strings.
 import argparse
 import dataclasses
 import gc
@@ -34,13 +34,13 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
-from .models import Family, ModelSpec, PhysicalParams, RadialProblem, default_spec, effective_problem, pair_recover_psi2
-from .solver import Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
+from .models import Family, ModelSpec, RadialProblem, default_spec, effective_problem, pair_recover_psi2
+from .solver import DEFAULT_N_POINTS, Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
 from .verify import NONREL_C_VALUES, available_suites, nonrel_check, nonrel_sweep, run_suite
 
@@ -53,17 +53,17 @@ FORMATS = ("csv", "json")
 
 @dataclass
 class RunConfig:
-    """Resolved options for one CLI invocation (config file + flags)."""
+    """Resolved options for one CLI invocation (config file + flags); a model value left None is the family default."""
 
     family: Optional[str] = None
-    m: float = 1.0
-    c: float = 1.0
-    omega: float = 1.0
-    a: float = 1.0
+    m: Optional[float] = None
+    c: Optional[float] = None
+    omega: Optional[float] = None
+    a: Optional[float] = None
     b: Optional[float] = None
     ml: Optional[int] = None
     levels: int = 5
-    grid_n: int = 4000
+    grid_n: int = DEFAULT_N_POINTS
     grid_max: Optional[float] = None
     method: str = "both"
     format: str = "csv"
@@ -88,9 +88,9 @@ class RunConfig:
         if self.family is None:
             raise ValueError("a model family is required (--family or config file)")
         default = default_spec(Family.from_label(self.family))
-        b = default.params.b if self.b is None else self.b
+        given = {name: getattr(self, name) for name in ("m", "c", "omega", "a", "b") if getattr(self, name) is not None}
+        params = dataclasses.replace(default.params, **given)
         ml = default.ml if self.ml is None else self.ml
-        params = PhysicalParams(m=self.m, c=self.c, omega=self.omega, a=self.a, b=b)
         return ModelSpec(default.family, params, ml=ml)
 
     def resolve_grid(self, problem: RadialProblem, k: int) -> Grid:
@@ -100,14 +100,7 @@ class RunConfig:
         return choose_domain(problem, k, n_points=self.grid_n)
 
 
-_FIELD_TYPES = {
-    "family": str, "m": float, "c": float, "omega": float, "a": float,
-    "b": float, "ml": int, "levels": int, "grid_n": int, "grid_max": float,
-    "method": str, "format": str, "delta": float, "out": str,
-}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, types: dict) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -116,11 +109,11 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file {path}: top level must be a JSON object")
     values = {}
     for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+        if key not in types:
             raise ValueError(f"config file {path}: unknown key {key!r}")
         if value is None:
             continue
-        kind = _FIELD_TYPES[key]
+        kind = types[key]
         # As the flags do: no booleans, and no fraction where an integer goes.
         if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"config file {path}: bad value for {key!r}: {value!r}")
@@ -132,14 +125,15 @@ def _load_config_file(path: str) -> dict:
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    """Package defaults, overlaid by the config file, overlaid by explicit flags."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for field in _FIELD_TYPES:
-        given = getattr(args, field, None)
-        if given is not None:
-            values[field] = given
+    """Package defaults, overlaid by the config file, overlaid by explicit flags.
+
+    The config file may set only the command's own options, each to its RunConfig field's type.
+    """
+    options = vars(args)
+    # Optional[X] is Union[X, None], whose first argument is X.
+    types = {f.name: (get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(RunConfig) if f.name in options}
+    values = _load_config_file(args.config, types) if args.config else {}
+    values.update((name, options[name]) for name in types if options[name] is not None)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -464,21 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ml", type=int, help="angular index, 2D families only (default 1)")
     run = model.add_argument_group("run")
     run.add_argument("--levels", type=int, help="number of levels (default 5)")
-    run.add_argument("--grid-n", type=int, dest="grid_n", help="interior grid points (default 4000)")
-    run.add_argument("--grid-max", type=float, dest="grid_max", help="outer edge of the grid (default: automatic)")
-    run.add_argument("--method", choices=METHODS, help="which route(s) to tabulate (default both)")
     run.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-    run.add_argument("--delta", type=float, help="ladder normalization (default 4*m*omega or 4*a)")
     run.add_argument("--out", help="write output to this file instead of stdout")
-    run.add_argument("--config", help="JSON file of option defaults; explicit flags win")
+    run.add_argument("--config", help="JSON file of this command's option defaults; explicit flags win")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid_run = grid.add_argument_group("run")
+    grid_run.add_argument("--grid-n", type=int, dest="grid_n", help=f"interior grid points (default {DEFAULT_N_POINTS})")
+    grid_run.add_argument("--grid-max", type=float, dest="grid_max", help="outer edge of the grid (default: automatic)")
 
     parser = argparse.ArgumentParser(
         prog="relqosc",
         description="Spectra and spinor profiles of relativistic oscillator models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[model], help="tabulate energy levels")
-    p_wave = sub.add_parser("wavefunction", parents=[model], help="sample one level's spinor profile")
+    p_spectrum = sub.add_parser("spectrum", parents=[model, grid], help="tabulate energy levels")
+    p_spectrum.add_argument("--method", choices=METHODS, help="which route(s) to tabulate (default both)")
+    p_wave = sub.add_parser("wavefunction", parents=[model, grid], help="sample one level's spinor profile")
     p_wave.add_argument("--n", type=int, default=0, help="level index (default 0, must be < levels)")
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", choices=available_suites(), default="all",
@@ -489,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_nonrel = sub.add_parser("nonrel", parents=[model], help="weak-relativistic sweep")
     p_nonrel.add_argument("--c-list", dest="c_list", default=",".join(f"{c:g}" for c in NONREL_C_VALUES),
                           help="comma separated light speeds (default %(default)s, the nonrel suite's)")
-    sub.add_parser("ajc", parents=[model], help="ladder route: A+A rungs and paired energies")
+    p_ajc = sub.add_parser("ajc", parents=[model, grid], help="ladder route: A+A rungs and paired energies")
+    p_ajc.add_argument("--delta", type=float, help="ladder normalization: A+A rung = D^T D eigenvalue / delta "
+                       "(default 4*m*omega in the harmonic families, 4*a in the isotonic ones)")
     return parser
 
 

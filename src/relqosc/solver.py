@@ -182,10 +182,12 @@ def discretize(problem: RadialProblem, grid: Grid) -> TridiagonalOperator:
             f"half-line problem discretized on a grid reaching x_min={grid.x_min} < 0"
         )
     x = grid.nodes
-    v = np.asarray(problem.potential(x), dtype=float)
+    # An overflow shows as inf and is named below.
+    with np.errstate(over="ignore"):
+        v = np.asarray(problem.potential(x), dtype=float)
     if not np.all(np.isfinite(v)):
         j = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ValueError(f"potential is not finite at node {j} (x={x[j]!r})")
+        raise ValueError(f"potential is not finite at node {j} (x={float(x[j])!r})")
     h = grid.h
     diag = 2.0 / h ** 2 + v
     offdiag = np.full(grid.n_points - 1, -1.0 / h ** 2)
@@ -247,8 +249,9 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     and sort its values by one stable argsort, so values and eigenpairs are
     the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-    lapack_driver="stebz"); its values are the same bits on every operator
-    that stebz does not split into blocks.
+    lapack_driver="stebz"), plus a ValueError where the largest |e| squared
+    overflows; its values are the same bits on every operator that stebz
+    does not split into blocks.
     """
     n = op.size
     if k < 1 or k > n:
@@ -256,6 +259,10 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     d, e = op.diag, op.offdiag
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
+    # stebz squares the off-diagonal and fails with info=4 once that overflows.
+    e_max = float(np.max(np.abs(e)))
+    if not e_max * e_max < math.inf:
+        raise ValueError(f"tridiagonal operator's off-diagonal reaches {e_max:.3g}, whose square overflows")
     lapack = _flapack()
     # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
     # default; block order ("B"), sorted below.

@@ -77,16 +77,18 @@ class SupersymmetricPair:
 
     def dtd_operator(self) -> TridiagonalOperator:
         """Symmetric tridiagonal D^T D."""
-        diag = self.d_diag ** 2
-        diag[1:] += self.d_super ** 2
-        offdiag = self.d_diag[:-1] * self.d_super
+        with np.errstate(over="ignore"):  # an overflow is named by the solver's finiteness check
+            diag = self.d_diag ** 2
+            diag[1:] += self.d_super ** 2
+            offdiag = self.d_diag[:-1] * self.d_super
         return TridiagonalOperator(diag=diag, offdiag=offdiag, h=self.h)
 
     def ddt_operator(self) -> TridiagonalOperator:
         """Symmetric tridiagonal D D^T."""
-        diag = self.d_diag ** 2
-        diag[:-1] += self.d_super ** 2
-        offdiag = self.d_super * self.d_diag[1:]
+        with np.errstate(over="ignore"):  # an overflow is named by the solver's finiteness check
+            diag = self.d_diag ** 2
+            diag[:-1] += self.d_super ** 2
+            offdiag = self.d_super * self.d_diag[1:]
         return TridiagonalOperator(diag=diag, offdiag=offdiag, h=self.h)
 
 

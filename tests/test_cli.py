@@ -9,6 +9,7 @@ command loads run it in a fresh interpreter.
 """
 
 import csv
+import dataclasses
 import gc
 import importlib
 import io
@@ -38,6 +39,7 @@ from relqosc.cli import (
     _json_floats,
     _json_table,
     _round12,
+    build_parser,
     main,
 )
 from relqosc.models import Family, default_spec
@@ -155,6 +157,14 @@ class TestValidationExits:
             ("spectrum", "--family", "2d-iso", "--grid-max", "1e-300"),
             ("ajc", "--family", "2d-ho", "--grid-max", "1e-200"),
             ("spectrum", "--family", "2d-ho", "--omega", "1e306"),
+            # operators whose off-diagonal squared overflows, which LAPACK stebz cannot bisect
+            ("spectrum", "--family", "1d-ho", "--grid-max", "1e-75"),
+            ("wavefunction", "--family", "1d-ho", "--grid-max", "1e-110"),
+            ("ajc", "--family", "1d-ho", "--grid-max", "1e-150"),
+            ("spectrum", "--family", "1d-ho", "--omega", "1e160"),
+            # overflows inside the potential and the partner products, named without a warning
+            ("ajc", "--family", "2d-ho", "--grid-max", "4.4e-151"),
+            ("spectrum", "--family", "1d-ho", "--grid-max", "1e155"),
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):
@@ -167,6 +177,24 @@ class TestValidationExits:
             proc = run_main(*args)
             assert proc.returncode == 2
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("spectrum", "--delta", "9"),
+        ("wavefunction", "--method", "analytic"),
+        ("wavefunction", "--delta", "9"),
+        ("nonrel", "--method", "analytic"),
+        ("nonrel", "--delta", "9"),
+        ("nonrel", "--grid-n", "7"),
+        ("nonrel", "--grid-max", "3"),
+        ("ajc", "--method", "analytic"),
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, run_main, capsys, recwarn, command, flag, value):
+        """A flag that the command would not read is a usage error, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            run_main(command, "--family", "1d-ho", flag, value)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not recwarn.list
 
     def test_nan_eigenvectors_exit_3(self, run_main, recwarn):
@@ -191,6 +219,21 @@ class TestValidationExits:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: level index n=7 ") and proc.stderr.count("\n") == 1
         assert not recwarn.list
+
+
+MODEL_OPTIONS = {"command", "family", "m", "c", "omega", "a", "b", "ml", "levels", "format", "out", "config"}
+GRID_OPTIONS = {"grid_n", "grid_max"}
+
+
+@pytest.mark.parametrize("command, dests", [
+    ("spectrum", MODEL_OPTIONS | GRID_OPTIONS | {"method"}),
+    ("wavefunction", MODEL_OPTIONS | GRID_OPTIONS | {"n"}),
+    ("verify", {"command", "suite", "tolerance"}),
+    ("nonrel", MODEL_OPTIONS | {"c_list"}),
+    ("ajc", MODEL_OPTIONS | GRID_OPTIONS | {"delta"}),
+])
+def test_each_command_takes_the_options_it_reads(command, dests):
+    assert set(vars(build_parser().parse_args([command]))) == dests
 
 
 class TestWavefunction:
@@ -584,6 +627,12 @@ class TestConfigFile:
         for family in Family:
             assert RunConfig(family=family.value).model_spec() == default_spec(family)
 
+    def test_given_values_overlay_the_default_model(self):
+        for family in Family:
+            default = default_spec(family)
+            expected = dataclasses.replace(default, params=dataclasses.replace(default.params, m=2.0))
+            assert RunConfig(family=family.value, m=2.0).model_spec() == expected
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -611,9 +660,14 @@ class TestConfigFile:
 
     def test_unknown_config_key_exits_2(self, run_main, recwarn, tmp_path):
         cfg = tmp_path / "run.json"
-        for bad in ({"familly": "1d-ho"}, {"family": "1d-ho", "tolerance": 1e-3}):
+        for command, bad in (
+            ("spectrum", {"familly": "1d-ho"}),
+            ("spectrum", {"family": "1d-ho", "tolerance": 1e-3}),
+            ("spectrum", {"family": "1d-ho", "delta": 9.0}),  # an ajc option
+            ("nonrel", {"family": "1d-ho", "grid_n": 100}),  # nonrel solves no grid
+        ):
             cfg.write_text(json.dumps(bad))
-            proc = run_main("spectrum", "--config", str(cfg))
+            proc = run_main(command, "--config", str(cfg))
             assert proc.returncode == 2 and "unknown key" in proc.stderr
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not recwarn.list

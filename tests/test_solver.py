@@ -216,6 +216,14 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="finite"):
             discretize(bad, Grid(0.0, 1.0, 9))
 
+    def test_potential_overflow_names_its_node(self, recwarn):
+        """(q x)^2 overflows at the edge nodes: named by node and float x, with no numpy warning."""
+        grid = Grid(-1e155, 1e155, 199)
+        with pytest.raises(ValueError) as exc:
+            discretize(effective_problem(ALL_SPECS[0]), grid)
+        assert str(exc.value) == f"potential is not finite at node 0 (x={float(grid.nodes[0])!r})"
+        assert not recwarn.list
+
 
 class TestEigenLowest:
     def test_k_validation(self):
@@ -371,6 +379,19 @@ class TestEigenvaluesLowest:
         for solve in (eigenvalues_lowest, eigen_lowest):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve(op, 2)
+
+    @pytest.mark.parametrize("e_max", [1.35e154, 1e300])  # sqrt of the largest float is 1.34e154
+    def test_offdiag_whose_square_overflows_raises_before_lapack(self, monkeypatch, recwarn, e_max):
+        """stebz squares the off-diagonal (info=4 once that overflows): bad input, caught before any call."""
+        fake = patch_lapack(monkeypatch)
+        e = np.full(4, -1.0)
+        e[2] = -e_max
+        op = TridiagonalOperator(np.full(5, 2.0), e)
+        for solve in (eigenvalues_lowest, eigen_lowest):
+            with pytest.raises(ValueError, match="square overflows"):
+                solve(op, 2)
+        assert not fake.calls
+        assert not recwarn.list
 
 
 def oracle_operators():
