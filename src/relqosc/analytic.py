@@ -47,14 +47,11 @@ class Level:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Levels n = 0..k-1 in ascending order, tagged by their source route."""
+    """Levels n = 0..k-1 in ascending order."""
 
-    source: str  # "analytic" or "numeric"
     levels: Tuple[Level, ...]
 
     def __post_init__(self):
-        if self.source not in ("analytic", "numeric"):
-            raise ValueError(f"unknown spectrum source {self.source!r}")
         for i, lev in enumerate(self.levels):
             if lev.n != i:
                 raise ValueError(f"level indices must be contiguous from 0, got n={lev.n} at position {i}")
@@ -160,4 +157,4 @@ def build_spectrum_table(spec: ModelSpec, k: int) -> SpectrumTable:
     for n in range(int(k)):
         e2 = analytic_e2(spec, n)
         levels.append(Level(n=n, e2=e2, e=math.sqrt(e2), eps=analytic_nonrel_eps(spec, n)))
-    return SpectrumTable(source="analytic", levels=tuple(levels))
+    return SpectrumTable(tuple(levels))

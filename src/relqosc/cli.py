@@ -371,13 +371,7 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
     rows = []
     for family in families:
         spec = dataclasses.replace(cfg, family=family.value).model_spec()
-        prev = {}
-        for n, c, shift, eps, diff in nonrel_sweep(spec, n_max, c_values=c_values):
-            ratio = None
-            if n in prev and diff > 0:
-                ratio = prev[n] / diff
-            prev[n] = diff
-            rows.append((family.value, n, c, shift, eps, diff, ratio))
+        rows.extend((family.value, *row) for row in nonrel_sweep(spec, n_max, c_values=c_values))
     checks = [nonrel_check(family) for family in families]
     ok = all(r.passed for r in checks)
     header = ("family", "n", "c", "e_minus_mc2", "eps", "diff", "ratio")

@@ -246,7 +246,8 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors unless eigvals_only.
 
     Both requests make the same stebz call, in block order as stein needs,
-    and sort its values by one stable argsort, so values and eigenpairs are
+    raise SolverError before any stein call unless it returned k finite
+    values, and sort them by one stable argsort, so values and eigenpairs are
     the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
     lapack_driver="stebz"), plus a ValueError where the largest |e| squared
@@ -269,6 +270,11 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     _check_info(info, "stebz")
     w = w[:m]
+    if w.size != k or not np.all(np.isfinite(w)):
+        raise SolverError(
+            f"bisection returned {w.size} values, {int(np.count_nonzero(np.isfinite(w)))} "
+            f"of them finite, for k={k}"
+        )
     order = np.argsort(w, kind="stable")
     lam = w[order]
     if eigvals_only:
@@ -286,13 +292,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    lam = _stebz_lowest(op, k, eigvals_only=True)
-    if lam.size != k or not np.all(np.isfinite(lam)):
-        raise SolverError(
-            f"bisection returned {lam.size} values, {int(np.count_nonzero(np.isfinite(lam)))} "
-            f"of them finite, for k={k}"
-        )
-    return lam
+    return _stebz_lowest(op, k, eigvals_only=True)
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
@@ -300,8 +300,9 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
 
     Bisection brackets are disjoint by construction, so duplicate eigenvalues
     cannot be conflated; its absolute tolerance is LAPACK's machine-precision
-    default. Raises SolverError on inverse-iteration failure or if a residual
-    exceeds the backward-error bound max(sqrt(N), 4) eps ||T||_inf or is NaN.
+    default. Raises SolverError unless bisection returns k finite values, on
+    inverse-iteration failure, or if a residual exceeds the backward-error
+    bound max(sqrt(N), 4) eps ||T||_inf or is NaN.
     """
     lam, vec = _stebz_lowest(op, k, eigvals_only=False)
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
@@ -310,15 +311,19 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
     bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * op.norm_inf()
     results = []
-    for idx in range(lam.size):
-        v = vec[:, idx]
-        v = v * (_first_extremum_sign(v) / math.sqrt(op.h * float(v @ v)))
-        res = float(np.linalg.norm(op.matvec(v) - lam[idx] * v) / np.linalg.norm(v))
+    for idx in range(k):
+        # On stein's own column, with r scaled by s = max|r| so that no square
+        # overflows however large ||T|| is; a zero or NaN s is the residual itself.
+        u = vec[:, idx]
+        r = op.matvec(u) - lam[idx] * u
+        s = float(np.max(np.abs(r)))
+        res = s * float(np.linalg.norm(r / s)) / float(np.linalg.norm(u)) if s > 0 else s
         if not res <= bound:  # a NaN residual fails too
             raise SolverError(
                 f"inverse iteration for eigenvalue index {idx} left residual "
                 f"{res:.3e} above bound {bound:.3e}"
             )
+        v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
         results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=res))
     return results
 
@@ -359,7 +364,7 @@ def spectrum_table(problem: RadialProblem, eigenvalues) -> SpectrumTable:
             )
         eps = float(problem.lambda_to_eps(lam))
         levels.append(Level(n=n, e2=e2, e=math.sqrt(e2), eps=eps))
-    return SpectrumTable(source="numeric", levels=tuple(levels))
+    return SpectrumTable(tuple(levels))
 
 
 def numeric_spectrum(
@@ -412,10 +417,12 @@ def residual_pair_check(spec: ModelSpec, energy: float, grid: Grid, psi1: np.nda
 # box must truncate the tail so far below the h^2 stencil error that it cannot
 # pollute the N-vs-2N ratio (the box error does not shrink with h).
 _ORDER_DOMAIN_MARGIN = 6
+# Points of the coarser grid of an order measurement; the finer grid has twice as many.
+_ORDER_N_POINTS = 2000
 
 
-def convergence_order(spec: ModelSpec, n: int, n_points: int = 2000) -> float:
-    """Observed order p with |E2 error| ~ h^p, from grids at N and 2N.
+def convergence_order(spec: ModelSpec, n: int) -> float:
+    """Observed order p with |E2 error| ~ h^p, from grids at N = 2000 and 2N.
 
     Both grids share one domain so only h changes, and that domain is sized
     several rungs past level n: box-truncation error is h-independent, so it
@@ -425,8 +432,8 @@ def convergence_order(spec: ModelSpec, n: int, n_points: int = 2000) -> float:
     origin limits the quadrature of the truncation error).
     """
     problem = effective_problem(spec)
-    grid1 = choose_domain(problem, n + _ORDER_DOMAIN_MARGIN, n_points=n_points)
-    grid2 = Grid(grid1.x_min, grid1.x_max, 2 * n_points)
+    grid1 = choose_domain(problem, n + _ORDER_DOMAIN_MARGIN, n_points=_ORDER_N_POINTS)
+    grid2 = Grid(grid1.x_min, grid1.x_max, 2 * _ORDER_N_POINTS)
     exact = analytic_e2(spec, n)
     errs = []
     for grid in (grid1, grid2):

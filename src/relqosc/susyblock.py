@@ -39,7 +39,6 @@ __all__ = [
     "block_spectrum",
     "block_branches",
     "susy_isospectrality_check",
-    "kernel_dimension",
     "commutator_rayleigh",
 ]
 
@@ -183,34 +182,27 @@ def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, obj
     return {
         "dtd_eigenvalues": dtd,
         "ddt_eigenvalues": ddt,
-        "kernel_dim_dtd": kernel_dimension(dtd, pair.delta),
-        "kernel_dim_ddt": kernel_dimension(ddt, pair.delta),
+        "kernel_dim_dtd": dtd.size - nz_dtd.size,
+        "kernel_dim_ddt": ddt.size - nz_ddt.size,
         "max_rel_mismatch": max_rel,
     }
 
 
-def kernel_dimension(eigenvalues: np.ndarray, delta: float) -> int:
-    """Kernel modes among partner-operator eigenvalues: ladder value lambda/delta below KERNEL_LADDER_TOL."""
-    return int(np.count_nonzero(eigenvalues < KERNEL_LADDER_TOL * delta))
-
-
-def commutator_rayleigh(spec: ModelSpec, grid: Grid, delta: Optional[float] = None) -> List[float]:
+def commutator_rayleigh(spec: ModelSpec, grid: Grid) -> List[float]:
     """Rayleigh quotients of the discrete ladder commutator on test Gaussians.
 
     The commutator statement [A, A+] = const pairs adjacent angular sectors:
     on sector ml it is (D_{ml-1} D_{ml-1}^T - D_{ml}^T D_{ml}) / delta, whose
     continuum value is 4a/delta (the sector-shifted centrifugal terms cancel
     through 2w/r + 2w' = 4a, with a = m omega for the harmonic family). With
-    the default delta, the problem's lambda gap 4a, the quotients come out
+    delta the problem's own, its lambda gap 4a, the quotients come out
     at 1. The test functions are three Gaussians of width span/12 centred at
     0.35, 0.5 and 0.65 of the grid's span, so they vanish at both boundaries.
     """
     if not spec.family.is_two_dimensional:
         raise ValueError("the ladder commutator check applies to the 2D families")
-    if delta is None:
-        delta = effective_problem(spec).delta
     r = grid.nodes
-    hi = discretize_supercharge(spec, grid, delta=delta)  # out of sector ml
+    hi = discretize_supercharge(spec, grid)  # out of sector ml
     # Out of sector ml - 1, from the profile itself: ModelSpec rejects that
     # sector when it is sub-critical, though its supercharge is well defined.
     lo = replace(hi, d_diag=superpotential(spec, r) - (spec.ml - 0.5) / r - 1.0 / grid.h)
@@ -222,5 +214,5 @@ def commutator_rayleigh(spec: ModelSpec, grid: Grid, delta: Optional[float] = No
     for f in (0.35, 0.5, 0.65):
         v = np.exp(-0.5 * ((r - (grid.x_min + f * span)) / width) ** 2)
         form = float(v @ (diag * v)) + 2.0 * float(v[:-1] @ (off * v[1:]))
-        out.append(form / (delta * float(v @ v)))
+        out.append(form / (hi.delta * float(v @ v)))
     return out

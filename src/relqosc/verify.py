@@ -219,34 +219,31 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
 
 
 def nonrel_sweep(model: ModelSpec, n_max: int, c_values=NONREL_C_VALUES):
-    """Rows (n, c, E - mc^2, eps, |diff|) for the model at each light speed in c_values.
+    """Rows (n, c, E - mc^2, eps, |diff|, ratio) for the model at each light speed in c_values.
 
     Each c replaces the model's own; eps is c-independent for these ladders,
-    so the diff column isolates the relativistic residue.
+    so the diff column isolates the relativistic residue. ratio is the diff
+    at the previous c over this one, None at the first c and wherever diff is 0.
     """
     specs = [replace(model, params=replace(model.params, c=c)) for c in c_values]
     rows = []
     for n in range(n_max + 1):
+        prev = None
         for c, spec in zip(c_values, specs):
             e = math.sqrt(analytic_e2(spec, n))
             eps = analytic_nonrel_eps(spec, n)
-            rows.append((n, c, e - spec.mc2, eps, abs((e - spec.mc2) - eps)))
+            diff = abs((e - spec.mc2) - eps)
+            ratio = prev / diff if prev is not None and diff > 0 else None
+            rows.append((n, c, e - spec.mc2, eps, diff, ratio))
+            prev = diff
     return rows
 
 
 def nonrel_check(family: Family) -> CheckResult:
     """The c^2 shrink of |E - mc^2 - eps| on the family's default model, c in {10,20,40}."""
-    rows = nonrel_sweep(default_spec(family), 3)
-    worst = None
-    for n in range(4):
-        diffs = [r[4] for r in rows if r[0] == n]
-        scale = max(abs(r[3]) for r in rows if r[0] == n)
-        if scale < 1e-14:  # level sits exactly at E = mc^2; limit is exact
-            continue
-        for d_prev, d_next in zip(diffs, diffs[1:]):
-            ratio = d_prev / d_next
-            if worst is None or abs(ratio - 4.0) > abs(worst - 4.0):
-                worst = ratio
+    # The worst ratio is the first of those farthest from 4; a level at rest has none.
+    ratios = [row[5] for row in nonrel_sweep(default_spec(family), 3) if row[5] is not None]
+    worst = max(ratios, key=lambda q: abs(q - 4.0), default=None)
     passed = worst is None or NONREL_RATIO_LOW <= worst <= NONREL_RATIO_HIGH
     detail = ("all levels sit exactly at E = mc^2" if worst is None else
               f"|E - mc^2 - eps| shrink ratio under c doubling: worst {worst:.3f} "

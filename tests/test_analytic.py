@@ -180,7 +180,6 @@ class TestSpectrumTable:
     def test_build_and_query(self):
         spec = ModelSpec(Family.HARMONIC_1D)
         table = build_spectrum_table(spec, 4)
-        assert table.source == "analytic"
         assert [lev.n for lev in table.levels] == [0, 1, 2, 3]
         assert_allclose(table.e2_values(), [1.0, 3.0, 5.0, 7.0])
         for lev in table.levels:
@@ -193,13 +192,9 @@ class TestSpectrumTable:
     def test_rejects_non_contiguous_levels(self):
         levels = (Level(0, 1.0, 1.0, 0.0), Level(2, 5.0, math.sqrt(5), 2.0))
         with pytest.raises(ValueError, match="contiguous"):
-            SpectrumTable("analytic", levels)
+            SpectrumTable(levels)
 
     def test_rejects_unsorted_e2(self):
         levels = (Level(0, 5.0, math.sqrt(5), 2.0), Level(1, 1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="sorted"):
-            SpectrumTable("analytic", levels)
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            SpectrumTable("guess", (Level(0, 1.0, 1.0, 0.0),))
+            SpectrumTable(levels)

@@ -38,11 +38,15 @@ from relqosc.cli import (
     _fmt,
     _json_floats,
     _json_table,
+    _parse_c_list,
     _round12,
     build_parser,
     main,
+    make_config,
 )
 from relqosc.models import Family, default_spec
+from relqosc.verify import nonrel_sweep
+from test_golden_cli import golden_argvs
 
 CLI = [sys.executable, "-m", "relqosc.cli"]
 
@@ -264,6 +268,15 @@ class TestWavefunction:
         w2 = h * sum(row["psi2_numeric"] ** 2 for row in doc["samples"])
         e = doc["e"]
         assert w2 == pytest.approx((e - 1.0) / (e + 1.0), rel=1e-3)
+
+    @pytest.mark.parametrize("grid_max", ["1e-62", "1e-70", "1e-71"])
+    def test_residual_on_tiny_grid_exits_0(self, run_main, recwarn, grid_max):
+        """||T||_inf is 1e131 to 1e149 here; the residual squares no entry of that size, and the level is spectrum's."""
+        argv = ("--family", "1d-ho", "--grid-max", grid_max, "--levels", "2", "--format", "json")
+        wave = json.loads(run_main("wavefunction", *argv, check=True).stdout)
+        levels = json.loads(run_main("spectrum", *argv, "--method", "numeric", check=True).stdout)["levels"]
+        assert wave["e2"] == levels[0]["e2_numeric"]
+        assert not recwarn.list
 
     @pytest.mark.parametrize(
         "argv",
@@ -572,6 +585,22 @@ class TestNonrel:
         ratios = [float(r["ratio"]) for r in rows if r["ratio"] not in ("", "nan")]
         assert ratios and all(3.5 <= q <= 4.5 for q in ratios)
         assert proc.stdout.count("[PASS]") >= 1
+
+    @pytest.mark.parametrize("argv", sorted({
+        argv.replace(" --format json", "") for argv in golden_argvs() if argv.startswith("nonrel")}))
+    def test_rows_are_the_sweeps(self, run_main, argv):
+        """Every column, ratio included, is nonrel_sweep's, at 12 digits."""
+        args = build_parser().parse_args(argv.split())
+        cfg = make_config(args)
+        families = [Family.from_label(cfg.family)] if cfg.family else list(Family)
+        want = [
+            tuple(map(_round12, (family.value, *row)))
+            for family in families
+            for row in nonrel_sweep(dataclasses.replace(cfg, family=family.value).model_spec(),
+                                    cfg.levels - 1, c_values=_parse_c_list(args.c_list))
+        ]
+        doc = json.loads(run_main(*argv.split(), "--format", "json", check=True).stdout)
+        assert [tuple(row.values()) for row in doc["rows"]] == want
 
     def test_json_includes_checks(self, run_main):
         proc = run_main("nonrel", "--family", "1d-iso", "--format", "json", check=True)

@@ -487,6 +487,20 @@ def ulp_up(x: float) -> float:
     return float(np.nextafter(x, np.inf))
 
 
+def short_stebz(out):
+    """A stebz result one value short of the request."""
+    m, w, *rest = out
+    return (m - 1, w, *rest)
+
+
+def nan_stebz(out):
+    """A stebz result whose second value is NaN."""
+    m, w, *rest = out
+    w = w.copy()
+    w[1] = np.nan
+    return (m, w, *rest)
+
+
 def fresh_spectrum(spec: ModelSpec, k: int, grid: Grid):
     """numeric_spectrum's table from a bisection of its own, never from the latest model solve."""
     problem = effective_problem(spec)
@@ -600,14 +614,32 @@ class TestLatestSolve:
         (eigenvalues_lowest, lambda out: (*out[:4], 1), "stebz"),
         (eigenvalues_lowest, lambda out: (1, out[1][:1].copy(), *out[2:]), "bisection"),
         (eigen_lowest, lambda out: (*out[:4], 1), "stebz"),
-    ], ids=["values-info", "values-short", "vectors-info"])
+        (eigen_lowest, short_stebz, "bisection returned 2 values, 2 of them finite"),
+        (eigen_lowest, nan_stebz, "bisection returned 3 values, 2 of them finite"),
+    ], ids=["values-info", "values-short", "vectors-info", "vectors-short", "vectors-nan"])
     def test_corrupting_module_after_clean_solve_raises(self, monkeypatch, solve, fault, match):
+        """Both requests check stebz's result before any stein call."""
         op = small_operator()
         eigen_lowest(op, 3)
         eigenvalues_lowest(op, 3)
-        patch_lapack(monkeypatch, stebz=fault)
+        fake = patch_lapack(monkeypatch, stebz=fault)
         with pytest.raises(SolverError, match=match):
             solve(op, 3)
+        assert fake.calls == {"dstebz": 1}
+
+    def test_short_bisection_leaves_the_entry(self, monkeypatch):
+        """numeric_levels raises on a short stebz result, so the entry never holds fewer than k values."""
+        short = []
+        fake = patch_lapack(monkeypatch, stebz=lambda out: short_stebz(out) if short else out)
+        spec = ALL_SPECS[0]
+        grid, _ = numeric_levels(spec, 4, n_points=400)
+        entry = solver._latest_model_solve
+        short.append(True)
+        with pytest.raises(SolverError, match="bisection returned 3 values"):
+            numeric_levels(spec, 4, grid=grid)
+        assert solver._latest_model_solve is entry
+        assert len(numeric_spectrum(spec, 4, grid=grid).levels) == 4
+        assert fake.calls == {"dstebz": 2, "dstein": 1}
 
     def test_returned_and_operator_arrays_are_not_aliased(self):
         op = small_operator()

@@ -242,12 +242,6 @@ class TestLadderStructure:
         quotients = commutator_rayleigh(spec, grid)
         assert max(abs(q - 1.0) for q in quotients) <= COMMUTATOR_ABS
 
-    def test_commutator_scales_with_delta(self):
-        spec = ModelSpec(Family.HARMONIC_2D, ml=1)
-        grid = choose_domain(effective_problem(spec), 5, n_points=2000)
-        doubled = commutator_rayleigh(spec, grid, delta=2 * effective_problem(spec).delta)
-        assert max(abs(q - 0.5) for q in doubled) <= 2.5e-2
-
     def test_commutator_rejects_1d(self):
         spec = ModelSpec(Family.HARMONIC_1D)
         with pytest.raises(ValueError, match="2D"):
