@@ -22,7 +22,6 @@ from .models import (
 from .solver import (
     SolverError,
     choose_domain,
-    convergence_order,
     discretize,
     eigen_lowest,
     numeric_levels,
@@ -37,7 +36,7 @@ from .susyblock import (
     discretize_supercharge,
     susy_isospectrality_check,
 )
-from .verify import run_suite
+from .verify import convergence_order, run_suite
 
 __version__ = "0.1.0"
 

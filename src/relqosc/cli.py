@@ -39,10 +39,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, get_args
 import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
-from .models import Family, ModelSpec, RadialProblem, default_spec, effective_problem, pair_recover_psi2
-from .solver import DEFAULT_N_POINTS, Grid, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
+from .models import Family, ModelSpec, default_spec, effective_problem, pair_recover_psi2
+from .solver import DEFAULT_N_POINTS, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
-from .verify import NONREL_C_VALUES, available_suites, nonrel_check, nonrel_sweep, run_suite
+from .verify import DEFAULT_TOLERANCE, NONREL_C_VALUES, available_suites, nonrel_check, nonrel_sweep, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main", "entry"]
 
@@ -81,8 +81,6 @@ class RunConfig:
             raise ValueError("grid-n must be at least 3")
         if self.grid_max is not None and not 0 < self.grid_max < math.inf:
             raise ValueError(f"grid-max must be positive and finite, got {self.grid_max}")
-        if self.delta is not None and not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     def model_spec(self) -> ModelSpec:
         if self.family is None:
@@ -92,12 +90,6 @@ class RunConfig:
         params = dataclasses.replace(default.params, **given)
         ml = default.ml if self.ml is None else self.ml
         return ModelSpec(default.family, params, ml=ml)
-
-    def resolve_grid(self, problem: RadialProblem, k: int) -> Grid:
-        if self.grid_max is not None:
-            x_min = -self.grid_max if problem.domain == "full-line" else 0.0
-            return Grid(x_min, self.grid_max, self.grid_n)
-        return choose_domain(problem, k, n_points=self.grid_n)
 
 
 def _load_config_file(path: str, types: dict) -> dict:
@@ -291,7 +283,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     numeric = None
     if cfg.method in ("numeric", "both"):
         problem = effective_problem(spec)
-        grid = cfg.resolve_grid(problem, k)
+        grid = choose_domain(problem, k, cfg.grid_n, cfg.grid_max)
         numeric = spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
     rows = []
     for n in range(k):
@@ -314,7 +306,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     if n < 0 or n >= k:
         raise ValueError(f"level index n={n} outside 0 <= n < levels={k}")
     problem = effective_problem(spec)
-    grid = cfg.resolve_grid(problem, k)
+    grid = choose_domain(problem, k, cfg.grid_n, cfg.grid_max)
     results = eigen_lowest(discretize(problem, grid), k)
     level = spectrum_table(problem, [results[n].eigenvalue]).levels[0]
     e, e2 = level.e, level.e2
@@ -409,7 +401,7 @@ def cmd_ajc(cfg: RunConfig) -> int:
     k = cfg.levels
     problem = effective_problem(spec)
     delta = cfg.delta if cfg.delta is not None else problem.delta
-    grid = cfg.resolve_grid(problem, k)
+    grid = choose_domain(problem, k, cfg.grid_n, cfg.grid_max)
     pair = discretize_supercharge(spec, grid, delta=delta)
     eigenvalues = eigenvalues_lowest(pair.dtd_operator(), k).tolist()
     mc2 = spec.mc2
@@ -472,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", choices=available_suites(), default="all",
                           help="the suite to run, or all of them (default %(default)s)")
-    p_verify.add_argument("--tolerance", type=float, default=1e-4,
+    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                           help="relative E^2 tolerance of the spectrum suite's two numeric checks "
                                "(default %(default)g); every other check has a fixed bound")
     p_nonrel = sub.add_parser("nonrel", parents=[model], help="weak-relativistic sweep")
@@ -499,9 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_wavefunction(cfg, args.n)
         if args.command == "nonrel":
             return cmd_nonrel(cfg, args.c_list)
-        if args.command == "ajc":
-            return cmd_ajc(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_ajc(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,10 @@ residual fails the bound.
 numeric_spectrum reuses the eigenvalues of the latest numeric_levels or
 numeric_spectrum solve of an equal (spec, grid, k); every other request runs
 LAPACK.
-This route never touches the closed forms, so agreement with the analytic
-module is a genuine cross-check.
+This route never touches the closed forms: it imports only the Level and
+SpectrumTable records from the analytic module, and reads the ladder only to
+size the domain and map lambda to E^2, so agreement with it is a genuine
+cross-check (verify.convergence_order).
 
 scipy.linalg is never imported. The two LAPACK routines are called through
 scipy's compiled LAPACK wrapper module (scipy.linalg._flapack, the module
@@ -40,7 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analytic import Level, SpectrumTable, analytic_e2
+from .analytic import Level, SpectrumTable
 from .models import ModelSpec, RadialProblem, effective_problem, pair_recover_psi2, pair_superpotential
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "numeric_levels",
     "numeric_spectrum",
     "residual_pair_check",
-    "convergence_order",
 ]
 
 # Least multiple of eps ||T||_inf that the eigenpair residual bound allows.
@@ -152,25 +153,28 @@ class EigenResult:
     residual: float
 
 
-def choose_domain(problem: RadialProblem, k: int, n_points: int = DEFAULT_N_POINTS) -> Grid:
-    """Pick a grid whose boundary potential dominates the requested levels.
+def choose_domain(problem: RadialProblem, k: int, n_points: int = DEFAULT_N_POINTS, x_max: Optional[float] = None) -> Grid:
+    """Pick a grid whose boundary potential dominates the requested levels, unless x_max gives its outer edge.
 
-    x_max solves strength^2 x^2 = 3 lambda_est with lambda_est the closed-form
-    ladder value one past the top requested level, so V(x_max) >= 3 lambda_est
-    holds for every family (the centrifugal terms are nonnegative). Full-line
-    problems get the symmetric domain, half-line problems start at 0.
+    Without x_max the edge solves strength^2 x^2 = 3 lambda_est, lambda_est
+    the closed-form ladder value one past the top requested level, so
+    V(x_max) >= 3 lambda_est for every family (the centrifugal terms are
+    nonnegative). A given x_max is used as it is, unchecked against k, the
+    estimate or X_MAX_LIMIT. Full-line problems get the symmetric domain,
+    half-line problems start at 0.
     """
-    if k < 1:
-        raise ValueError(f"level count must be positive, got {k}")
-    lam_est = problem.lambda_estimate(k)
-    if not (lam_est > 0) or not math.isfinite(lam_est):
-        raise SolverError(f"eigenvalue estimate {lam_est} is unusable for domain sizing")
-    x_max = math.sqrt(POTENTIAL_MARGIN * lam_est) / problem.well_strength
-    if x_max > X_MAX_LIMIT:
-        raise SolverError(
-            f"potential does not reach {POTENTIAL_MARGIN} x the eigenvalue estimate "
-            f"within x = {X_MAX_LIMIT:g} (x_max would be {x_max:.3g}); check parameters"
-        )
+    if x_max is None:
+        if k < 1:
+            raise ValueError(f"level count must be positive, got {k}")
+        lam_est = problem.lambda_estimate(k)
+        if not (lam_est > 0) or not math.isfinite(lam_est):
+            raise SolverError(f"eigenvalue estimate {lam_est} is unusable for domain sizing")
+        x_max = math.sqrt(POTENTIAL_MARGIN * lam_est) / problem.well_strength
+        if x_max > X_MAX_LIMIT:
+            raise SolverError(
+                f"potential does not reach {POTENTIAL_MARGIN} x the eigenvalue estimate "
+                f"within x = {X_MAX_LIMIT:g} (x_max would be {x_max:.3g}); check parameters"
+            )
     x_min = -x_max if problem.domain == "full-line" else 0.0
     return Grid(x_min=x_min, x_max=x_max, n_points=n_points)
 
@@ -411,34 +415,3 @@ def residual_pair_check(spec: ModelSpec, energy: float, grid: Grid, psi1: np.nda
     lhs = spec.params.c * (-dpsi2 + w * psi2)
     rhs = (energy - spec.mc2) * psi1
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(psi1))
-
-
-# Extra ladder rungs of domain headroom for order measurements: the Dirichlet
-# box must truncate the tail so far below the h^2 stencil error that it cannot
-# pollute the N-vs-2N ratio (the box error does not shrink with h).
-_ORDER_DOMAIN_MARGIN = 6
-# Points of the coarser grid of an order measurement; the finer grid has twice as many.
-_ORDER_N_POINTS = 2000
-
-
-def convergence_order(spec: ModelSpec, n: int) -> float:
-    """Observed order p with |E2 error| ~ h^p, from grids at N = 2000 and 2N.
-
-    Both grids share one domain so only h changes, and that domain is sized
-    several rungs past level n: box-truncation error is h-independent, so it
-    must sit far below the stencil error for the ratio to mean anything. The
-    3-point stencil gives p close to 2; strongly fractional centrifugal
-    sectors needn't exceed 1.5 (the eigenfunction power-law cusp at the
-    origin limits the quadrature of the truncation error).
-    """
-    problem = effective_problem(spec)
-    grid1 = choose_domain(problem, n + _ORDER_DOMAIN_MARGIN, n_points=_ORDER_N_POINTS)
-    grid2 = Grid(grid1.x_min, grid1.x_max, 2 * _ORDER_N_POINTS)
-    exact = analytic_e2(spec, n)
-    errs = []
-    for grid in (grid1, grid2):
-        table = numeric_spectrum(spec, n + 1, grid=grid)
-        errs.append(abs(table.levels[n].e2 - exact))
-    if errs[1] == 0:
-        raise SolverError("refined-grid error vanished; cannot estimate an order")
-    return math.log2(errs[0] / errs[1])

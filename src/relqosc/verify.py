@@ -17,6 +17,7 @@ import numpy as np
 from .analytic import analytic_e2, analytic_nonrel_eps, build_spectrum_table
 from .models import Family, ModelSpec, PhysicalParams, default_spec, effective_problem
 from .solver import (
+    SolverError,
     choose_domain,
     eigenvalues_lowest,
     numeric_levels,
@@ -32,8 +33,10 @@ from .susyblock import (
     susy_isospectrality_check,
 )
 
-__all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "nonrel_sweep", "nonrel_check"]
+__all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "nonrel_sweep", "nonrel_check", "convergence_order"]
 
+# Relative E^2 tolerance of the spectrum suite's two numeric checks.
+DEFAULT_TOLERANCE = 1e-4
 MACHINE_REL = 1e-12
 ISOSPECTRAL_REL = 1e-10
 BLOCK_REL = 1e-2
@@ -218,6 +221,37 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
     return out
 
 
+# Extra ladder rungs of domain headroom for order measurements: the Dirichlet
+# box must truncate the tail so far below the h^2 stencil error that it cannot
+# pollute the N-vs-2N ratio (the box error does not shrink with h).
+_ORDER_DOMAIN_MARGIN = 6
+# Points of the coarser grid of an order measurement; the finer grid has twice as many.
+_ORDER_N_POINTS = 2000
+
+
+def convergence_order(spec: ModelSpec, n: int) -> float:
+    """Observed order p with |E2 error| ~ h^p against the closed form, from grids at N = 2000 and 2N.
+
+    Both grids share one domain so only h changes, and that domain is sized
+    several rungs past level n: box-truncation error is h-independent, so it
+    must sit far below the stencil error for the ratio to mean anything. The
+    3-point stencil gives p close to 2; strongly fractional centrifugal
+    sectors needn't exceed 1.5 (the eigenfunction power-law cusp at the
+    origin limits the quadrature of the truncation error).
+    """
+    problem = effective_problem(spec)
+    grid1 = choose_domain(problem, n + _ORDER_DOMAIN_MARGIN, _ORDER_N_POINTS)
+    grid2 = choose_domain(problem, n + _ORDER_DOMAIN_MARGIN, 2 * _ORDER_N_POINTS, x_max=grid1.x_max)
+    exact = analytic_e2(spec, n)
+    errs = []
+    for grid in (grid1, grid2):
+        table = numeric_spectrum(spec, n + 1, grid=grid)
+        errs.append(abs(table.levels[n].e2 - exact))
+    if errs[1] == 0:
+        raise SolverError("refined-grid error vanished; cannot estimate an order")
+    return math.log2(errs[0] / errs[1])
+
+
 def nonrel_sweep(model: ModelSpec, n_max: int, c_values=NONREL_C_VALUES):
     """Rows (n, c, E - mc^2, eps, |diff|, ratio) for the model at each light speed in c_values.
 
@@ -291,7 +325,7 @@ def available_suites() -> List[str]:
     return ["all", *SUITES]
 
 
-def run_suite(suite: str, tolerance: float = 1e-4) -> List[CheckResult]:
+def run_suite(suite: str, tolerance: float = DEFAULT_TOLERANCE) -> List[CheckResult]:
     """Run one suite (or all of them) and return the check results."""
     if suite == "all":
         results = []

@@ -169,6 +169,9 @@ class TestValidationExits:
             # overflows inside the potential and the partner products, named without a warning
             ("ajc", "--family", "2d-ho", "--grid-max", "4.4e-151"),
             ("spectrum", "--family", "1d-ho", "--grid-max", "1e155"),
+            # ladder normalizations that SupersymmetricPair rejects
+            ("ajc", "--family", "2d-ho", "--delta", "nan"),
+            ("ajc", "--family", "1d-iso", "--delta", "0"),
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):
@@ -199,6 +202,14 @@ class TestValidationExits:
             run_main(command, "--family", "1d-ho", flag, value)
         assert exc.value.code == 2
         assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not recwarn.list
+
+    def test_domain_limit_exits_3_unless_the_edge_is_given(self, run_main, recwarn):
+        """The automatic edge would lie past X_MAX_LIMIT; --grid-max skips that sizing."""
+        proc = run_main("spectrum", "--family", "1d-ho", "--omega", "1e-13")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("solver error: potential does not reach") and proc.stderr.count("\n") == 1
+        run_main("spectrum", "--family", "1d-ho", "--omega", "1e-13", "--grid-max", "10", check=True)
         assert not recwarn.list
 
     def test_nan_eigenvectors_exit_3(self, run_main, recwarn):
@@ -699,6 +710,14 @@ class TestConfigFile:
             proc = run_main(command, "--config", str(cfg))
             assert proc.returncode == 2 and "unknown key" in proc.stderr
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not recwarn.list
+
+    def test_non_finite_delta_exits_2(self, run_main, recwarn, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "2d-ho", "delta": "inf"}))
+        proc = run_main("ajc", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not recwarn.list
 
     def test_missing_config_file_exits_3(self, run_main, recwarn, tmp_path):

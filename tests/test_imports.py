@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "relqosc").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src" / "relqosc").glob("*.py"))
+MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 
 
 def exported(tree: ast.Module) -> set:
@@ -49,3 +50,72 @@ def test_finds_unread_imports():
         "    return numpy.linalg.norm(x)\n"
     )
     assert unread_imports(tree) == ["Optional (line 4)", "os (line 2)", "osp (line 2)"]
+
+
+def analytic_imports(tree: ast.Module) -> set:
+    """Names a module imports from the package's analytic module; "analytic" itself for a module import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "analytic":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("analytic" for alias in node.names if alias.name.split(".")[-1] == "analytic")
+    return names
+
+
+@pytest.mark.parametrize("name", ["solver.py", "susyblock.py"])
+def test_numeric_route_imports_no_closed_form(name):
+    """The finite-difference route takes only the table records from the closed forms."""
+    tree = ast.parse((ROOT / "src" / "relqosc" / name).read_text(encoding="utf-8"))
+    assert analytic_imports(tree) <= {"Level", "SpectrumTable"}
+
+
+def test_finds_analytic_imports():
+    tree = ast.parse(
+        "from .analytic import Level, analytic_e2\n"
+        "from . import analytic\n"
+        "import relqosc.analytic\n"
+        "from .models import ModelSpec\n"
+    )
+    assert analytic_imports(tree) == {"Level", "analytic_e2", "analytic"}
+
+
+def private_names(tree: ast.Module) -> dict:
+    """Single-underscore names the module binds at its top level, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {name: line for name, line in names.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names the module reads, as plain names or as attributes."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SRC}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{name}: {private} (line {line})" for name, tree in trees.items()
+              for private, line in private_names(tree).items() if private not in read]
+    assert unread == []
+
+
+def test_finds_private_names():
+    tree = ast.parse(
+        "_LIMIT: int = 3\n"
+        "_cache = __all__ = None\n"
+        "def _helper():\n"
+        "    _local = 1\n"
+        "class _Record: pass\n"
+        "def public(): pass\n"
+    )
+    assert private_names(tree) == {"_LIMIT": 1, "_cache": 2, "_helper": 3, "_Record": 5}
+    assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}

@@ -184,6 +184,18 @@ class TestChooseDomain:
         with pytest.raises(SolverError):
             choose_domain(effective_problem(spec), 3)
 
+    @pytest.mark.parametrize("spec, x_min", [
+        (ModelSpec(Family.HARMONIC_1D), -7.5),
+        (ModelSpec(Family.HARMONIC_2D, ml=1), 0.0),
+    ], ids=["full-line", "half-line"])
+    def test_given_edge_is_the_outer_edge(self, spec, x_min):
+        assert choose_domain(effective_problem(spec), 5, 300, x_max=7.5) == Grid(x_min, 7.5, 300)
+
+    def test_given_edge_skips_the_sizing_checks(self):
+        """k, the eigenvalue estimate and X_MAX_LIMIT size only an automatic edge."""
+        problem = effective_problem(ModelSpec(Family.HARMONIC_1D, PhysicalParams(omega=1e-15)))
+        assert choose_domain(problem, 0, 300, x_max=2e6) == Grid(-2e6, 2e6, 300)
+
 
 class TestDiscretize:
     def test_three_point_box(self):

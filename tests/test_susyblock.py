@@ -109,9 +109,11 @@ class TestSupercharge:
         assert pair.delta == pytest.approx(4.0)  # 4 m omega
 
     def test_discretization_rejects_bad_delta(self):
+        """An infinite delta would count every D^T D mode as a kernel mode."""
         spec = ModelSpec(Family.HARMONIC_1D)
-        with pytest.raises(ValueError, match="positive"):
-            discretize_supercharge(spec, Grid(-2.0, 2.0, 7), delta=-1.0)
+        for delta in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                discretize_supercharge(spec, Grid(-2.0, 2.0, 7), delta=delta)
 
     def test_default_delta_by_family(self):
         harmonic = ModelSpec(Family.HARMONIC_2D, PhysicalParams(m=2.0, omega=0.5), ml=1)
