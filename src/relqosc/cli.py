@@ -464,9 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", choices=available_suites(), default="all",
                           help="the suite to run, or all of them (default %(default)s)")
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    p_verify.add_argument("--tolerance", type=float,
                           help="relative E^2 tolerance of the spectrum suite's two numeric checks "
-                               "(default %(default)g); every other check has a fixed bound")
+                               f"(default {DEFAULT_TOLERANCE:g}), with --suite spectrum or all only; "
+                               "every other check has a fixed bound")
     p_nonrel = sub.add_parser("nonrel", parents=[model], help="weak-relativistic sweep")
     p_nonrel.add_argument("--c-list", dest="c_list", default=",".join(f"{c:g}" for c in NONREL_C_VALUES),
                           help="comma separated light speeds (default %(default)s, the nonrel suite's)")
@@ -480,12 +481,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # A flag that this run would not read is an error, as argparse makes one
+        # that the command never reads.
         if args.command == "verify":
-            if not args.tolerance > 0:
+            if args.tolerance is not None and args.suite not in ("spectrum", "all"):
+                raise ValueError(f"--tolerance is read only by the spectrum suite, not by --suite {args.suite}")
+            tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+            if not tolerance > 0:
                 raise ValueError("tolerance must be positive")
-            return cmd_verify(args.suite, args.tolerance)
+            return cmd_verify(args.suite, tolerance)
         cfg = make_config(args)
         if args.command == "spectrum":
+            if cfg.method == "analytic" and (args.grid_n is not None or args.grid_max is not None):
+                raise ValueError("--grid-n and --grid-max are read only when spectrum solves (--method numeric or both)")
             return cmd_spectrum(cfg)
         if args.command == "wavefunction":
             return cmd_wavefunction(cfg, args.n)

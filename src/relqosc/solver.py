@@ -3,15 +3,20 @@
 The effective problem -u'' + V u = lambda u is discretized on a uniform
 Dirichlet grid with the standard 3-point stencil, giving a symmetric
 tridiagonal matrix whose lowest eigenvalues are found by Sturm-sequence
-bisection (LAPACK stebz). Values-only (eigenvalues_lowest) and eigenpair
-(eigen_lowest) requests make the same single stebz call and sort its values
-the same way, so both return the same bits; on every operator that stebz
-does not split into blocks these equal the values of
-scipy.linalg.eigh_tridiagonal. Bisection certifies each value to its absolute
-tolerance without any eigenvector. Inverse iteration (LAPACK stein) runs only
-where eigenvectors are returned, and each of those eigenpairs must pass the
-backward-error bound max(sqrt(N), 4) eps ||T||_inf on its residual; a NaN
-residual fails the bound.
+bisection (LAPACK stebz). Neither stebz nor stein scales its input, so the
+one LAPACK seam (_stebz_lowest) hands them 2^-p T, with 2^p just above the
+largest |entry| of T, and scales the values back by 2^p: a power of two is
+exact, so the size of T's entries alone does not make a solve fail.
+Values-only (eigenvalues_lowest) and eigenpair (eigen_lowest) requests make
+the same single stebz call and sort its values the same way, so both return
+the same bits; on every operator that stebz does not split into blocks,
+whose off-diagonal squares are normal floats and whose scaled entries do not
+underflow, these equal the values of scipy.linalg.eigh_tridiagonal.
+Bisection certifies each value to its absolute tolerance without any
+eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
+are returned, and each of those eigenpairs must pass the backward-error
+bound max(sqrt(N), 4) eps ||T||_inf on its residual, taken on the scaled
+operator; a NaN residual fails the bound.
 numeric_spectrum reuses the eigenvalues of the latest numeric_levels or
 numeric_spectrum solve of an equal (spec, grid, k); every other request runs
 LAPACK.
@@ -247,45 +252,50 @@ def _check_info(info: int, routine: str) -> None:
 
 
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
-    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors unless eigvals_only.
+    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only.
 
-    Both requests make the same stebz call, in block order as stein needs,
-    raise SolverError before any stein call unless it returned k finite
-    values, and sort them by one stable argsort, so values and eigenpairs are
+    stebz and stein do not scale their input, so both run on 2^-p T, with p
+    the binary exponent of the largest |entry| of T: its entries lie below 1
+    in magnitude, so no square or product inside them overflows. A power of
+    two is exact, and the values are scaled back by 2^p. Both requests make
+    the same stebz call, in block order as stein needs, raise SolverError
+    before any stein call unless it gave k values that are finite in T's
+    units, and sort them by one stable argsort, so values and eigenpairs are
     the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-    lapack_driver="stebz"), plus a ValueError where the largest |e| squared
-    overflows; its values are the same bits on every operator that stebz
-    does not split into blocks.
+    lapack_driver="stebz") on 2^-p T; on every operator that stebz does not
+    split into blocks, whose off-diagonal squares are normal floats and whose
+    scaled entries do not underflow, its values are the same bits as that
+    call on T itself.
     """
     n = op.size
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    d, e = op.diag, op.offdiag
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+    s = float(np.max(np.abs(np.concatenate((op.diag, op.offdiag)))))
+    if not math.isfinite(s):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
-    # stebz squares the off-diagonal and fails with info=4 once that overflows.
-    e_max = float(np.max(np.abs(e)))
-    if not e_max * e_max < math.inf:
-        raise ValueError(f"tridiagonal operator's off-diagonal reaches {e_max:.3g}, whose square overflows")
+    p = math.frexp(s)[1]
+    d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
     lapack = _flapack()
     # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
     # default; block order ("B"), sorted below.
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     _check_info(info, "stebz")
     w = w[:m]
-    if w.size != k or not np.all(np.isfinite(w)):
+    # An eigenvalue past the float range of T shows as inf, caught below.
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(w, p)
+    if lam.size != k or not np.all(np.isfinite(lam)):
         raise SolverError(
-            f"bisection returned {w.size} values, {int(np.count_nonzero(np.isfinite(w)))} "
+            f"bisection returned {lam.size} values, {int(np.count_nonzero(np.isfinite(lam)))} "
             f"of them finite, for k={k}"
         )
     order = np.argsort(w, kind="stable")
-    lam = w[order]
     if eigvals_only:
-        return lam
+        return lam[order]
     v, info = lapack.dstein(d, e, w, iblock, isplit)
     _check_info(info, "stein")
-    return lam, v[:, order]
+    return lam[order], v[:, order], p
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -306,29 +316,28 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     cannot be conflated; its absolute tolerance is LAPACK's machine-precision
     default. Raises SolverError unless bisection returns k finite values, on
     inverse-iteration failure, or if a residual exceeds the backward-error
-    bound max(sqrt(N), 4) eps ||T||_inf or is NaN.
+    bound max(sqrt(N), 4) eps ||T||_inf or is NaN. Residual and bound are
+    computed on the operator the seam scaled by 2^-p, where no product
+    overflows, and the residual is reported in T's own units.
     """
-    lam, vec = _stebz_lowest(op, k, eigvals_only=False)
+    lam, vec, p = _stebz_lowest(op, k, eigvals_only=False)
+    scaled = TridiagonalOperator(np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p))
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
     # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
     # Evaluating the residual itself rounds at a few eps ||T||, which sets the
     # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
-    bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * op.norm_inf()
+    bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * scaled.norm_inf()
     results = []
     for idx in range(k):
-        # On stein's own column, with r scaled by s = max|r| so that no square
-        # overflows however large ||T|| is; a zero or NaN s is the residual itself.
         u = vec[:, idx]
-        r = op.matvec(u) - lam[idx] * u
-        s = float(np.max(np.abs(r)))
-        res = s * float(np.linalg.norm(r / s)) / float(np.linalg.norm(u)) if s > 0 else s
+        res = float(np.linalg.norm(scaled.matvec(u) - np.ldexp(lam[idx], -p) * u) / np.linalg.norm(u))
         if not res <= bound:  # a NaN residual fails too
             raise SolverError(
                 f"inverse iteration for eigenvalue index {idx} left residual "
-                f"{res:.3e} above bound {bound:.3e}"
+                f"{np.ldexp(res, p):.3e} above bound {np.ldexp(bound, p):.3e}"
             )
         v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
-        results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=res))
+        results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=float(np.ldexp(res, p))))
     return results
 
 

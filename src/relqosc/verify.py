@@ -23,6 +23,7 @@ from .solver import (
     numeric_levels,
     numeric_spectrum,
     residual_pair_check,
+    spectrum_table,
 )
 from .susyblock import (
     block_branches,
@@ -293,10 +294,11 @@ def _suite_pair(tolerance: float) -> List[CheckResult]:
     out = []
     for family in (Family.HARMONIC_1D, Family.ISOTONIC_1D):
         spec = default_spec(family)
+        problem = effective_problem(spec)
         residuals = {}
         for n_points in (4000, 8000):
             grid, results = numeric_levels(spec, 4, n_points=n_points)
-            table = numeric_spectrum(spec, 4, grid=grid)
+            table = spectrum_table(problem, [r.eigenvalue for r in results])
             residuals[n_points] = [
                 residual_pair_check(spec, table.levels[n].e, grid, results[n].vector)
                 for n in range(4)

@@ -161,11 +161,12 @@ class TestValidationExits:
             ("spectrum", "--family", "2d-iso", "--grid-max", "1e-300"),
             ("ajc", "--family", "2d-ho", "--grid-max", "1e-200"),
             ("spectrum", "--family", "2d-ho", "--omega", "1e306"),
-            # operators whose off-diagonal squared overflows, which LAPACK stebz cannot bisect
-            ("spectrum", "--family", "1d-ho", "--grid-max", "1e-75"),
-            ("wavefunction", "--family", "1d-ho", "--grid-max", "1e-110"),
-            ("ajc", "--family", "1d-ho", "--grid-max", "1e-150"),
-            ("spectrum", "--family", "1d-ho", "--omega", "1e160"),
+            # flags that this run would not read
+            ("verify", "--suite", "susy", "--tolerance", "1e-3"),
+            ("verify", "--suite", "nonrel", "--tolerance", "1e-3"),
+            ("verify", "--suite", "pair", "--tolerance", "1e-3"),
+            ("spectrum", "--family", "1d-ho", "--method", "analytic", "--grid-n", "7"),
+            ("spectrum", "--family", "1d-ho", "--method", "analytic", "--grid-max", "0.001"),
             # overflows inside the potential and the partner products, named without a warning
             ("ajc", "--family", "2d-ho", "--grid-max", "4.4e-151"),
             ("spectrum", "--family", "1d-ho", "--grid-max", "1e155"),
@@ -175,7 +176,7 @@ class TestValidationExits:
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):
-        if "--tolerance" in args:  # argparse prints its usage before the error line
+        if args[0] != "verify" and "--tolerance" in args:  # argparse prints its usage before the error line
             with pytest.raises(SystemExit) as exc:
                 run_main(*args)
             assert exc.value.code == 2
@@ -212,14 +213,34 @@ class TestValidationExits:
         run_main("spectrum", "--family", "1d-ho", "--omega", "1e-13", "--grid-max", "10", check=True)
         assert not recwarn.list
 
-    def test_nan_eigenvectors_exit_3(self, run_main, recwarn):
-        """LAPACK stein returns NaN vectors on this operator; their NaN residuals fail the bound."""
-        proc = run_main("wavefunction", "--family", "1d-iso", "--m", "1.0495113244875367e+39",
-                        "--c", "1.230231004254882e-28", "--a", "7.703013544560719e+150",
-                        "--b=3.634207307325429e-73", "--grid-n", "50")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("solver error: ") and proc.stderr.count("\n") == 1
+    def test_negative_squared_energy_exits_3(self, run_main, recwarn):
+        """The operator at omega = 1e160 solves, but its lowest value maps to E^2 < 0."""
+        proc = run_main("spectrum", "--family", "1d-ho", "--omega", "1e160")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("solver error: squared energy ") and proc.stderr.count("\n") == 1
+        assert "< 0 at level 0; discretization failure" in proc.stderr
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("argv", [
+        # off-diagonals whose square overflows, which unscaled stebz could not bisect
+        ("spectrum", "--family", "1d-ho", "--grid-max", "1e-75"),
+        ("wavefunction", "--family", "1d-ho", "--grid-max", "1e-110"),
+        ("ajc", "--family", "1d-ho", "--grid-max", "1e-150"),
+        # operators on which unscaled stein returned NaN vectors
+        ("wavefunction", "--family", "1d-ho", "--levels", "2", "--grid-max", "1e-72"),
+        ("wavefunction", "--family", "1d-ho", "--levels", "2", "--grid-max", "1e-73"),
+        ("wavefunction", "--family", "1d-ho", "--levels", "2", "--grid-n", "400", "--grid-max", "1e-73"),
+        ("wavefunction", "--family", "1d-ho", "--levels", "2", "--grid-n", "4000", "--grid-max", "3e-72"),
+        ("wavefunction", "--family", "1d-ho", "--levels", "2", "--grid-n", "16000", "--grid-max", "1e-70"),
+        ("wavefunction", "--family", "1d-iso", "--m", "1.0495113244875367e+39", "--c", "1.230231004254882e-28",
+         "--a", "7.703013544560719e+150", "--b=3.634207307325429e-73", "--grid-n", "50"),
+    ])
+    def test_extreme_operator_scales_solve(self, run_main, recwarn, argv):
+        """The LAPACK seam scales each operator by a power of two, so these print finite values."""
+        doc = json.loads(run_main(*argv, "--format", "json", check=True).stdout)
+        rows = doc.get("samples") or doc.get("levels") or doc["rows"]
+        values = [v for row in rows for v in row.values() if isinstance(v, float)]
+        assert values and all(map(math.isfinite, values))
         assert not recwarn.list
 
     def test_unknown_suite_exits_2(self, run_main, capsys, recwarn):

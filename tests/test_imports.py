@@ -1,4 +1,4 @@
-"""Import hygiene: every name a package or test module imports is read in it."""
+"""Import hygiene: every name a package or test module imports is read in it; only the LAPACK seam calls LAPACK."""
 
 import ast
 from pathlib import Path
@@ -119,3 +119,41 @@ def test_finds_private_names():
     )
     assert private_names(tree) == {"_LIMIT": 1, "_cache": 2, "_helper": 3, "_Record": 5}
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
+
+
+def lapack_callers(tree: ast.Module) -> set:
+    """Functions that call dstebz, dstein or _flapack(), by name; "<module>" for a call outside any function."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in {"dstebz", "dstein", "_flapack"}:
+                    callers.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_only_the_seam_calls_lapack():
+    """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first."""
+    callers = {(path.name, caller) for path in SRC
+               for caller in lapack_callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
+    assert callers == {("solver.py", "_stebz_lowest")}
+
+
+def test_finds_lapack_callers():
+    tree = ast.parse(
+        "lapack = _flapack()\n"
+        "def seam(d, e):\n"
+        "    return lapack.dstebz(d, e), _flapack().dstein(d)\n"
+        "def outer():\n"
+        "    f = lambda: mod.dstein()\n"
+        "    def inner():\n"
+        "        return dstebz()\n"
+        "def clean():\n"
+        "    return _flapack, lapack.dstebz\n"
+    )
+    assert lapack_callers(tree) == {"<module>", "seam", "outer", "inner"}
