@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, finite_on_nodes
 from .specfun import hermite, kummer_terminating
 
 __all__ = [
@@ -126,27 +126,29 @@ def analytic_wavefunction(spec: ModelSpec, n: int, x):
     2D families: the flat-measure radial function
     r^(s + 1/2) exp(-q r^2 / 2) 1F1(-n; s + 1; q r^2) on r > 0, with
     s = |ml| and q = m omega (harmonic) or s = |ml - b| and q = a (isotonic).
+    Raises ValueError, naming the first such node, where a sample is not
+    finite.
     """
     n = _level_index(n)
     p = spec.params
     x = np.asarray(x, dtype=float)
     fam = spec.family
-    if fam is Family.HARMONIC_1D:
-        mw = p.m * p.omega
-        out = hermite(n, np.sqrt(mw) * x) * np.exp(-0.5 * mw * x ** 2)
-        return out
-    if np.any(x <= 0):
+    if fam is not Family.HARMONIC_1D and np.any(x <= 0):
         raise ValueError(f"family {fam.value} wavefunctions are defined on x > 0 only")
-    if fam is Family.ISOTONIC_1D:
-        nu = isotonic_nu(p.b)
-        ax2 = p.a * x ** 2
-        return x ** nu * np.exp(-0.5 * ax2) * kummer_terminating(n, nu + 0.5, ax2)
-    if fam is Family.HARMONIC_2D:
-        s, q = abs(spec.ml), p.m * p.omega
-    else:
-        s, q = abs(spec.ml - p.b), p.a
-    qr2 = q * x ** 2
-    return x ** (s + 0.5) * np.exp(-0.5 * qr2) * kummer_terminating(n, s + 1.0, qr2)
+    # An overflow shows as inf or NaN and is named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam is Family.HARMONIC_1D:
+            mw = p.m * p.omega
+            out = hermite(n, np.sqrt(mw) * x) * np.exp(-0.5 * mw * x ** 2)
+        elif fam is Family.ISOTONIC_1D:
+            nu = isotonic_nu(p.b)
+            ax2 = p.a * x ** 2
+            out = x ** nu * np.exp(-0.5 * ax2) * kummer_terminating(n, nu + 0.5, ax2)
+        else:
+            s, q = (abs(spec.ml), p.m * p.omega) if fam is Family.HARMONIC_2D else (abs(spec.ml - p.b), p.a)
+            qr2 = q * x ** 2
+            out = x ** (s + 0.5) * np.exp(-0.5 * qr2) * kummer_terminating(n, s + 1.0, qr2)
+    return finite_on_nodes(out, x, f"closed-form wavefunction of level {n}")
 
 
 def build_spectrum_table(spec: ModelSpec, k: int) -> SpectrumTable:

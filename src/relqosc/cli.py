@@ -40,7 +40,7 @@ import numpy as np
 
 from .analytic import analytic_e2, analytic_wavefunction, build_spectrum_table
 from .models import Family, ModelSpec, default_spec, effective_problem, pair_recover_psi2
-from .solver import DEFAULT_N_POINTS, SolverError, choose_domain, discretize, eigen_lowest, eigenvalues_lowest, spectrum_table
+from .solver import DEFAULT_N_POINTS, SolverError, choose_domain, eigenvalues_lowest, solve, spectrum_table
 from .susyblock import KERNEL_LADDER_TOL, discretize_supercharge
 from .verify import DEFAULT_TOLERANCE, NONREL_C_VALUES, available_suites, nonrel_check, nonrel_sweep, run_suite
 
@@ -263,13 +263,14 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _emit_table(cfg: RunConfig, header: Sequence[str], rows, head: dict, key: str = "rows",
-                comment: Optional[str] = None, tail: Optional[dict] = None) -> None:
-    """Write one table in cfg.format: CSV with an optional '#' comment line, or
-    the JSON document {**head, key: [dict(zip(header, row)), ...], **tail}."""
+                comment: Optional[str] = None, tail: Optional[dict] = None, csv_tail: Iterable[str] = ()) -> None:
+    """Write one table in cfg.format: CSV with an optional '#' comment line and
+    the csv_tail text after the rows, or the JSON document
+    {**head, key: [dict(zip(header, row)), ...], **tail}."""
     if cfg.format == "json":
         _emit(_json_table(head, key, header, rows, tail), cfg.out)
     else:
-        _emit(_csv_table(header, rows, comment), cfg.out)
+        _emit(chain(_csv_table(header, rows, comment), csv_tail), cfg.out)
 
 
 def _check_line(r) -> str:
@@ -282,9 +283,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     analytic = build_spectrum_table(spec, k) if cfg.method in ("analytic", "both") else None
     numeric = None
     if cfg.method in ("numeric", "both"):
-        problem = effective_problem(spec)
-        grid = choose_domain(problem, k, cfg.grid_n, cfg.grid_max)
-        numeric = spectrum_table(problem, eigenvalues_lowest(discretize(problem, grid), k))
+        _, problem, eigenvalues, _ = solve(spec, k, n_points=cfg.grid_n, x_max=cfg.grid_max)
+        numeric = spectrum_table(problem, eigenvalues)
     rows = []
     for n in range(k):
         e2_a = analytic.levels[n].e2 if analytic else None
@@ -305,13 +305,13 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     k = cfg.levels
     if n < 0 or n >= k:
         raise ValueError(f"level index n={n} outside 0 <= n < levels={k}")
-    problem = effective_problem(spec)
-    grid = choose_domain(problem, k, cfg.grid_n, cfg.grid_max)
-    results = eigen_lowest(discretize(problem, grid), k)
+    grid, problem, _, results = solve(spec, k, n_points=cfg.grid_n, x_max=cfg.grid_max, vectors=True)
     level = spectrum_table(problem, [results[n].eigenvalue]).levels[0]
     e, e2 = level.e, level.e2
     psi1_num = results[n].vector
     psi1_ana = analytic_wavefunction(spec, n, grid.nodes)
+    # Scaled by a power of two, which is exact, below 1 in magnitude: no square in the norm overflows.
+    psi1_ana = np.ldexp(psi1_ana, -math.frexp(float(np.max(np.abs(psi1_ana))))[1])
     norm = math.sqrt(grid.h * float(np.sum(psi1_ana ** 2)))
     if norm > 0:
         psi1_ana = psi1_ana / norm
@@ -374,9 +374,7 @@ def cmd_nonrel(cfg: RunConfig, c_list: str) -> int:
             for r in checks
         ],
     }
-    _emit_table(cfg, header, rows, head, tail=tail)
-    if cfg.format == "csv":
-        _emit(["\n".join(map(_check_line, checks)) + "\n"], None)
+    _emit_table(cfg, header, rows, head, tail=tail, csv_tail=[line + "\n" for line in map(_check_line, checks)])
     return 0 if ok else 1
 
 

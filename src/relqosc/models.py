@@ -305,6 +305,14 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
     )
 
 
+def finite_on_nodes(values: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
+    """values, sampled on the nodes x; ValueError naming the first node where they are not finite."""
+    if not np.all(np.isfinite(values)):
+        j = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"{what} is not finite at node {j} (x={float(x.flat[j])!r})")
+    return values
+
+
 def pair_recover_psi2(spec: ModelSpec, energy: float, x: np.ndarray, psi1: np.ndarray) -> np.ndarray:
     """Recover the lower spinor component from the upper one.
 

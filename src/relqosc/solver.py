@@ -17,9 +17,11 @@ eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
 bound max(sqrt(N), 4) eps ||T||_inf on its residual, taken on the scaled
 operator; a NaN residual fails the bound.
-numeric_spectrum reuses the eigenvalues of the latest numeric_levels or
-numeric_spectrum solve of an equal (spec, grid, k); every other request runs
-LAPACK.
+solve is the one model-level solve: effective problem, domain, operator,
+LAPACK. numeric_levels, numeric_spectrum, the CLI's spectrum and wavefunction
+commands and the pair suite all call it. A values-only solve reuses the
+eigenvalues of the latest solve of an equal (spec, grid, k); every other
+request runs LAPACK.
 This route never touches the closed forms: it imports only the Level and
 SpectrumTable records from the analytic module, and reads the ladder only to
 size the domain and map lambda to E^2, so agreement with it is a genuine
@@ -48,7 +50,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .analytic import Level, SpectrumTable
-from .models import ModelSpec, RadialProblem, effective_problem, pair_recover_psi2, pair_superpotential
+from .models import ModelSpec, RadialProblem, effective_problem, finite_on_nodes, pair_recover_psi2, pair_superpotential
 
 __all__ = [
     "SolverError",
@@ -59,6 +61,7 @@ __all__ = [
     "discretize",
     "eigen_lowest",
     "eigenvalues_lowest",
+    "solve",
     "spectrum_table",
     "numeric_levels",
     "numeric_spectrum",
@@ -193,10 +196,7 @@ def discretize(problem: RadialProblem, grid: Grid) -> TridiagonalOperator:
     x = grid.nodes
     # An overflow shows as inf and is named below.
     with np.errstate(over="ignore"):
-        v = np.asarray(problem.potential(x), dtype=float)
-    if not np.all(np.isfinite(v)):
-        j = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ValueError(f"potential is not finite at node {j} (x={float(x[j])!r})")
+        v = finite_on_nodes(np.asarray(problem.potential(x), dtype=float), x, "potential")
     h = grid.h
     diag = 2.0 / h ** 2 + v
     offdiag = np.full(grid.n_points - 1, -1.0 / h ** 2)
@@ -341,23 +341,42 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     return results
 
 
-# The latest numeric_levels or numeric_spectrum solve as ((spec, grid, k), its
-# eigenvalues as a tuple of floats), swapped by a single assignment so a thread
-# reads a whole entry or none. Equal keys build bit-equal operators: 0.0 and
-# -0.0, equal but not in bits, reach one only through ml - b or x_min + j h.
+# The latest solve as ((spec, grid, k), its eigenvalues as a tuple of floats),
+# swapped by a single assignment so a thread reads a whole entry or none. Equal
+# keys build bit-equal operators: 0.0 and -0.0, equal but not in bits, reach
+# one only through ml - b or x_min + j h.
 _latest_model_solve = None
+
+
+def solve(spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = DEFAULT_N_POINTS, x_max: Optional[float] = None,
+          vectors: bool = False) -> Tuple[Grid, RadialProblem, Tuple[float, ...], Optional[List[EigenResult]]]:
+    """The one model-level solve: (grid, problem, the k lowest eigenvalues, eigenpairs or None).
+
+    Builds the effective problem once and, unless a grid is given, picks it
+    with choose_domain(problem, k, n_points, x_max). With vectors, eigen_lowest
+    always runs and its eigenpairs are returned; otherwise only eigenvalues
+    are computed, and none when the latest solve had an equal (spec, grid, k).
+    Every successful solve becomes the latest; one that raises leaves it.
+    """
+    global _latest_model_solve
+    problem = effective_problem(spec)
+    if grid is None:
+        grid = choose_domain(problem, k, n_points, x_max)
+    key = (spec, grid, k)
+    latest, results = _latest_model_solve, None
+    if vectors:
+        results = eigen_lowest(discretize(problem, grid), k)
+        latest = _latest_model_solve = (key, tuple(r.eigenvalue for r in results))
+    elif latest is None or latest[0] != key:
+        latest = _latest_model_solve = (key, tuple(eigenvalues_lowest(discretize(problem, grid), k).tolist()))
+    return grid, problem, latest[1], results
 
 
 def numeric_levels(
     spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = DEFAULT_N_POINTS
 ) -> Tuple[Grid, List[EigenResult]]:
     """Solve the effective problem for the k lowest eigenpairs."""
-    global _latest_model_solve
-    problem = effective_problem(spec)
-    if grid is None:
-        grid = choose_domain(problem, k, n_points=n_points)
-    results = eigen_lowest(discretize(problem, grid), k)
-    _latest_model_solve = ((spec, grid, k), tuple(r.eigenvalue for r in results))
+    grid, _, _, results = solve(spec, k, grid, n_points, vectors=True)
     return grid, results
 
 
@@ -386,17 +405,10 @@ def numeric_spectrum(
     """Spectrum table of the k lowest levels from the finite-difference route.
 
     Only eigenvalues are computed (bisection, no inverse iteration), and none
-    when the latest numeric_levels or numeric_spectrum solve had an equal (spec, grid, k).
+    when the latest solve had an equal (spec, grid, k).
     """
-    global _latest_model_solve
-    problem = effective_problem(spec)
-    if grid is None:
-        grid = choose_domain(problem, k, n_points=n_points)
-    latest = _latest_model_solve
-    if latest is None or latest[0] != (spec, grid, k):
-        lam = tuple(eigenvalues_lowest(discretize(problem, grid), k).tolist())
-        latest = _latest_model_solve = ((spec, grid, k), lam)
-    return spectrum_table(problem, latest[1])
+    grid, problem, eigenvalues, _ = solve(spec, k, grid, n_points)
+    return spectrum_table(problem, eigenvalues)
 
 
 def residual_pair_check(spec: ModelSpec, energy: float, grid: Grid, psi1: np.ndarray) -> float:

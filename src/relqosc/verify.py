@@ -20,9 +20,9 @@ from .solver import (
     SolverError,
     choose_domain,
     eigenvalues_lowest,
-    numeric_levels,
     numeric_spectrum,
     residual_pair_check,
+    solve,
     spectrum_table,
 )
 from .susyblock import (
@@ -294,11 +294,10 @@ def _suite_pair(tolerance: float) -> List[CheckResult]:
     out = []
     for family in (Family.HARMONIC_1D, Family.ISOTONIC_1D):
         spec = default_spec(family)
-        problem = effective_problem(spec)
         residuals = {}
         for n_points in (4000, 8000):
-            grid, results = numeric_levels(spec, 4, n_points=n_points)
-            table = spectrum_table(problem, [r.eigenvalue for r in results])
+            grid, problem, eigenvalues, results = solve(spec, 4, n_points=n_points, vectors=True)
+            table = spectrum_table(problem, eigenvalues)
             residuals[n_points] = [
                 residual_pair_check(spec, table.levels[n].e, grid, results[n].vector)
                 for n in range(4)

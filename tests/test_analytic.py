@@ -175,6 +175,17 @@ class TestWavefunctions:
         with pytest.raises(ValueError, match="nonnegative integer"):
             analytic_wavefunction(spec, -1, np.array([0.0]))
 
+    @pytest.mark.parametrize("spec, n, x", [
+        (ModelSpec(Family.HARMONIC_2D, ml=6), 0, 1e150),  # x^(s + 1/2) overflows
+        (ModelSpec(Family.ISOTONIC_1D, PhysicalParams(a=661623.0, b=0.223064)), 2, 1e90),  # 0 * inf inside 1F1
+        (ModelSpec(Family.HARMONIC_1D), 12, 1e30),  # H_n overflows where exp underflows
+    ], ids=["power", "kummer", "hermite"])
+    def test_non_finite_sample_is_named(self, recwarn, spec, n, x):
+        with pytest.raises(ValueError) as exc:
+            analytic_wavefunction(spec, n, np.array([1.0, x]))
+        assert str(exc.value) == f"closed-form wavefunction of level {n} is not finite at node 1 (x={x!r})"
+        assert not recwarn.list
+
 
 class TestSpectrumTable:
     def test_build_and_query(self):

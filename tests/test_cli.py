@@ -126,6 +126,18 @@ class TestSpectrum:
         assert rows and header[0] == "n"
 
 
+# Closed-form wavefunctions whose samples overflow on these grids.
+CLOSED_FORM_OVERFLOWS = [
+    ("wavefunction", "--family", "2d-ho", "--c", "483764", "--b", "0.0749409", "--ml", "6",
+     "--grid-max", "7.39472e+148", "--format", "json"),
+    ("wavefunction", "--family", "1d-iso", "--m", "3.14368e-97", "--omega", "0.0141108", "--a", "661623",
+     "--b", "0.223064", "--grid-max", "3.2619e+91", "--n", "2", "--format", "json"),
+]
+# A closed-form wavefunction whose largest sample, about 3.8e165, squares past the float range.
+HUGE_CLOSED_FORM = ("wavefunction", "--family", "1d-iso", "--c", "0.00276074", "--omega", "453829",
+                    "--b", "181.556", "--n", "1", "--format", "json")
+
+
 class TestValidationExits:
     @pytest.mark.parametrize(
         "args",
@@ -173,6 +185,8 @@ class TestValidationExits:
             # ladder normalizations that SupersymmetricPair rejects
             ("ajc", "--family", "2d-ho", "--delta", "nan"),
             ("ajc", "--family", "1d-iso", "--delta", "0"),
+            # closed-form samples that are not finite: x^(s + 1/2), a product inside 1F1
+            *CLOSED_FORM_OVERFLOWS,
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):
@@ -300,6 +314,25 @@ class TestWavefunction:
         w2 = h * sum(row["psi2_numeric"] ** 2 for row in doc["samples"])
         e = doc["e"]
         assert w2 == pytest.approx((e - 1.0) / (e + 1.0), rel=1e-3)
+
+    def test_huge_closed_form_is_normalized(self, run_main, monkeypatch, recwarn):
+        """The norm is taken on the samples scaled by a power of two, so their squares cannot overflow.
+
+        The rows are read as the command hands them to its writer, before rounding to 12 digits.
+        """
+        tables = []
+        emit = relqosc.cli._emit_table
+
+        def keep(cfg, header, rows, *args, **kwargs):
+            tables.append(list(rows))
+            emit(cfg, header, tables[-1], *args, **kwargs)
+
+        monkeypatch.setattr(relqosc.cli, "_emit_table", keep)
+        run_main(*HUGE_CLOSED_FORM, check=True)
+        x, psi = np.array([row[:2] for row in tables[0]]).T
+        assert np.all(np.isfinite(psi)) and np.any(psi != 0)
+        assert (x[1] - x[0]) * float(np.sum(psi ** 2)) == pytest.approx(1.0, abs=1e-12)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("grid_max", ["1e-62", "1e-70", "1e-71"])
     def test_residual_on_tiny_grid_exits_0(self, run_main, recwarn, grid_max):
@@ -633,6 +666,14 @@ class TestNonrel:
         ]
         doc = json.loads(run_main(*argv.split(), "--format", "json", check=True).stdout)
         assert [tuple(row.values()) for row in doc["rows"]] == want
+
+    def test_out_file_holds_the_check_lines(self, run_main, tmp_path):
+        """The CSV table and its check lines go to one place, the --out file."""
+        out = tmp_path / "f.csv"
+        proc = run_main("nonrel", "--family", "1d-ho", "--levels", "1", "--out", str(out), check=True)
+        assert proc.stdout == ""
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("family,") and lines[-1].startswith("[PASS] nonrel/limit 1d-ho: ")
 
     def test_json_includes_checks(self, run_main):
         proc = run_main("nonrel", "--family", "1d-iso", "--format", "json", check=True)

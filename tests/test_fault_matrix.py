@@ -1,12 +1,12 @@
 """Checks that can fail: every planted fault fails at least one verification check.
 
-Each case plants one fault by monkeypatching, runs every suite of
-run_suite("all") in this process, and compares the checks that fail with
-the record below (mutation adequacy: DeMillo, Lipton and Sayward, IEEE
-Computer 11(4) (1978) 34). A new check that catches nothing, or a refactor
-that blinds an old one, then shows as a changed record. A suite that raises
-SolverError, which the CLI reports with exit 3, is recorded as
-"<suite> raised SolverError".
+Each case empties the model-level solve entry, plants one fault by
+monkeypatching, runs every suite of run_suite("all") in this process, and
+compares the checks that fail with the record below (mutation adequacy:
+DeMillo, Lipton and Sayward, IEEE Computer 11(4) (1978) 34). A new check
+that catches nothing, or a refactor that blinds an old one, then shows as a
+changed record. A suite that raises SolverError, which the CLI reports with
+exit 3, is recorded as "<suite> raised SolverError".
 """
 
 import inspect
@@ -102,5 +102,13 @@ FAULTS = {
 @pytest.mark.parametrize("module, name, plant, caught", FAULTS.values(), ids=FAULTS)
 def test_planted_fault_fails_the_recorded_checks(monkeypatch, module, name, plant, caught):
     assert caught  # a fault that no check catches is recorded as xfail(strict=True) instead
+    # An entry left by an earlier solve would answer numeric_spectrum with unfaulted values.
+    monkeypatch.setattr(solver, "_latest_model_solve", None)
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert failed_checks() == caught
+
+
+def test_an_earlier_solve_does_not_answer_a_faulted_one(monkeypatch):
+    """An entry with the key of the first solve of run_suite("all"), left by an earlier caller, holds unfaulted values."""
+    solver.numeric_spectrum(models.default_spec(models.Family.HARMONIC_1D), 5)
+    test_planted_fault_fails_the_recorded_checks(monkeypatch, *FAULTS["stencil-diagonal-plus-1e-3"])

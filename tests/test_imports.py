@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package or test module imports is read in it; only the LAPACK seam calls LAPACK."""
+"""Import hygiene: every name a package or test module imports is read in it; only the LAPACK seam calls LAPACK,
+and only solver.solve builds and solves a model's finite-difference operator."""
 
 import ast
 from pathlib import Path
@@ -121,27 +122,34 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-def lapack_callers(tree: ast.Module) -> set:
-    """Functions that call dstebz, dstein or _flapack(), by name; "<module>" for a call outside any function."""
-    callers = set()
+LAPACK = {"dstebz", "dstein", "_flapack"}
+SOLVE_STEPS = {"discretize", "eigen_lowest"}
+
+
+def callers(tree: ast.Module, names: set) -> set:
+    """Functions that call any of names, by name or attribute; "<module>" for a call outside any function."""
+    found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in {"dstebz", "dstein", "_flapack"}:
-                    callers.add(owner)
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
+                    found.add(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "<module>")
-    return callers
+    return found
+
+
+def package_callers(names: set) -> set:
+    return {(path.name, caller) for path in SRC
+            for caller in callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), names)}
 
 
 def test_only_the_seam_calls_lapack():
     """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first."""
-    callers = {(path.name, caller) for path in SRC
-               for caller in lapack_callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
-    assert callers == {("solver.py", "_stebz_lowest")}
+    assert package_callers(LAPACK) == {("solver.py", "_stebz_lowest")}
 
 
 def test_finds_lapack_callers():
@@ -156,4 +164,22 @@ def test_finds_lapack_callers():
         "def clean():\n"
         "    return _flapack, lapack.dstebz\n"
     )
-    assert lapack_callers(tree) == {"<module>", "seam", "outer", "inner"}
+    assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner"}
+
+
+def test_only_solve_builds_and_solves_the_model_operator():
+    """Every model-level finite-difference solve goes through solver.solve."""
+    assert package_callers(SOLVE_STEPS) == {("solver.py", "solve")}
+
+
+def test_finds_solve_step_callers():
+    tree = ast.parse(
+        "def numeric_levels(spec, k):\n"
+        "    return eigen_lowest(discretize(problem, grid), k)\n"
+        "def cmd_spectrum(cfg):\n"
+        "    return solver.discretize(problem, grid)\n"
+        "def cmd_ajc(cfg):\n"
+        "    return eigenvalues_lowest(pair.dtd_operator(), k), discretize_supercharge(spec, grid)\n"
+        "step = eigen_lowest\n"
+    )
+    assert callers(tree, SOLVE_STEPS) == {"numeric_levels", "cmd_spectrum"}

@@ -98,7 +98,7 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
     Each fake routine delegates to the real one and passes its output tuple
     through the given function, which may corrupt it. The fake counts its
     calls per routine in `calls`. The latest model solve is cleared, so that
-    numeric_spectrum's first request reaches the fake.
+    the first values-only solve reaches the fake.
     """
     real = solver._flapack()
     calls = collections.Counter()
@@ -557,8 +557,8 @@ def negated_zero(field, index):
 
 
 class TestLatestSolve:
-    """The LAPACK seam keeps no state; numeric_spectrum reuses the eigenvalues of the
-    latest numeric_levels or numeric_spectrum solve of an equal (spec, grid, k)."""
+    """The LAPACK seam keeps no state; a values-only solver.solve (numeric_spectrum) reuses
+    the eigenvalues of the latest solve of an equal (spec, grid, k)."""
 
     def test_levels_then_spectrum_bisect_once(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
@@ -635,6 +635,26 @@ class TestLatestSolve:
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("pair"))
         assert fake.calls == {"dstebz": 4, "dstein": 4}
+
+    def test_solve_entry_rules(self, monkeypatch):
+        """A values-only solve answered by the entry leaves that very entry; a vectors solve
+        always runs LAPACK and stores its values; a solve that raises leaves the entry."""
+        fake = patch_lapack(monkeypatch)
+        spec = ALL_SPECS[1]
+        grid, problem, lam, pairs = solver.solve(spec, 4, n_points=400)
+        entry = solver._latest_model_solve
+        assert pairs is None and entry == ((spec, grid, 4), lam)
+        assert solver.solve(spec, 4, grid)[2] is lam and solver._latest_model_solve is entry
+        assert fake.calls == {"dstebz": 1}
+        _, _, lam_v, pairs = solver.solve(spec, 4, grid, vectors=True)
+        assert fake.calls == {"dstebz": 2, "dstein": 1}
+        assert bits(lam_v) == bits(lam) and lam_v == tuple(r.eigenvalue for r in pairs)
+        entry = solver._latest_model_solve
+        assert entry[1] is lam_v
+        with pytest.raises(ValueError, match="half-line problem"):
+            solver.solve(spec, 4, replace(grid, x_min=-grid.x_max))
+        assert solver._latest_model_solve is entry
+        assert solver.solve(spec, 4, x_max=grid.x_max, n_points=400)[0] == grid
 
     def test_vector_request_runs_lapack(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
