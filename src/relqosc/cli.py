@@ -310,11 +310,15 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     e, e2 = level.e, level.e2
     psi1_num = results[n].vector
     psi1_ana = analytic_wavefunction(spec, n, grid.nodes)
+    peak = float(np.max(np.abs(psi1_ana)))
+    if peak == 0:
+        raise ValueError(
+            f"the closed-form psi1 of level {n} is zero at every node of this grid "
+            f"([{grid.x_min:g}, {grid.x_max:g}], {grid.n_points} nodes), so it cannot be normalized"
+        )
     # Scaled by a power of two, which is exact, below 1 in magnitude: no square in the norm overflows.
-    psi1_ana = np.ldexp(psi1_ana, -math.frexp(float(np.max(np.abs(psi1_ana))))[1])
-    norm = math.sqrt(grid.h * float(np.sum(psi1_ana ** 2)))
-    if norm > 0:
-        psi1_ana = psi1_ana / norm
+    psi1_ana = np.ldexp(psi1_ana, -math.frexp(peak)[1])
+    psi1_ana = psi1_ana / math.sqrt(grid.h * float(np.sum(psi1_ana ** 2)))
     if float(np.dot(psi1_ana, psi1_num)) < 0:
         psi1_ana = -psi1_ana
     psi2_num = pair_recover_psi2(spec, e, grid.nodes, psi1_num)

@@ -17,21 +17,30 @@ eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
 bound max(sqrt(N), 4) eps ||T||_inf on its residual, taken on the scaled
 operator; a NaN residual fails the bound.
-solve is the one model-level solve: effective problem, domain, operator,
-LAPACK. numeric_levels, numeric_spectrum, the CLI's spectrum and wavefunction
-commands and the pair suite all call it. A values-only solve reuses the
-eigenvalues of the latest solve of an equal (spec, grid, k); every other
+solve_many is the one model-level solve: effective problem, domain, operator,
+LAPACK, for a batch of independent requests; solve is its one-request case.
+numeric_levels, numeric_spectrum, the CLI's spectrum and wavefunction
+commands and the verify suites all go through it. A values-only solve reuses
+the eigenvalues of the latest solve of an equal (spec, grid, k); every other
 request runs LAPACK.
 This route never touches the closed forms: it imports only the Level and
 SpectrumTable records from the analytic module, and reads the ladder only to
 size the domain and map lambda to E^2, so agreement with it is a genuine
 cross-check (verify.convergence_order).
 
-scipy.linalg is never imported. The two LAPACK routines are called through
-scipy's compiled LAPACK wrapper module (scipy.linalg._flapack, the module
-scipy.linalg.lapack re-exports), which the solver loads on its own at the
-first eigensolve, without running the package initialisation of scipy or
-scipy.linalg: scipy itself is never imported either.
+scipy.linalg is never imported. The two LAPACK routines are the Fortran
+dstebz and dstein that scipy's compiled LAPACK wrapper module wraps
+(scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), which the
+solver loads on its own at the first eigensolve, without running the package
+initialisation of scipy or scipy.linalg: scipy itself is never imported
+either. The solver takes each routine's address from its f2py wrapper and
+calls it through ctypes with the arguments the wrapper would pass, so the
+results are the same bits; unlike the wrapper, ctypes releases the GIL for
+the length of the call. So the LAPACK calls of a batch's independent
+operators run side by side, on up to one thread per CPU the process may use,
+while the calling thread builds every operator, allocates every array
+(helper threads would each grow a malloc arena of their own) and does all
+the checking and the work on values and vectors.
 Commands that only evaluate closed forms (spectrum --method analytic,
 nonrel) load no LAPACK at all. A later `import scipy.linalg` reuses the
 module the solver loaded, and the solver reuses one already imported.
@@ -45,7 +54,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +70,9 @@ __all__ = [
     "discretize",
     "eigen_lowest",
     "eigenvalues_lowest",
+    "SolveRequest",
     "solve",
+    "solve_many",
     "spectrum_table",
     "numeric_levels",
     "numeric_spectrum",
@@ -251,8 +262,84 @@ def _check_info(info: int, routine: str) -> None:
         raise SolverError(f"tridiagonal eigensolve failed: LAPACK {routine} returned info={info}")
 
 
+@functools.cache
+def _lapack():
+    """{"dstebz": ..., "dstein": ...}: the Fortran routines behind _flapack's wrappers, as ctypes functions.
+
+    Each f2py wrapper's _cpointer capsule holds the address of the routine
+    it calls. The ctypes functions take the routine's own arguments: every
+    scalar by reference, arrays checked for dtype, rank and layout, and the
+    hidden length of each character argument as a size_t after the others.
+    ctypes releases the GIL for the length of each call, which the f2py
+    wrappers hold.
+    """
+    import ctypes
+
+    from numpy.ctypeslib import ndpointer
+
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    c_int, c_double, c_size_t = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
+    doubles, ints = ndpointer(np.float64, 1, flags="C"), ndpointer(np.intc, 1, flags="C")
+    signatures = {
+        # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
+        "dstebz": (ctypes.c_char_p, ctypes.c_char_p, c_int, c_double, c_double, c_int, c_int, c_double, doubles,
+                   doubles, c_int, c_int, doubles, ints, ints, doubles, ints, c_int, c_size_t, c_size_t),
+        # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
+        "dstein": (c_int, doubles, doubles, c_int, doubles, ints, ints, ndpointer(np.float64, 2, flags="F"),
+                   c_int, doubles, ints, ints, c_int),
+    }
+    module = _flapack()
+    return {name: ctypes.CFUNCTYPE(None, *argtypes)(address(getattr(module, name)._cpointer, None))
+            for name, argtypes in signatures.items()}
+
+
+def _dstebz(d: np.ndarray, e: np.ndarray, k: int):
+    """One dstebz call for the k smallest eigenvalues of (d, e), in block order, as (call, result).
+
+    The arrays the routine returns are allocated here, on the calling
+    thread. call(work, iwork) runs the routine without the GIL, on any
+    thread, with scratch arrays of at least 4N doubles and 3N ints; after
+    it, result() gives what _flapack's wrapper returns, (m, w, iblock,
+    isplit, info).
+    """
+    import ctypes
+
+    n = d.size
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
+    # Range "I" over indices 1..k (VL and VU unused); ABSTOL 0 is LAPACK's
+    # machine-precision default; block order ("B"), as stein needs.
+    args = (b"I", b"B", ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1),
+            ctypes.c_int(k), ctypes.c_double(0.0), d, e, m, nsplit, w, iblock, isplit)
+    routine = _lapack()["dstebz"]
+    return (lambda work, iwork: routine(*args, work, iwork, info, 1, 1),
+            lambda: (m.value, w, iblock, isplit, info.value))
+
+
+def _dstein(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray):
+    """One dstein call for the eigenvectors of (d, e) at the values w, as (call, result).
+
+    Like _dstebz, with scratch of at least 5N doubles and N ints; result()
+    gives (z, info), z holding one vector per column.
+    """
+    import ctypes
+
+    n, m = d.size, w.size
+    z, ifail, info = np.empty((n, m), order="F"), np.empty(m, np.intc), ctypes.c_int()
+    args = (ctypes.c_int(n), d, e, ctypes.c_int(m), w, iblock, isplit, z, ctypes.c_int(n))
+    routine = _lapack()["dstein"]
+    return (lambda work, iwork: routine(*args, work, iwork, ifail, info),
+            lambda: (z, info.value))
+
+
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only.
+
+    A generator (driven by _run_seams): it yields each LAPACK call as the
+    (call, result) pair of _dstebz or _dstein, is resumed with that call's
+    output or has its exception thrown in, and returns the result. Only the
+    calls may run on another thread.
 
     stebz and stein do not scale their input, so both run on 2^-p T, with p
     the binary exponent of the largest |entry| of T: its entries lie below 1
@@ -276,10 +363,7 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
-    lapack = _flapack()
-    # range "I" (2) over indices 1..k; abstol 0 is LAPACK's machine-precision
-    # default; block order ("B"), sorted below.
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    m, w, iblock, isplit, info = yield _dstebz(d, e, k)
     _check_info(info, "stebz")
     w = w[:m]
     # An eigenvalue past the float range of T shows as inf, caught below.
@@ -293,9 +377,114 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     order = np.argsort(w, kind="stable")
     if eigvals_only:
         return lam[order]
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    v, info = yield _dstein(d, e, w, iblock, isplit)
     _check_info(info, "stein")
     return lam[order], v[:, order], p
+
+
+def _run_lanes(calls, n: int) -> list:
+    """Run seam calls side by side, each on scratch for an operator of size up to n; each call's exception, or None.
+
+    There is one lane per CPU the process may use, and at most one per call:
+    the calling thread and helper threads, each with its own scratch arrays,
+    allocated here, taking the next call that no lane has taken. The calls
+    release the GIL. A single call runs inline and starts no thread.
+    Returns once every call has returned.
+    """
+    import threading
+
+    errors = [None] * len(calls)
+    untaken = iter(range(len(calls)))
+    lock = threading.Lock()
+
+    def lane(work, iwork):
+        while True:
+            with lock:
+                i = next(untaken, None)
+            if i is None:
+                return
+            try:
+                calls[i](work, iwork)
+            except Exception as exc:  # thrown back into the call's seam on the calling thread
+                errors[i] = exc
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # Scratch for dstebz (4n doubles, 3n ints) or dstein (5n doubles, n ints).
+    scratch = [(np.empty(5 * n), np.empty(3 * n, np.intc)) for _ in range(min(len(calls), cpus))]
+    helpers = [threading.Thread(target=lane, args=arrays) for arrays in scratch[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        lane(*scratch[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    return errors
+
+
+def _eigenpairs(op: TridiagonalOperator, lam: np.ndarray, vec: np.ndarray, p: int) -> List[EigenResult]:
+    """eigen_lowest's eigenpairs from the seam's values, vectors and scale exponent p."""
+    scaled = TridiagonalOperator(np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p))
+    # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
+    # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
+    # Evaluating the residual itself rounds at a few eps ||T||, which sets the
+    # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
+    bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * scaled.norm_inf()
+    results = []
+    for idx in range(lam.size):
+        u = vec[:, idx]
+        res = float(np.linalg.norm(scaled.matvec(u) - np.ldexp(lam[idx], -p) * u) / np.linalg.norm(u))
+        if not res <= bound:  # a NaN residual fails too
+            raise SolverError(
+                f"inverse iteration for eigenvalue index {idx} left residual "
+                f"{np.ldexp(res, p):.3e} above bound {np.ldexp(bound, p):.3e}"
+            )
+        v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
+        results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=float(np.ldexp(res, p))))
+    return results
+
+
+def _run_seams(seams, n: int) -> list:
+    """Drive _stebz_lowest generators side by side; each one's return value or exception, in order.
+
+    Each round advances every live seam on this thread to its next LAPACK
+    call, then runs those calls on _run_lanes, with scratch for operators of
+    size up to n, and resumes each seam with its call's output, or throws
+    the call's exception into it. Returns once every seam has finished, and
+    keeps no LAPACK output past that.
+    """
+    results = [None] * len(seams)
+    # What each live seam resumes with: None to start, then its last call's output or exception.
+    resume = dict.fromkeys(range(len(seams)))
+    while resume:
+        prepared = {}
+        for i, value in resume.items():
+            try:
+                prepared[i] = seams[i].throw(value) if isinstance(value, Exception) else seams[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as failure:  # raised by the caller, once every call has returned
+                results[i] = failure
+        errors = _run_lanes([call for call, _ in prepared.values()], n) if prepared else []
+        resume = {i: exc or result() for (i, (_, result)), exc in zip(prepared.items(), errors)}
+    return results
+
+
+def _lowest_many(jobs) -> list:
+    """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job.
+
+    The jobs' seams run side by side (_run_seams): their stebz calls, then
+    the stein calls of the jobs with vectors. Raises the exception of the
+    first failing job, in job order, once every call has returned.
+    """
+    seams = [_stebz_lowest(op, k, not vectors) for op, k, vectors in jobs]
+    results = _run_seams(seams, max((op.size for op, _, _ in jobs), default=0))
+    out = []
+    for (op, _, vectors), result in zip(jobs, results):
+        if isinstance(result, Exception):
+            raise result
+        out.append(_eigenpairs(op, *result) if vectors else result)
+    return out
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -306,7 +495,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    return _stebz_lowest(op, k, eigvals_only=True)
+    return _lowest_many([(op, k, False)])[0]
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
@@ -320,25 +509,7 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     computed on the operator the seam scaled by 2^-p, where no product
     overflows, and the residual is reported in T's own units.
     """
-    lam, vec, p = _stebz_lowest(op, k, eigvals_only=False)
-    scaled = TridiagonalOperator(np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p))
-    # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
-    # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
-    # Evaluating the residual itself rounds at a few eps ||T||, which sets the
-    # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
-    bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * scaled.norm_inf()
-    results = []
-    for idx in range(k):
-        u = vec[:, idx]
-        res = float(np.linalg.norm(scaled.matvec(u) - np.ldexp(lam[idx], -p) * u) / np.linalg.norm(u))
-        if not res <= bound:  # a NaN residual fails too
-            raise SolverError(
-                f"inverse iteration for eigenvalue index {idx} left residual "
-                f"{np.ldexp(res, p):.3e} above bound {np.ldexp(bound, p):.3e}"
-            )
-        v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
-        results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=float(np.ldexp(res, p))))
-    return results
+    return _lowest_many([(op, k, True)])[0]
 
 
 # The latest solve as ((spec, grid, k), its eigenvalues as a tuple of floats),
@@ -348,28 +519,87 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
 _latest_model_solve = None
 
 
+class SolveRequest(NamedTuple):
+    """One model-level solve of solve_many, with solve's arguments."""
+
+    spec: ModelSpec
+    k: int
+    grid: Optional[Grid] = None
+    n_points: int = DEFAULT_N_POINTS
+    x_max: Optional[float] = None
+    vectors: bool = False
+
+
+def solve_many(requests) -> list:
+    """Independent solves side by side, each answered with the bits it gets on its own.
+
+    A request is a SolveRequest, answered with what solve returns for it,
+    or an (operator, k) pair, answered with eigenvalues_lowest(operator, k). This thread builds every operator,
+    allocates every array, checks every LAPACK result and does all the work
+    on values and vectors; only the LAPACK calls, which release the GIL, run
+    side by side (_run_lanes), so a batch of one starts no thread. A batch
+    raises the exception of its first failing request, in request order,
+    once every LAPACK call has returned. A values-only SolveRequest whose
+    (spec, grid, k) equals that of the latest solve as the batch began runs
+    no LAPACK; after a batch that returns, the latest solve is its last
+    SolveRequest, and a batch that raises leaves it.
+    """
+    global _latest_model_solve
+    latest, jobs, plans, failure = _latest_model_solve, [], [], None
+    for request in requests:
+        try:
+            if isinstance(request[0], TridiagonalOperator):
+                op, k = request
+                jobs.append((op, k, False))
+                plans.append(None)
+                continue
+            spec, k, grid, n_points, x_max, vectors = request
+            problem = effective_problem(spec)
+            if grid is None:
+                grid = choose_domain(problem, k, n_points, x_max)
+            key = (spec, grid, k)
+            hit = not vectors and latest is not None and latest[0] == key
+            if not hit:
+                jobs.append((discretize(problem, grid), k, vectors))
+            plans.append((grid, problem, key, hit, vectors))
+        except Exception as exc:  # raised below unless an earlier request fails first
+            failure = exc
+            break
+    solved = iter(_lowest_many(jobs))
+    if failure is not None:
+        raise failure
+    out, entry = [], None
+    for plan in plans:
+        if plan is None:
+            out.append(next(solved))
+            continue
+        grid, problem, key, hit, vectors = plan
+        results = None
+        if hit:
+            entry = latest
+        elif vectors:
+            results = next(solved)
+            entry = (key, tuple(r.eigenvalue for r in results))
+        else:
+            entry = (key, tuple(next(solved).tolist()))
+        out.append((grid, problem, entry[1], results))
+    if entry is not None:
+        _latest_model_solve = entry
+    return out
+
+
 def solve(spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = DEFAULT_N_POINTS, x_max: Optional[float] = None,
           vectors: bool = False) -> Tuple[Grid, RadialProblem, Tuple[float, ...], Optional[List[EigenResult]]]:
     """The one model-level solve: (grid, problem, the k lowest eigenvalues, eigenpairs or None).
 
     Builds the effective problem once and, unless a grid is given, picks it
-    with choose_domain(problem, k, n_points, x_max). With vectors, eigen_lowest
-    always runs and its eigenpairs are returned; otherwise only eigenvalues
-    are computed, and none when the latest solve had an equal (spec, grid, k).
-    Every successful solve becomes the latest; one that raises leaves it.
+    with choose_domain(problem, k, n_points, x_max). With vectors, eigen_lowest's
+    work always runs and its eigenpairs are returned; otherwise only
+    eigenvalues are computed, and none when the latest solve had an equal
+    (spec, grid, k). Every successful solve becomes the latest; one that
+    raises leaves it. This is solve_many's one-request case.
     """
-    global _latest_model_solve
-    problem = effective_problem(spec)
-    if grid is None:
-        grid = choose_domain(problem, k, n_points, x_max)
-    key = (spec, grid, k)
-    latest, results = _latest_model_solve, None
-    if vectors:
-        results = eigen_lowest(discretize(problem, grid), k)
-        latest = _latest_model_solve = (key, tuple(r.eigenvalue for r in results))
-    elif latest is None or latest[0] != key:
-        latest = _latest_model_solve = (key, tuple(eigenvalues_lowest(discretize(problem, grid), k).tolist()))
-    return grid, problem, latest[1], results
+    return solve_many([SolveRequest(spec, k, grid, n_points, x_max, vectors)])[0]
 
 
 def numeric_levels(

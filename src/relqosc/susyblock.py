@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .models import ModelSpec, effective_problem, pair_superpotential, superpotential
-from .solver import Grid, TridiagonalOperator, eigenvalues_lowest
+from .solver import Grid, TridiagonalOperator, eigenvalues_lowest, solve_many
 
 __all__ = [
     "KERNEL_LADDER_TOL",
@@ -40,6 +40,7 @@ __all__ = [
     "block_spectrum",
     "block_branches",
     "susy_isospectrality_check",
+    "susy_isospectrality_checks",
     "commutator_rayleigh",
 ]
 
@@ -169,22 +170,29 @@ def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, obj
     partner operator (ladder value lambda/delta below KERNEL_LADDER_TOL) and
     the worst relative mismatch between the paired nonzero eigenvalues.
     """
-    dtd = eigenvalues_lowest(pair.dtd_operator(), k)
-    ddt = eigenvalues_lowest(pair.ddt_operator(), k)
-    cut = KERNEL_LADDER_TOL * pair.delta
-    nz_dtd = dtd[dtd >= cut]
-    nz_ddt = ddt[ddt >= cut]
-    n_pair = min(nz_dtd.size, nz_ddt.size)
-    if n_pair:
-        a, b = nz_dtd[:n_pair], nz_ddt[:n_pair]
-        max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
-    else:
-        max_rel = 0.0
-    return {
-        "kernel_dim_dtd": dtd.size - nz_dtd.size,
-        "kernel_dim_ddt": ddt.size - nz_ddt.size,
-        "max_rel_mismatch": max_rel,
-    }
+    return susy_isospectrality_checks([pair], k)[0]
+
+
+def susy_isospectrality_checks(pairs: List[SupersymmetricPair], k: int) -> List[Dict[str, object]]:
+    """susy_isospectrality_check of each pair, with all the partner operators solved in one batch."""
+    values = iter(solve_many([(op, k) for pair in pairs for op in (pair.dtd_operator(), pair.ddt_operator())]))
+    reports = []
+    for pair, dtd, ddt in zip(pairs, values, values):
+        cut = KERNEL_LADDER_TOL * pair.delta
+        nz_dtd = dtd[dtd >= cut]
+        nz_ddt = ddt[ddt >= cut]
+        n_pair = min(nz_dtd.size, nz_ddt.size)
+        if n_pair:
+            a, b = nz_dtd[:n_pair], nz_ddt[:n_pair]
+            max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
+        else:
+            max_rel = 0.0
+        reports.append({
+            "kernel_dim_dtd": dtd.size - nz_dtd.size,
+            "kernel_dim_ddt": ddt.size - nz_ddt.size,
+            "max_rel_mismatch": max_rel,
+        })
+    return reports
 
 
 def commutator_rayleigh(spec: ModelSpec, grid: Grid) -> List[float]:

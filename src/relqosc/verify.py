@@ -17,21 +17,20 @@ import numpy as np
 from .analytic import analytic_e2, analytic_nonrel_eps, build_spectrum_table
 from .models import Family, ModelSpec, PhysicalParams, default_spec, effective_problem
 from .solver import (
+    SolveRequest,
     SolverError,
     choose_domain,
-    eigenvalues_lowest,
     numeric_spectrum,
     residual_pair_check,
-    solve,
+    solve_many,
     spectrum_table,
 )
 from .susyblock import (
     block_branches,
-    block_spectrum,
     build_block_hamiltonian,
     commutator_rayleigh,
     discretize_supercharge,
-    susy_isospectrality_check,
+    susy_isospectrality_checks,
 )
 
 __all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "nonrel_sweep", "nonrel_check", "convergence_order"]
@@ -101,10 +100,14 @@ def _suite_spectrum(tolerance: float) -> List[CheckResult]:
             out.append(CheckResult(
                 "spectrum", f"equispacing {family.value}[{i}]", dev <= bound,
                 f"max gap deviation {dev:.3e} (bound {bound:.3e})"))
+    # The numeric-agreement and degeneracy solves, in one batch.
+    solved = iter(solve_many([SolveRequest(default_spec(family), 5) for family in Family]
+                             + [SolveRequest(_spec(Family.HARMONIC_2D, ml=ml), 4) for ml in (1, 2, 3)]))
     for family in Family:
         spec = default_spec(family)
         ana = build_spectrum_table(spec, 5).e2_values()
-        num = numeric_spectrum(spec, 5).e2_values()
+        _, problem, eigenvalues, _ = next(solved)
+        num = spectrum_table(problem, eigenvalues).e2_values()
         rel = float(np.max(np.abs(num - ana) / np.abs(ana)))
         out.append(CheckResult(
             "spectrum", f"numeric-agreement {family.value}", rel <= tolerance,
@@ -118,9 +121,7 @@ def _suite_spectrum(tolerance: float) -> List[CheckResult]:
         out.append(CheckResult(
             "spectrum", f"degeneracy {family.value} analytic", dev == 0.0,
             f"ml in {{1,2,3}} ladders identical, max |diff| = {dev:.3e}"))
-    num_tables = []
-    for ml in (1, 2, 3):
-        num_tables.append(numeric_spectrum(_spec(Family.HARMONIC_2D, ml=ml), 4).e2_values())
+    num_tables = [spectrum_table(problem, eigenvalues).e2_values() for _, problem, eigenvalues, _ in solved]
     rel = float(max(np.max(np.abs(t - num_tables[0]) / num_tables[0]) for t in num_tables[1:]))
     out.append(CheckResult(
         "spectrum", "degeneracy 2d-ho numeric", rel <= tolerance,
@@ -148,25 +149,36 @@ def _suite_spectrum(tolerance: float) -> List[CheckResult]:
 
 def _suite_susy(tolerance: float) -> List[CheckResult]:
     out = []
-    reports = {}
-    for family in Family:
-        spec = default_spec(family)
-        grid = choose_domain(effective_problem(spec), 6, n_points=2000)
-        pair = discretize_supercharge(spec, grid)
-        report = reports[family] = susy_isospectrality_check(pair, 6)
+    pairs = [discretize_supercharge(spec, choose_domain(effective_problem(spec), 6, n_points=2000))
+             for spec in map(default_spec, Family)]
+    reports = dict(zip(Family, susy_isospectrality_checks(pairs, 6)))
+    for family, report in reports.items():
         rel = report["max_rel_mismatch"]
         out.append(CheckResult(
             "susy", f"isospectrality {family.value}", rel <= ISOSPECTRAL_REL,
             f"nonzero partner spectra agree to {rel:.3e} "
             f"(kernels {report['kernel_dim_dtd']}/{report['kernel_dim_ddt']})"))
-    # D^T D lowest eigenvalues of each block-route model, as (spec, grid, pair,
-    # values) for the ladder-integers and route-equivalence checks below.
-    dtd_lowest = {}
+    # The D^T D values of the block-route models and of the dense-oracle
+    # models on N = 160, and the route-equivalence solve on the 1D block-route
+    # grid, in one batch.
+    block = {}
     for family in (Family.HARMONIC_1D, Family.HARMONIC_2D):
         spec = default_spec(family)
         grid = choose_domain(effective_problem(spec), 4, n_points=4000)
-        pair = discretize_supercharge(spec, grid)
-        lam = eigenvalues_lowest(pair.dtd_operator(), 4)
+        block[family] = spec, grid, discretize_supercharge(spec, grid)
+    oracle = {}
+    for family in (Family.HARMONIC_1D, Family.ISOTONIC_2D):
+        spec = default_spec(family)
+        grid = choose_domain(effective_problem(spec), 4, n_points=160)
+        oracle[family] = build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
+    route_spec, route_grid, _ = block[Family.HARMONIC_1D]
+    *lams, route = solve_many([(pair.dtd_operator(), 4) for _, _, pair in block.values()]
+                              + [(ham.pair.dtd_operator(), ham.pair.size) for ham in oracle.values()]
+                              + [SolveRequest(route_spec, 4, route_grid)])
+    # D^T D lowest eigenvalues of each block-route model, as (spec, grid, pair,
+    # values) for the ladder-integers and route-equivalence checks below.
+    dtd_lowest = {}
+    for (family, (spec, grid, pair)), lam in zip(block.items(), lams):
         dtd_lowest[family] = spec, grid, pair, lam
         branches = block_branches(build_block_hamiltonian(pair, spec.mc2), lam)
         pos = branches[branches > 0]
@@ -177,12 +189,9 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             "susy", f"block-route {family.value}", rel <= BLOCK_REL and sym == 0.0,
             f"block energies vs closed form: max rel {rel:.3e} (tol {BLOCK_REL:.1e}); "
             f"negation symmetry dev {sym:.1e}"))
-    for family in (Family.HARMONIC_1D, Family.ISOTONIC_2D):
-        spec = default_spec(family)
-        grid = choose_domain(effective_problem(spec), 4, n_points=160)
-        ham = build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
+    for (family, ham), lam in zip(oracle.items(), lams[len(block):]):
         dense = np.linalg.eigvalsh(ham.to_dense())
-        fact = block_spectrum(ham, ham.pair.size)
+        fact = block_branches(ham, lam)
         dev = float(np.max(np.abs(dense - fact) / np.maximum(1.0, np.abs(dense))))
         mirror = -dense[::-1]
         pairing = float(np.max(np.abs(dense - mirror)))
@@ -208,7 +217,8 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             f"ladder commutator Rayleigh quotients off 1 by {dev:.3e} (tol {COMMUTATOR_ABS:.1e})"))
     spec, grid, _, lam = dtd_lowest[Family.HARMONIC_1D]
     e2_susy = spec.mc2 ** 2 + spec.params.c ** 2 * lam
-    e2_num = numeric_spectrum(spec, 4, grid=grid).e2_values()
+    _, problem, eigenvalues, _ = route
+    e2_num = spectrum_table(problem, eigenvalues).e2_values()
     rel = float(np.max(np.abs(e2_susy - e2_num) / e2_num))
     out.append(CheckResult(
         "susy", "route-equivalence 1d-ho", rel <= ROUTE_REL,
@@ -292,11 +302,14 @@ def _suite_nonrel(tolerance: float) -> List[CheckResult]:
 
 def _suite_pair(tolerance: float) -> List[CheckResult]:
     out = []
-    for family in (Family.HARMONIC_1D, Family.ISOTONIC_1D):
+    families = (Family.HARMONIC_1D, Family.ISOTONIC_1D)
+    solved = iter(solve_many([SolveRequest(default_spec(family), 4, n_points=n_points, vectors=True)
+                              for family in families for n_points in (4000, 8000)]))
+    for family in families:
         spec = default_spec(family)
         residuals = {}
         for n_points in (4000, 8000):
-            grid, problem, eigenvalues, results = solve(spec, 4, n_points=n_points, vectors=True)
+            grid, problem, eigenvalues, results = next(solved)
             table = spectrum_table(problem, eigenvalues)
             residuals[n_points] = [
                 residual_pair_check(spec, table.levels[n].e, grid, results[n].vector)

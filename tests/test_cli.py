@@ -334,6 +334,14 @@ class TestWavefunction:
         assert (x[1] - x[0]) * float(np.sum(psi ** 2)) == pytest.approx(1.0, abs=1e-12)
         assert not recwarn.list
 
+    def test_closed_form_zero_on_every_node_exits_2(self, run_main, recwarn):
+        """No node lies within about 1960 of the origin, so the ground state underflows at all of them."""
+        proc = run_main("wavefunction", "--family", "1d-ho", "--grid-max", "1e5", "--grid-n", "50", "--levels", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: the closed-form psi1 of level 0 is zero at every node of this grid "
+                               "([-100000, 100000], 50 nodes), so it cannot be normalized\n")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("grid_max", ["1e-62", "1e-70", "1e-71"])
     def test_residual_on_tiny_grid_exits_0(self, run_main, recwarn, grid_max):
         """||T||_inf is 1e131 to 1e149 here; the residual squares no entry of that size, and the level is spectrum's."""

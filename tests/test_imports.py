@@ -122,7 +122,7 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-LAPACK = {"dstebz", "dstein", "_flapack"}
+LAPACK = {"dstebz", "dstein", "_flapack", "_lapack", "_dstebz", "_dstein"}
 SOLVE_STEPS = {"discretize", "eigen_lowest"}
 
 
@@ -148,8 +148,10 @@ def package_callers(names: set) -> set:
 
 
 def test_only_the_seam_calls_lapack():
-    """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first."""
-    assert package_callers(LAPACK) == {("solver.py", "_stebz_lowest")}
+    """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first:
+    only it prepares a dstebz or dstein call, and only those two reach the ctypes routines."""
+    assert package_callers(LAPACK) == {
+        ("solver.py", "_stebz_lowest"), ("solver.py", "_dstebz"), ("solver.py", "_dstein"), ("solver.py", "_lapack")}
 
 
 def test_finds_lapack_callers():
@@ -168,8 +170,8 @@ def test_finds_lapack_callers():
 
 
 def test_only_solve_builds_and_solves_the_model_operator():
-    """Every model-level finite-difference solve goes through solver.solve."""
-    assert package_callers(SOLVE_STEPS) == {("solver.py", "solve")}
+    """Every model-level finite-difference solve goes through solver.solve_many."""
+    assert package_callers(SOLVE_STEPS) == {("solver.py", "solve_many")}
 
 
 def test_finds_solve_step_callers():

@@ -35,7 +35,7 @@ from relqosc import (
     run_suite,
 )
 from relqosc import solver, verify
-from relqosc.models import RadialProblem
+from relqosc.models import RadialProblem, default_spec
 from relqosc.solver import Grid, TridiagonalOperator, _first_extremum_sign, _stebz_lowest, eigenvalues_lowest
 
 ALL_SPECS = [
@@ -93,26 +93,54 @@ def free_problem(length: float) -> RadialProblem:
 
 
 def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
-    """Make the solver call a fake LAPACK module, and return it.
+    """Make the solver's LAPACK seam call fakes, and return a record of their calls.
 
-    Each fake routine delegates to the real one and passes its output tuple
-    through the given function, which may corrupt it. The fake counts its
-    calls per routine in `calls`. The latest model solve is cleared, so that
-    the first values-only solve reaches the fake.
+    Each fake prepares the real call (solver._dstebz, solver._dstein) and
+    passes its output tuple, the one _flapack's wrapper returns, through the
+    given function, which may corrupt it. The record counts the calls run per
+    routine in `calls`, under a lock, since a batch runs them on several
+    threads. The latest model solve is cleared, so that the first
+    values-only solve reaches the fake.
     """
-    real = solver._flapack()
     calls = collections.Counter()
+    lock = threading.Lock()
 
     def routine(name, post):
-        def call(*args):
-            calls[name] += 1
-            return post(getattr(real, name)(*args))
-        return call
+        real = getattr(solver, f"_{name}")
 
-    fake = types.SimpleNamespace(dstebz=routine("dstebz", stebz), dstein=routine("dstein", stein), calls=calls)
-    monkeypatch.setattr(solver, "_flapack", lambda: fake)
+        def prepare(*args):
+            call, result = real(*args)
+
+            def counted(*scratch):
+                with lock:
+                    calls[name] += 1
+                call(*scratch)
+
+            return counted, lambda: post(result())
+
+        return prepare
+
+    monkeypatch.setattr(solver, "_dstebz", routine("dstebz", stebz))
+    monkeypatch.setattr(solver, "_dstein", routine("dstein", stein))
     monkeypatch.setattr(solver, "_latest_model_solve", None)
-    return fake
+    return types.SimpleNamespace(calls=calls)
+
+
+def run_seam(op: TridiagonalOperator, k: int, eigvals_only: bool):
+    """What solver._stebz_lowest returns, run by the seam driver alone."""
+    return solver._run_seams([_stebz_lowest(op, k, eigvals_only)], op.size)[0]
+
+
+# For a fresh interpreter that imports scipy.linalg: whether each ctypes routine
+# of the seam calls the Fortran routine behind scipy.linalg.lapack's wrapper.
+SAME_ROUTINES = """
+import ctypes
+def same_routines():
+    address = ctypes.pythonapi.PyCapsule_GetPointer
+    address.restype, address.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
+    return [ctypes.cast(solver._lapack()[name], ctypes.c_void_p).value
+            == address(getattr(scipy.linalg.lapack, name)._cpointer, None) for name in ("dstebz", "dstein")]
+"""
 
 
 def run_fresh(script: str):
@@ -437,9 +465,9 @@ class TestLapackCalls:
         for k in sorted({k for k in (1, 5, 8) if k <= n} | ({n} if n <= 160 else set())):
             kwargs = dict(select="i", select_range=(0, k - 1), lapack_driver="stebz")
             want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, **kwargs)
-            assert _stebz_lowest(op, k, eigvals_only=True).tolist() == want.tolist()
+            assert run_seam(op, k, eigvals_only=True).tolist() == want.tolist()
             _, want_vec = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
-            lam, vec, got_p = _stebz_lowest(op, k, eigvals_only=False)
+            lam, vec, got_p = run_seam(op, k, eigvals_only=False)
             assert lam.tolist() == want.tolist() and got_p == p
             assert np.array_equal(vec, want_vec)
 
@@ -450,14 +478,15 @@ import numpy as np
 from relqosc import solver
 op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
 lam = solver.eigenvalues_lowest(op, 3).tolist()
+""" + SAME_ROUTINES + """
 before = "scipy.linalg" in sys.modules
 import scipy.linalg
 want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                      select_range=(0, 2), lapack_driver="stebz").tolist()
 print(json.dumps([before, lam == want, scipy.linalg.lapack.dstebz is solver._flapack().dstebz,
-                  scipy.linalg.lapack.dstein is solver._flapack().dstein]))
+                  scipy.linalg.lapack.dstein is solver._flapack().dstein, *same_routines()]))
 """)
-        assert got == [False, True, True, True]
+        assert got == [False, True, True, True, True, True]
 
     def test_import_scipy_linalg_then_solve(self):
         got = run_fresh("""
@@ -467,12 +496,13 @@ import scipy.linalg
 from relqosc import solver
 op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
 lam = solver.eigenvalues_lowest(op, 3).tolist()
+""" + SAME_ROUTINES + """
 want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                      select_range=(0, 2), lapack_driver="stebz").tolist()
 print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._flapack"],
-                  solver._flapack() is scipy.linalg.lapack._flapack]))
+                  solver._flapack() is scipy.linalg.lapack._flapack, *same_routines()]))
 """)
-        assert got == [True, True, True]
+        assert got == [True, True, True, True, True]
 
     def test_missing_scipy_raises_import_error(self, monkeypatch):
         monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
@@ -698,8 +728,8 @@ class TestLatestSolve:
     def test_returned_and_operator_arrays_are_not_aliased(self):
         op = small_operator()
         want = bits(eigenvalues_lowest(op, 3))
-        _stebz_lowest(op, 3, eigvals_only=True)[:] = 0.0
-        _stebz_lowest(op, 3, eigvals_only=False)[0][:] = 0.0
+        run_seam(op, 3, eigvals_only=True)[:] = 0.0
+        run_seam(op, 3, eigvals_only=False)[0][:] = 0.0
         assert bits(eigenvalues_lowest(op, 3)) == want
         op.diag[0] += 1.0
         assert bits(eigenvalues_lowest(op, 3)) != want
@@ -788,6 +818,172 @@ def test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal(case):
     want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                          select_range=(0, k - 1), lapack_driver="stebz")
     assert bits(eigenvalues_lowest(op, k)) == bits(want)
+
+
+def test_lapack_runs_without_the_gil():
+    """A pure-Python loop on this thread completes while another thread is inside one long bisection."""
+    n = 64000
+    op = TridiagonalOperator(np.linspace(2.0, 3.0, n), np.full(n - 1, -1.0))
+    started, solved = threading.Event(), threading.Event()
+
+    def solve():
+        started.set()
+        eigenvalues_lowest(op, 16)
+        solved.set()
+
+    thread = threading.Thread(target=solve)
+    interval = sys.getswitchinterval()
+    # Hand the GIL over often, so that the thread is inside LAPACK long before the loop ends.
+    sys.setswitchinterval(1e-4)
+    try:
+        thread.start()
+        assert started.wait(timeout=60)
+        count = 0
+        while count < 1_000_000:
+            count += 1
+        overlapped = not solved.is_set()
+    finally:
+        sys.setswitchinterval(interval)
+        thread.join(timeout=300)
+    assert not thread.is_alive()
+    assert overlapped
+
+
+def solve_outcome(request):
+    """solve, or eigenvalues_lowest for an (operator, k) pair, run alone with no latest solve; or its exception."""
+    solver._latest_model_solve = None
+    try:
+        if isinstance(request[0], TridiagonalOperator):
+            return eigenvalues_lowest(*request)
+        return solver.solve(*request)
+    except (SolverError, ValueError) as exc:
+        return exc
+
+
+def assert_same_answer(got, want):
+    if isinstance(want, np.ndarray):
+        assert bits(got) == bits(want)
+        return
+    grid, problem, values, pairs = got
+    assert grid == want[0] and bits(values) == bits(want[2])
+    assert (pairs is None) == (want[3] is None)
+    for a, b in zip(pairs or (), want[3] or ()):
+        assert bits([a.eigenvalue, a.residual]) == bits([b.eigenvalue, b.residual])
+        assert np.array_equal(a.vector, b.vector)
+
+
+def assert_batch_matches_serial(requests):
+    """solve_many answers every request with its lone solve's bits, or raises the first lone failure, in request order."""
+    want = [solve_outcome(request) for request in requests]
+    failures = [w for w in want if isinstance(w, Exception)]
+    solver._latest_model_solve = None
+    before = threading.active_count()
+    try:
+        got = solver.solve_many(requests)
+    except (SolverError, ValueError) as exc:
+        assert failures and (type(exc), str(exc)) == (type(failures[0]), str(failures[0]))
+    else:
+        assert not failures
+        assert len(got) == len(requests)
+        for g, w in zip(got, want):
+            assert_same_answer(g, w)
+    assert threading.active_count() == before
+
+
+def drawn_scale(lo_decade: int, hi_decade: int):
+    return st.integers(lo_decade, hi_decade).map(lambda p: 10.0 ** p) | st.floats(0.3, 3.0)
+
+
+@st.composite
+def solve_requests(draw):
+    family = draw(st.sampled_from(list(Family)))
+    params = PhysicalParams(m=draw(drawn_scale(-2, 2)), c=draw(drawn_scale(-1, 2)), omega=draw(drawn_scale(-2, 2)),
+                            a=draw(drawn_scale(-2, 2)), b=draw(st.floats(-0.4, 3.0)))
+    ml = draw(st.integers(-2, 3)) if family.is_two_dimensional else None
+    try:
+        spec = ModelSpec(family, params, ml=ml)
+    except ValueError:
+        spec = default_spec(family)
+    return solver.SolveRequest(spec, draw(st.integers(1, 6)), n_points=draw(st.integers(20, 600)),
+                               vectors=draw(st.booleans()))
+
+
+class TestSolveMany:
+    """solve_many answers each request with the bits that solve (or eigenvalues_lowest) gives it
+    alone, and every helper thread it starts has ended when it returns or raises."""
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_default_models(self, monkeypatch, vectors):
+        monkeypatch.setattr(solver, "_latest_model_solve", None)
+        assert_batch_matches_serial([solver.SolveRequest(default_spec(family), 5, vectors=vectors)
+                                     for family in Family])
+
+    @given(st.lists(solve_requests() | operators_and_k(), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_models(self, requests):
+        latest = solver._latest_model_solve
+        try:
+            assert_batch_matches_serial(requests)
+        finally:
+            solver._latest_model_solve = latest
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (solver.SolveRequest(ALL_SPECS[3], 4, Grid(-5.0, 5.0, 100)), ValueError, "half-line problem"),
+        ((TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 6), ValueError, r"need 1 <= k <= 5"),
+        (solver.SolveRequest(ALL_SPECS[0], 4, n_points=300, vectors=True), SolverError, "stebz returned info=1"),
+    ], ids=["building", "seam-check", "lapack"])
+    def test_second_request_failure_is_raised(self, monkeypatch, bad, error, match):
+        """The batch raises its second request's exception, as that request's lone solve does,
+        once every lane has ended, and leaves the latest solve. The third stebz result read
+        reports failure: the bad request's where it reaches stebz, else the third request's."""
+        good = solver.SolveRequest(ALL_SPECS[1], 4, n_points=400, vectors=True)
+        patch_lapack(monkeypatch, stebz=failing_stebz(3))
+        solver.solve(*good)
+        entry, before = solver._latest_model_solve, threading.active_count()
+        with pytest.raises(error, match=match) as got:
+            solver.solve_many([good, bad, solver.SolveRequest(ALL_SPECS[2], 3, n_points=500)])
+        assert threading.active_count() == before
+        assert solver._latest_model_solve is entry
+        patch_lapack(monkeypatch, stebz=failing_stebz(1))
+        want = solve_outcome(bad)
+        assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
+    def test_concurrent_batches(self):
+        """Batches from more threads than CPUs, each on more lanes than one, keep every answer's bits."""
+        ops = [TridiagonalOperator(np.linspace(1.0, 2.0 + i, 300), np.full(299, -1.0)) for i in range(3)]
+        want = [bits(eigenvalues_lowest(op, 4)) for op in ops]
+        wrong = []
+
+        def batches(start):
+            for j in range(40):
+                order = [(start + j + i) % 3 for i in range(3)]
+                got = solver.solve_many([(ops[i], 4) for i in order])
+                wrong.extend((start, j) for i, values in zip(order, got) if bits(values) != want[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=batches, args=(start,)) for start in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def failing_stebz(n: int):
+    """A stebz fault that reports failure (info=1) in the n-th result read, counting from 1."""
+    read = []
+
+    def fault(out):
+        read.append(out)
+        return (*out[:4], 1) if len(read) == n else out
+
+    return fault
 
 class TestModelSpectra:
     def test_1d_harmonic_operator_ladder(self):
