@@ -16,6 +16,7 @@ discretization. All formulas take hbar = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -98,9 +99,9 @@ class ModelSpec:
     isotonic family) where the radial problem loses its unique ground
     branch; those sectors are out of the solver's contract. It also rejects
     what the parameters alone make unrepresentable: a rest energy whose
-    square (mc^2)^2 underflows to 0, and any of the model's scales (well
-    strength, lambda ladder, E^2 and eps maps, delta; see effective_problem)
-    that overflows.
+    square (mc^2)^2 is below the smallest normal float, and any of the
+    model's scales (well strength, lambda ladder, E^2 and eps maps, delta;
+    see effective_problem) that overflows.
     """
 
     family: Family
@@ -136,9 +137,10 @@ class ModelSpec:
                 f"((ml - b)^2 < 1/4); not supported"
             )
         try:
-            # E^2 of a level at rest would be 0, and relative errors divide by it.
-            if self.mc2 ** 2 == 0:
-                raise ValueError(f"(mc^2)^2 underflows to 0, got m={p.m}, c={p.c}")
+            # E^2 of a level at rest would be (mc^2)^2, and relative errors divide by
+            # it: a subnormal one has lost precision, and one that is 0 has none.
+            if self.mc2 ** 2 < sys.float_info.min:
+                raise ValueError(f"(mc^2)^2 underflows below the smallest normal float, got m={p.m}, c={p.c}")
             finite = all(map(math.isfinite, _facts(self)[1:]))
         except OverflowError:
             finite = False

@@ -9,9 +9,8 @@ largest |entry| of T, and scales the values back by 2^p: a power of two is
 exact, so the size of T's entries alone does not make a solve fail.
 Values-only (eigenvalues_lowest) and eigenpair (eigen_lowest) requests make
 the same single stebz call and sort its values the same way, so both return
-the same bits; on every operator that stebz does not split into blocks,
-whose off-diagonal squares are normal floats and whose scaled entries do not
-underflow, these equal the values of scipy.linalg.eigh_tridiagonal.
+the same bits; on the operators that _stebz_lowest names, these equal the
+values of scipy.linalg.eigh_tridiagonal.
 Bisection certifies each value to its absolute tolerance without any
 eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
@@ -33,11 +32,12 @@ dstebz and dstein that scipy's compiled LAPACK wrapper module wraps
 (scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), which the
 solver loads on its own at the first eigensolve, without running the package
 initialisation of scipy or scipy.linalg: scipy itself is never imported
-either. The solver takes each routine's address from its f2py wrapper and
-calls it through ctypes with the arguments the wrapper would pass, so the
-results are the same bits; unlike the wrapper, ctypes releases the GIL for
-the length of the call. So the LAPACK calls of a batch's independent
-operators run side by side, on up to one thread per CPU the process may use,
+either. The solver takes each routine's address from its f2py wrapper, and
+_stebz_lowest, the only code that knows their arguments, calls them through
+ctypes with the arguments the wrapper would pass, so the results are the
+same bits; unlike the wrapper, ctypes releases the GIL for the length of the
+call. So _lowest_many runs the LAPACK calls of a batch's independent
+operators side by side, on up to one thread per CPU the process may use,
 while the calling thread builds every operator, allocates every array
 (helper threads would each grow a malloc arena of their own) and does all
 the checking and the work on values and vectors.
@@ -294,52 +294,15 @@ def _lapack():
             for name, argtypes in signatures.items()}
 
 
-def _dstebz(d: np.ndarray, e: np.ndarray, k: int):
-    """One dstebz call for the k smallest eigenvalues of (d, e), in block order, as (call, result).
-
-    The arrays the routine returns are allocated here, on the calling
-    thread. call(work, iwork) runs the routine without the GIL, on any
-    thread, with scratch arrays of at least 4N doubles and 3N ints; after
-    it, result() gives what _flapack's wrapper returns, (m, w, iblock,
-    isplit, info).
-    """
-    import ctypes
-
-    n = d.size
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
-    # Range "I" over indices 1..k (VL and VU unused); ABSTOL 0 is LAPACK's
-    # machine-precision default; block order ("B"), as stein needs.
-    args = (b"I", b"B", ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1),
-            ctypes.c_int(k), ctypes.c_double(0.0), d, e, m, nsplit, w, iblock, isplit)
-    routine = _lapack()["dstebz"]
-    return (lambda work, iwork: routine(*args, work, iwork, info, 1, 1),
-            lambda: (m.value, w, iblock, isplit, info.value))
-
-
-def _dstein(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray):
-    """One dstein call for the eigenvectors of (d, e) at the values w, as (call, result).
-
-    Like _dstebz, with scratch of at least 5N doubles and N ints; result()
-    gives (z, info), z holding one vector per column.
-    """
-    import ctypes
-
-    n, m = d.size, w.size
-    z, ifail, info = np.empty((n, m), order="F"), np.empty(m, np.intc), ctypes.c_int()
-    args = (ctypes.c_int(n), d, e, ctypes.c_int(m), w, iblock, isplit, z, ctypes.c_int(n))
-    routine = _lapack()["dstein"]
-    return (lambda work, iwork: routine(*args, work, iwork, ifail, info),
-            lambda: (z, info.value))
-
-
 def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only.
 
-    A generator (driven by _run_seams): it yields each LAPACK call as the
-    (call, result) pair of _dstebz or _dstein, is resumed with that call's
-    output or has its exception thrown in, and returns the result. Only the
-    calls may run on another thread.
+    A generator, and the only code that knows the arguments of dstebz and
+    dstein. It allocates every array they write, on the calling thread, and
+    yields each call as call(work, iwork) over _lapack()'s routine, to run
+    without the GIL on any thread with scratch of at least 5N doubles and 3N
+    ints. Resumed with None, or with the call's exception thrown in, it reads
+    the output back itself, and returns the result.
 
     stebz and stein do not scale their input, so both run on 2^-p T, with p
     the binary exponent of the largest |entry| of T: its entries lie below 1
@@ -351,10 +314,16 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     the same bits. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
     lapack_driver="stebz") on 2^-p T; on every operator that stebz does not
-    split into blocks, whose off-diagonal squares are normal floats and whose
-    scaled entries do not underflow, its values are the same bits as that
-    call on T itself.
+    split into blocks, whose off-diagonal squares are normal floats, whose
+    scaled entries do not underflow and whose nonzero diagonal entries all
+    exceed 1e-100 max|T|, its values are the same bits as that call on T
+    itself. stebz floors each Sturm-count pivot at SAFEMIN max(1, max e_j^2),
+    which does not scale with T, so next to a nonzero diagonal entry that
+    small the two bisections can count differently, and then agree within
+    eps ||T||_inf (within 0.5 eps ||T||_inf in every mismatch measured).
     """
+    import ctypes
+
     n = op.size
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -363,9 +332,16 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
-    m, w, iblock, isplit, info = yield _dstebz(d, e, k)
-    _check_info(info, "stebz")
-    w = w[:m]
+    lapack = _lapack()
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
+    # Range "I" over indices 1..k (VL and VU unused); ABSTOL 0 is LAPACK's
+    # machine-precision default; block order ("B"), as stein needs.
+    yield lambda work, iwork: lapack["dstebz"](
+        b"I", b"B", ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1), ctypes.c_int(k),
+        ctypes.c_double(0.0), d, e, m, nsplit, w, iblock, isplit, work, iwork, info, 1, 1)
+    _check_info(info.value, "stebz")
+    w = w[:m.value]
     # An eigenvalue past the float range of T shows as inf, caught below.
     with np.errstate(over="ignore"):
         lam = np.ldexp(w, p)
@@ -377,9 +353,11 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     order = np.argsort(w, kind="stable")
     if eigvals_only:
         return lam[order]
-    v, info = yield _dstein(d, e, w, iblock, isplit)
-    _check_info(info, "stein")
-    return lam[order], v[:, order], p
+    z, ifail = np.empty((n, k), order="F"), np.empty(k, np.intc)
+    yield lambda work, iwork: lapack["dstein"](
+        ctypes.c_int(n), d, e, ctypes.c_int(k), w, iblock, isplit, z, ctypes.c_int(n), work, iwork, ifail, info)
+    _check_info(info.value, "stein")
+    return lam[order], z[:, order], p
 
 
 def _run_lanes(calls, n: int) -> list:
@@ -444,41 +422,32 @@ def _eigenpairs(op: TridiagonalOperator, lam: np.ndarray, vec: np.ndarray, p: in
     return results
 
 
-def _run_seams(seams, n: int) -> list:
-    """Drive _stebz_lowest generators side by side; each one's return value or exception, in order.
-
-    Each round advances every live seam on this thread to its next LAPACK
-    call, then runs those calls on _run_lanes, with scratch for operators of
-    size up to n, and resumes each seam with its call's output, or throws
-    the call's exception into it. Returns once every seam has finished, and
-    keeps no LAPACK output past that.
-    """
-    results = [None] * len(seams)
-    # What each live seam resumes with: None to start, then its last call's output or exception.
-    resume = dict.fromkeys(range(len(seams)))
-    while resume:
-        prepared = {}
-        for i, value in resume.items():
-            try:
-                prepared[i] = seams[i].throw(value) if isinstance(value, Exception) else seams[i].send(value)
-            except StopIteration as stop:
-                results[i] = stop.value
-            except Exception as failure:  # raised by the caller, once every call has returned
-                results[i] = failure
-        errors = _run_lanes([call for call, _ in prepared.values()], n) if prepared else []
-        resume = {i: exc or result() for (i, (_, result)), exc in zip(prepared.items(), errors)}
-    return results
-
-
 def _lowest_many(jobs) -> list:
     """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job.
 
-    The jobs' seams run side by side (_run_seams): their stebz calls, then
-    the stein calls of the jobs with vectors. Raises the exception of the
-    first failing job, in job order, once every call has returned.
+    Each job's _stebz_lowest seam runs side by side with the others: each
+    round advances every unfinished seam, on this thread, to its next
+    LAPACK call, runs those calls on _run_lanes, with scratch for the
+    largest operator, and resumes each seam with None or throws its call's
+    exception into it. So every stebz call runs, then the stein calls of
+    the jobs with vectors whose stebz check passed. Raises the exception of
+    the first failing job, in job order, once every call has returned.
     """
     seams = [_stebz_lowest(op, k, not vectors) for op, k, vectors in jobs]
-    results = _run_seams(seams, max((op.size for op, _, _ in jobs), default=0))
+    n = max((op.size for op, _, _ in jobs), default=0)
+    results = [None] * len(seams)
+    # Each unfinished seam with what it resumes with: None, or its last call's exception.
+    resume = dict.fromkeys(range(len(seams)))
+    while resume:
+        calls = {}
+        for i, exc in resume.items():
+            try:
+                calls[i] = seams[i].send(None) if exc is None else seams[i].throw(exc)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as failure:  # raised below, once every call has returned
+                results[i] = failure
+        resume = dict(zip(calls, _run_lanes(list(calls.values()), n))) if calls else {}
     out = []
     for (op, _, vectors), result in zip(jobs, results):
         if isinstance(result, Exception):

@@ -187,6 +187,9 @@ class TestValidationExits:
             ("ajc", "--family", "1d-iso", "--delta", "0"),
             # closed-form samples that are not finite: x^(s + 1/2), a product inside 1F1
             *CLOSED_FORM_OVERFLOWS,
+            # E_0^2 = (mc^2)^2 = 1e-320 is subnormal, and the relative error divides by it
+            ("spectrum", "--family", "2d-iso", "--m", "1e-160", "--levels", "2", "--grid-max", "3", "--format", "json"),
+            ("ajc", "--family", "2d-iso", "--m", "1e-160", "--levels", "2", "--grid-max", "3"),
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):

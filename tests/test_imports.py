@@ -122,20 +122,27 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-LAPACK = {"dstebz", "dstein", "_flapack", "_lapack", "_dstebz", "_dstein"}
+LAPACK = {"dstebz", "dstein", "_flapack", "_lapack"}
 SOLVE_STEPS = {"discretize", "eigen_lowest"}
 
 
+def called_name(func: ast.expr):
+    """The name a call's function goes by: a name, an attribute, or the string key of a subscript."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Subscript):
+        return func.slice.value if isinstance(func.slice, ast.Constant) and isinstance(func.slice.value, str) else None
+    return getattr(func, "id", None)
+
+
 def callers(tree: ast.Module, names: set) -> set:
-    """Functions that call any of names, by name or attribute; "<module>" for a call outside any function."""
+    """Functions that call any of names, by name, attribute or string key; "<module>" for a call outside any function."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
-                    found.add(owner)
+            if isinstance(child, ast.Call) and called_name(child.func) in names:
+                found.add(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "<module>")
@@ -149,9 +156,8 @@ def package_callers(names: set) -> set:
 
 def test_only_the_seam_calls_lapack():
     """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first:
-    only it prepares a dstebz or dstein call, and only those two reach the ctypes routines."""
-    assert package_callers(LAPACK) == {
-        ("solver.py", "_stebz_lowest"), ("solver.py", "_dstebz"), ("solver.py", "_dstein"), ("solver.py", "_lapack")}
+    only it calls _lapack's dstebz and dstein, and only _lapack calls _flapack."""
+    assert package_callers(LAPACK) == {("solver.py", "_stebz_lowest"), ("solver.py", "_lapack")}
 
 
 def test_finds_lapack_callers():
@@ -163,10 +169,12 @@ def test_finds_lapack_callers():
         "    f = lambda: mod.dstein()\n"
         "    def inner():\n"
         "        return dstebz()\n"
+        "def keyed():\n"
+        "    return lambda work: routines['dstein'](work)\n"
         "def clean():\n"
-        "    return _flapack, lapack.dstebz\n"
+        "    return _flapack, lapack.dstebz, routines['dstebz'], routines[name](), routines[0]()\n"
     )
-    assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner"}
+    assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner", "keyed"}
 
 
 def test_only_solve_builds_and_solves_the_model_operator():

@@ -108,6 +108,7 @@ class TestValidation:
             (Family.HARMONIC_1D, PhysicalParams(m=1e10, omega=1e300), "overflow"),  # m omega
             (Family.ISOTONIC_1D, PhysicalParams(b=1e200), "overflow"),  # b (b + 1)
             (Family.ISOTONIC_2D, PhysicalParams(b=1e200), "overflow"),  # (ml - b)^2
+            (Family.ISOTONIC_2D, PhysicalParams(m=1e-160, b=0.25), "underflows"),  # subnormal (mc^2)^2
         ],
     )
     def test_unrepresentable_scales_rejected(self, family, params, match):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.linalg
@@ -92,43 +92,57 @@ def free_problem(length: float) -> RadialProblem:
     )
 
 
-def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
-    """Make the solver's LAPACK seam call fakes, and return a record of their calls.
+# The positions, among each routine's ctypes arguments, of what _flapack's
+# wrapper returns: dstebz's (m, w, iblock, isplit, info) and dstein's (z, info).
+RETURNED = {"dstebz": (10, 12, 13, 14, 17), "dstein": (7, 12)}
 
-    Each fake prepares the real call (solver._dstebz, solver._dstein) and
-    passes its output tuple, the one _flapack's wrapper returns, through the
-    given function, which may corrupt it. The record counts the calls run per
-    routine in `calls`, under a lock, since a batch runs them on several
-    threads. The latest model solve is cleared, so that the first
-    values-only solve reaches the fake.
+
+def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
+    """Make the solver's LAPACK routines run through fakes, and return a record of their calls.
+
+    Each fake wraps a routine that solver._lapack() returns and runs the real
+    routine. It then passes what the routine wrote, as the tuple _flapack's
+    wrapper returns, through the given function, which may corrupt it, and
+    writes the result back into the same ctypes objects and arrays (a shorter
+    array into the first entries). A batch runs the fakes on several threads,
+    in no fixed order, so a fault picks its victim by operator, never by call
+    order. The record counts the calls per routine in `calls`, under a lock.
+    The latest model solve is cleared, so that the first values-only solve
+    reaches the fake.
     """
     calls = collections.Counter()
     lock = threading.Lock()
+    real = solver._lapack()
 
-    def routine(name, post):
-        real = getattr(solver, f"_{name}")
+    def fake(name, post):
+        def routine(*args):
+            real[name](*args)
+            with lock:
+                calls[name] += 1
+            slots = [args[i] for i in RETURNED[name]]
+            out = post(tuple(getattr(slot, "value", slot) for slot in slots))
+            for slot, value in zip(slots, out):
+                if isinstance(slot, np.ndarray):
+                    slot[:len(value)] = value
+                else:
+                    slot.value = value
 
-        def prepare(*args):
-            call, result = real(*args)
+        return routine
 
-            def counted(*scratch):
-                with lock:
-                    calls[name] += 1
-                call(*scratch)
-
-            return counted, lambda: post(result())
-
-        return prepare
-
-    monkeypatch.setattr(solver, "_dstebz", routine("dstebz", stebz))
-    monkeypatch.setattr(solver, "_dstein", routine("dstein", stein))
+    fakes = {"dstebz": fake("dstebz", stebz), "dstein": fake("dstein", stein)}
+    monkeypatch.setattr(solver, "_lapack", lambda: fakes)
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     return types.SimpleNamespace(calls=calls)
 
 
 def run_seam(op: TridiagonalOperator, k: int, eigvals_only: bool):
-    """What solver._stebz_lowest returns, run by the seam driver alone."""
-    return solver._run_seams([_stebz_lowest(op, k, eigvals_only)], op.size)[0]
+    """What solver._stebz_lowest returns, with each of its LAPACK calls run on this thread."""
+    seam = _stebz_lowest(op, k, eigvals_only)
+    try:
+        while True:
+            next(seam)(np.empty(5 * op.size), np.empty(3 * op.size, np.intc))
+    except StopIteration as stop:
+        return stop.value
 
 
 # For a fresh interpreter that imports scipy.linalg: whether each ctypes routine
@@ -811,13 +825,20 @@ def scaled_operators_and_k(draw):
 
 
 @given(scaled_operators_and_k())
+@example((TridiagonalOperator(np.array([4.85561579e-257, 0.0, 0.0]), np.array([1e26, 1e26])), 2))
 @settings(max_examples=200, deadline=None)
 def test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal(case):
-    """Bisection of 2^-p T, scaled back by 2^p, gives the bits of bisecting T itself."""
+    """Bisection of 2^-p T, scaled back by 2^p, gives the bits of bisecting T itself, unless a
+    nonzero diagonal entry lies below 1e-100 max|T|; then the two agree within eps ||T||_inf."""
     op, k = case
     want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                          select_range=(0, k - 1), lapack_driver="stebz")
-    assert bits(eigenvalues_lowest(op, k)) == bits(want)
+    got = eigenvalues_lowest(op, k)
+    largest = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)))
+    if np.any((op.diag != 0) & (np.abs(op.diag) < 1e-100 * largest)):
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps * op.norm_inf()
+    else:
+        assert bits(got) == bits(want)
 
 
 def test_lapack_runs_without_the_gil():
@@ -908,6 +929,21 @@ def solve_requests(draw):
                                vectors=draw(st.booleans()))
 
 
+def failing_stebz(*sizes: int):
+    """A stebz fault that reports failure (info=1) on every operator of one of the given sizes."""
+    return lambda out: (*out[:4], 1) if out[1].size in sizes else out
+
+
+def refusing_stebz(size: int):
+    """A stebz fault that raises inside the call on the operator of the given size."""
+    def fault(out):
+        if out[1].size == size:
+            raise RuntimeError(f"stebz refused the operator of {size} points")
+        return out
+
+    return fault
+
+
 class TestSolveMany:
     """solve_many answers each request with the bits that solve (or eigenvalues_lowest) gives it
     alone, and every helper thread it starts has ended when it returns or raises."""
@@ -934,20 +970,39 @@ class TestSolveMany:
     ], ids=["building", "seam-check", "lapack"])
     def test_second_request_failure_is_raised(self, monkeypatch, bad, error, match):
         """The batch raises its second request's exception, as that request's lone solve does,
-        once every lane has ended, and leaves the latest solve. The third stebz result read
-        reports failure: the bad request's where it reaches stebz, else the third request's."""
+        once every lane has ended, and leaves the latest solve. stebz reports failure on the
+        operators of 300 and 500 points: the bad request's where it reaches stebz, and the third request's."""
         good = solver.SolveRequest(ALL_SPECS[1], 4, n_points=400, vectors=True)
-        patch_lapack(monkeypatch, stebz=failing_stebz(3))
+        patch_lapack(monkeypatch, stebz=failing_stebz(300, 500))
         solver.solve(*good)
         entry, before = solver._latest_model_solve, threading.active_count()
         with pytest.raises(error, match=match) as got:
             solver.solve_many([good, bad, solver.SolveRequest(ALL_SPECS[2], 3, n_points=500)])
         assert threading.active_count() == before
         assert solver._latest_model_solve is entry
-        patch_lapack(monkeypatch, stebz=failing_stebz(1))
         want = solve_outcome(bad)
         assert (type(got.value), str(got.value)) == (type(want), str(want))
 
+    @pytest.mark.parametrize("fault, error, match", [
+        (failing_stebz(300), SolverError, "stebz returned info=1"),
+        (refusing_stebz(300), RuntimeError, "refused the operator of 300 points"),
+    ], ids=["info", "raises-in-call"])
+    def test_failed_stebz_skips_only_its_stein(self, monkeypatch, fault, error, match):
+        """In one batch of eigenpair requests every stebz call runs, then the stein calls of all
+        but the request whose stebz result fails its check, or whose stebz call raised on its lane;
+        the batch raises that request's exception."""
+        stein_sizes = []
+
+        def record(out):
+            stein_sizes.append(out[0].shape[0])
+            return out
+
+        fake = patch_lapack(monkeypatch, stebz=fault, stein=record)
+        with pytest.raises(error, match=match):
+            solver.solve_many([solver.SolveRequest(spec, 4, n_points=n, vectors=True)
+                               for spec, n in zip(ALL_SPECS, (200, 300, 400, 500))])
+        assert fake.calls == {"dstebz": 4, "dstein": 3}
+        assert sorted(stein_sizes) == [200, 400, 500]
 
     def test_concurrent_batches(self):
         """Batches from more threads than CPUs, each on more lanes than one, keep every answer's bits."""
@@ -974,16 +1029,6 @@ class TestSolveMany:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-
-def failing_stebz(n: int):
-    """A stebz fault that reports failure (info=1) in the n-th result read, counting from 1."""
-    read = []
-
-    def fault(out):
-        read.append(out)
-        return (*out[:4], 1) if len(read) == n else out
-
-    return fault
 
 class TestModelSpectra:
     def test_1d_harmonic_operator_ladder(self):
