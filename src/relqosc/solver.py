@@ -4,13 +4,15 @@ The effective problem -u'' + V u = lambda u is discretized on a uniform
 Dirichlet grid with the standard 3-point stencil, giving a symmetric
 tridiagonal matrix whose lowest eigenvalues are found by Sturm-sequence
 bisection (LAPACK stebz). Neither stebz nor stein scales its input, so the
-one LAPACK seam (_stebz_lowest) hands them 2^-p T, with 2^p just above the
+one LAPACK seam (_lapack_seam) hands them 2^-p T, with 2^p just above the
 largest |entry| of T, and scales the values back by 2^p: a power of two is
 exact, so the size of T's entries alone does not make a solve fail.
 Values-only (eigenvalues_lowest) and eigenpair (eigen_lowest) requests make
 the same single stebz call and sort its values the same way, so both return
-the same bits; on the operators that _stebz_lowest names, these equal the
-values of scipy.linalg.eigh_tridiagonal.
+the same bits; on the operators that _lapack_seam names, these equal the
+values of scipy.linalg.eigh_tridiagonal. All the eigenvalues of an
+operator come from LAPACK sterf, the last step of numpy.linalg.eigvalsh,
+on unscaled copies of its diagonals (sterf scales each block itself).
 Bisection certifies each value to its absolute tolerance without any
 eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
@@ -19,21 +21,22 @@ operator; a NaN residual fails the bound.
 solve_many is the one model-level solve: effective problem, domain, operator,
 LAPACK, for a batch of independent requests; solve is its one-request case.
 numeric_levels, numeric_spectrum, the CLI's spectrum and wavefunction
-commands and the verify suites all go through it. A values-only solve reuses
-the eigenvalues of the latest solve of an equal (spec, grid, k); every other
-request runs LAPACK.
+commands and the verify suites all go through it; it also takes bare
+operators, for their k lowest eigenvalues or for all of them. A values-only
+model-level solve reuses the eigenvalues of the latest solve of an equal
+(spec, grid, k); every other request runs LAPACK.
 This route never touches the closed forms: it imports only the Level and
 SpectrumTable records from the analytic module, and reads the ladder only to
 size the domain and map lambda to E^2, so agreement with it is a genuine
 cross-check (verify.convergence_order).
 
-scipy.linalg is never imported. The two LAPACK routines are the Fortran
-dstebz and dstein that scipy's compiled LAPACK wrapper module wraps
+scipy.linalg is never imported. The three LAPACK routines are the Fortran
+dstebz, dstein and dsterf that scipy's compiled LAPACK wrapper module wraps
 (scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), which the
 solver loads on its own at the first eigensolve, without running the package
 initialisation of scipy or scipy.linalg: scipy itself is never imported
 either. The solver takes each routine's address from its f2py wrapper, and
-_stebz_lowest, the only code that knows their arguments, calls them through
+_lapack_seam, the only code that knows their arguments, calls them through
 ctypes with the arguments the wrapper would pass, so the results are the
 same bits; unlike the wrapper, ctypes releases the GIL for the length of the
 call. So _lowest_many runs the LAPACK calls of a batch's independent
@@ -264,7 +267,7 @@ def _check_info(info: int, routine: str) -> None:
 
 @functools.cache
 def _lapack():
-    """{"dstebz": ..., "dstein": ...}: the Fortran routines behind _flapack's wrappers, as ctypes functions.
+    """{"dstebz": ..., "dstein": ..., "dsterf": ...}: the Fortran routines behind _flapack's wrappers, as ctypes functions.
 
     Each f2py wrapper's _cpointer capsule holds the address of the routine
     it calls. The ctypes functions take the routine's own arguments: every
@@ -288,21 +291,25 @@ def _lapack():
         # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
         "dstein": (c_int, doubles, doubles, c_int, doubles, ints, ints, ndpointer(np.float64, 2, flags="F"),
                    c_int, doubles, ints, ints, c_int),
+        # N, D, E, INFO
+        "dsterf": (c_int, doubles, doubles, c_int),
     }
     module = _flapack()
     return {name: ctypes.CFUNCTYPE(None, *argtypes)(address(getattr(module, name)._cpointer, None))
             for name, argtypes in signatures.items()}
 
 
-def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
-    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only.
+def _lapack_seam(op: TridiagonalOperator, k: Optional[int], eigvals_only: bool):
+    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only;
+    with k None, sterf for every eigenvalue, ascending.
 
-    A generator, and the only code that knows the arguments of dstebz and
-    dstein. It allocates every array they write, on the calling thread, and
-    yields each call as call(work, iwork) over _lapack()'s routine, to run
-    without the GIL on any thread with scratch of at least 5N doubles and 3N
-    ints. Resumed with None, or with the call's exception thrown in, it reads
-    the output back itself, and returns the result.
+    A generator, and the only code that knows the arguments of dstebz,
+    dstein and dsterf. It allocates every array they write, on the calling
+    thread, and yields each call as call(work, iwork) over _lapack()'s
+    routine, to run without the GIL on any thread with scratch of at least
+    5N doubles and 3N ints (sterf uses none). Resumed with None, or with the
+    call's exception thrown in, it reads the output back itself, and
+    returns the result.
 
     stebz and stein do not scale their input, so both run on 2^-p T, with p
     the binary exponent of the largest |entry| of T: its entries lie below 1
@@ -321,19 +328,40 @@ def _stebz_lowest(op: TridiagonalOperator, k: int, eigvals_only: bool):
     which does not scale with T, so next to a nonzero diagonal entry that
     small the two bisections can count differently, and then agree within
     eps ||T||_inf (within 0.5 eps ||T||_inf in every mismatch measured).
+
+    sterf scales each block itself, so it runs on unscaled copies of d and
+    e, and raises SolverError unless all N values are finite. It is the last
+    step of numpy.linalg.eigvalsh, whose dsyevd reduces the dense matrix to
+    a tridiagonal one, which leaves a tridiagonal matrix unchanged, and
+    calls dsterf: so where max|T| lies in [2^-485, 2^485] (about 1e-146 to
+    1e146), the values are the bits of numpy.linalg.eigvalsh on T made
+    dense. Outside that range dsyevd first scales the matrix by a factor
+    that is not a power of two, and the two results then differ by sterf's
+    own rounding on the two inputs: by up to 160 eps ||T||_inf, measured on
+    random interleaved block operators with N up to 240.
     """
     import ctypes
 
     n = op.size
-    if k < 1 or k > n:
+    if k is not None and (k < 1 or k > n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     s = float(np.max(np.abs(np.concatenate((op.diag, op.offdiag)))))
     if not math.isfinite(s):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
+    lapack = _lapack()
+    info = ctypes.c_int()
+    if k is None:
+        # sterf overwrites d with the values, ascending, and e with scratch.
+        d, e = op.diag.copy(), op.offdiag.copy()
+        yield lambda work, iwork: lapack["dsterf"](ctypes.c_int(n), d, e, info)
+        _check_info(info.value, "sterf")
+        finite = int(np.count_nonzero(np.isfinite(d)))
+        if finite < n:
+            raise SolverError(f"sterf returned {n} values, {finite} of them finite")
+        return d
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
-    lapack = _lapack()
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    m, nsplit = ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
     # Range "I" over indices 1..k (VL and VU unused); ABSTOL 0 is LAPACK's
     # machine-precision default; block order ("B"), as stein needs.
@@ -423,17 +451,18 @@ def _eigenpairs(op: TridiagonalOperator, lam: np.ndarray, vec: np.ndarray, p: in
 
 
 def _lowest_many(jobs) -> list:
-    """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job.
+    """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job; with k None, all eigenvalues.
 
-    Each job's _stebz_lowest seam runs side by side with the others: each
-    round advances every unfinished seam, on this thread, to its next
-    LAPACK call, runs those calls on _run_lanes, with scratch for the
-    largest operator, and resumes each seam with None or throws its call's
-    exception into it. So every stebz call runs, then the stein calls of
-    the jobs with vectors whose stebz check passed. Raises the exception of
-    the first failing job, in job order, once every call has returned.
+    Each job's _lapack_seam runs side by side with the others: each round
+    advances every unfinished seam, on this thread, to its next LAPACK
+    call, runs those calls on _run_lanes, with scratch for the largest
+    operator, and resumes each seam with None or throws its call's
+    exception into it. So every stebz and sterf call runs, then the stein
+    calls of the jobs with vectors whose stebz check passed. Raises the
+    exception of the first failing job, in job order, once every call has
+    returned.
     """
-    seams = [_stebz_lowest(op, k, not vectors) for op, k, vectors in jobs]
+    seams = [_lapack_seam(op, k, not vectors) for op, k, vectors in jobs]
     n = max((op.size for op, _, _ in jobs), default=0)
     results = [None] * len(seams)
     # Each unfinished seam with what it resumes with: None, or its last call's exception.
@@ -502,8 +531,10 @@ class SolveRequest(NamedTuple):
 def solve_many(requests) -> list:
     """Independent solves side by side, each answered with the bits it gets on its own.
 
-    A request is a SolveRequest, answered with what solve returns for it,
-    or an (operator, k) pair, answered with eigenvalues_lowest(operator, k). This thread builds every operator,
+    A request is a SolveRequest, answered with what solve returns for it;
+    an (operator, k) pair, answered with eigenvalues_lowest(operator, k); or
+    an (operator, None) pair, answered with all its eigenvalues, ascending,
+    from LAPACK sterf (see _lapack_seam). This thread builds every operator,
     allocates every array, checks every LAPACK result and does all the work
     on values and vectors; only the LAPACK calls, which release the GIL, run
     side by side (_run_lanes), so a batch of one starts no thread. A batch

@@ -40,7 +40,7 @@ __all__ = [
     "block_spectrum",
     "block_branches",
     "susy_isospectrality_check",
-    "susy_isospectrality_checks",
+    "isospectrality_report",
     "commutator_rayleigh",
 ]
 
@@ -99,8 +99,9 @@ class BlockHamiltonian:
 
     Held as the supercharge and the rest energy. Interleaving the two spinor
     components node by node makes the matrix symmetric tridiagonal
-    (bandwidth 1): in to_dense the diagonal alternates +/- mc^2 and the
-    off-diagonal alternates the coupling entries c d_j and c s_j.
+    (bandwidth 1): operator() holds it so, with a diagonal that alternates
+    +/- mc^2 and an off-diagonal that alternates the coupling entries c d_j
+    and c s_j, and to_dense writes that operator out in full.
     """
 
     pair: SupersymmetricPair
@@ -110,14 +111,19 @@ class BlockHamiltonian:
     def size(self) -> int:
         return 2 * self.pair.size
 
-    def to_dense(self) -> np.ndarray:
+    def operator(self) -> TridiagonalOperator:
+        """The interleaved 2N symmetric tridiagonal form of the matrix."""
         diag = np.empty(self.size)
         diag[0::2] = self.mc2
         diag[1::2] = -self.mc2
         offdiag = np.empty(self.size - 1)
         offdiag[0::2] = self.pair.c * self.pair.d_diag
         offdiag[1::2] = self.pair.c * self.pair.d_super
-        return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        return TridiagonalOperator(diag=diag, offdiag=offdiag)
+
+    def to_dense(self) -> np.ndarray:
+        op = self.operator()
+        return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
 
 
 def discretize_supercharge(spec: ModelSpec, grid: Grid, delta: Optional[float] = None) -> SupersymmetricPair:
@@ -164,35 +170,31 @@ def block_branches(hamiltonian: BlockHamiltonian, lam: np.ndarray) -> np.ndarray
 
 
 def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, object]:
-    """Compare the low spectra of D^T D and D D^T and report kernel content.
+    """isospectrality_report on the k lowest eigenvalues of D^T D and D D^T, solved in one batch."""
+    return isospectrality_report(pair, *solve_many([(pair.dtd_operator(), k), (pair.ddt_operator(), k)]))
 
-    Returns the number of kernel modes among the k lowest eigenvalues of each
-    partner operator (ladder value lambda/delta below KERNEL_LADDER_TOL) and
-    the worst relative mismatch between the paired nonzero eigenvalues.
+
+def isospectrality_report(pair: SupersymmetricPair, dtd: np.ndarray, ddt: np.ndarray) -> Dict[str, object]:
+    """Kernel content and partner mismatch of the ascending lowest eigenvalues of D^T D (dtd) and D D^T (ddt).
+
+    Returns the number of kernel modes among each partner's values (ladder
+    value lambda/delta below KERNEL_LADDER_TOL) and the worst relative
+    mismatch between the paired nonzero eigenvalues.
     """
-    return susy_isospectrality_checks([pair], k)[0]
-
-
-def susy_isospectrality_checks(pairs: List[SupersymmetricPair], k: int) -> List[Dict[str, object]]:
-    """susy_isospectrality_check of each pair, with all the partner operators solved in one batch."""
-    values = iter(solve_many([(op, k) for pair in pairs for op in (pair.dtd_operator(), pair.ddt_operator())]))
-    reports = []
-    for pair, dtd, ddt in zip(pairs, values, values):
-        cut = KERNEL_LADDER_TOL * pair.delta
-        nz_dtd = dtd[dtd >= cut]
-        nz_ddt = ddt[ddt >= cut]
-        n_pair = min(nz_dtd.size, nz_ddt.size)
-        if n_pair:
-            a, b = nz_dtd[:n_pair], nz_ddt[:n_pair]
-            max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
-        else:
-            max_rel = 0.0
-        reports.append({
-            "kernel_dim_dtd": dtd.size - nz_dtd.size,
-            "kernel_dim_ddt": ddt.size - nz_ddt.size,
-            "max_rel_mismatch": max_rel,
-        })
-    return reports
+    cut = KERNEL_LADDER_TOL * pair.delta
+    nz_dtd = dtd[dtd >= cut]
+    nz_ddt = ddt[ddt >= cut]
+    n_pair = min(nz_dtd.size, nz_ddt.size)
+    if n_pair:
+        a, b = nz_dtd[:n_pair], nz_ddt[:n_pair]
+        max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
+    else:
+        max_rel = 0.0
+    return {
+        "kernel_dim_dtd": dtd.size - nz_dtd.size,
+        "kernel_dim_ddt": ddt.size - nz_ddt.size,
+        "max_rel_mismatch": max_rel,
+    }
 
 
 def commutator_rayleigh(spec: ModelSpec, grid: Grid) -> List[float]:

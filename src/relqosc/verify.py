@@ -30,7 +30,7 @@ from .susyblock import (
     build_block_hamiltonian,
     commutator_rayleigh,
     discretize_supercharge,
-    susy_isospectrality_checks,
+    isospectrality_report,
 )
 
 __all__ = ["CheckResult", "SUITES", "available_suites", "run_suite", "nonrel_sweep", "nonrel_check", "convergence_order"]
@@ -88,7 +88,7 @@ EQUISPACING_SETS: Dict[Family, List[ModelSpec]] = {
 }
 
 
-def _suite_spectrum(tolerance: float) -> List[CheckResult]:
+def _suite_spectrum(tolerance: float):
     out = []
     for family in Family:
         for i, spec in enumerate(EQUISPACING_SETS[family]):
@@ -100,9 +100,9 @@ def _suite_spectrum(tolerance: float) -> List[CheckResult]:
             out.append(CheckResult(
                 "spectrum", f"equispacing {family.value}[{i}]", dev <= bound,
                 f"max gap deviation {dev:.3e} (bound {bound:.3e})"))
-    # The numeric-agreement and degeneracy solves, in one batch.
-    solved = iter(solve_many([SolveRequest(default_spec(family), 5) for family in Family]
-                             + [SolveRequest(_spec(Family.HARMONIC_2D, ml=ml), 4) for ml in (1, 2, 3)]))
+    # The numeric-agreement and degeneracy solves.
+    solved = iter((yield [SolveRequest(default_spec(family), 5) for family in Family]
+                   + [SolveRequest(_spec(Family.HARMONIC_2D, ml=ml), 4) for ml in (1, 2, 3)]))
     for family in Family:
         spec = default_spec(family)
         ana = build_spectrum_table(spec, 5).e2_values()
@@ -147,20 +147,12 @@ def _suite_spectrum(tolerance: float) -> List[CheckResult]:
     return out
 
 
-def _suite_susy(tolerance: float) -> List[CheckResult]:
+def _suite_susy(tolerance: float):
     out = []
-    pairs = [discretize_supercharge(spec, choose_domain(effective_problem(spec), 6, n_points=2000))
-             for spec in map(default_spec, Family)]
-    reports = dict(zip(Family, susy_isospectrality_checks(pairs, 6)))
-    for family, report in reports.items():
-        rel = report["max_rel_mismatch"]
-        out.append(CheckResult(
-            "susy", f"isospectrality {family.value}", rel <= ISOSPECTRAL_REL,
-            f"nonzero partner spectra agree to {rel:.3e} "
-            f"(kernels {report['kernel_dim_dtd']}/{report['kernel_dim_ddt']})"))
-    # The D^T D values of the block-route models and of the dense-oracle
-    # models on N = 160, and the route-equivalence solve on the 1D block-route
-    # grid, in one batch.
+    pairs = {}
+    for family in Family:
+        spec = default_spec(family)
+        pairs[family] = discretize_supercharge(spec, choose_domain(effective_problem(spec), 6, n_points=2000))
     block = {}
     for family in (Family.HARMONIC_1D, Family.HARMONIC_2D):
         spec = default_spec(family)
@@ -172,13 +164,27 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
         grid = choose_domain(effective_problem(spec), 4, n_points=160)
         oracle[family] = build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
     route_spec, route_grid, _ = block[Family.HARMONIC_1D]
-    *lams, route = solve_many([(pair.dtd_operator(), 4) for _, _, pair in block.values()]
-                              + [(ham.pair.dtd_operator(), ham.pair.size) for ham in oracle.values()]
-                              + [SolveRequest(route_spec, 4, route_grid)])
+    # The partner spectra of the isospectrality models; the D^T D values of
+    # the block-route models; for each dense-oracle model on N = 160, all its
+    # D^T D values and every eigenvalue of its interleaved 2N block matrix;
+    # and the route-equivalence solve on the 1D block-route grid.
+    solved = iter((yield [(op, 6) for pair in pairs.values() for op in (pair.dtd_operator(), pair.ddt_operator())]
+                   + [(pair.dtd_operator(), 4) for _, _, pair in block.values()]
+                   + [request for ham in oracle.values()
+                      for request in ((ham.pair.dtd_operator(), ham.pair.size), (ham.operator(), None))]
+                   + [SolveRequest(route_spec, 4, route_grid)]))
+    reports = {family: isospectrality_report(pair, next(solved), next(solved)) for family, pair in pairs.items()}
+    for family, report in reports.items():
+        rel = report["max_rel_mismatch"]
+        out.append(CheckResult(
+            "susy", f"isospectrality {family.value}", rel <= ISOSPECTRAL_REL,
+            f"nonzero partner spectra agree to {rel:.3e} "
+            f"(kernels {report['kernel_dim_dtd']}/{report['kernel_dim_ddt']})"))
     # D^T D lowest eigenvalues of each block-route model, as (spec, grid, pair,
     # values) for the ladder-integers and route-equivalence checks below.
     dtd_lowest = {}
-    for (family, (spec, grid, pair)), lam in zip(block.items(), lams):
+    for family, (spec, grid, pair) in block.items():
+        lam = next(solved)
         dtd_lowest[family] = spec, grid, pair, lam
         branches = block_branches(build_block_hamiltonian(pair, spec.mc2), lam)
         pos = branches[branches > 0]
@@ -189,8 +195,13 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             "susy", f"block-route {family.value}", rel <= BLOCK_REL and sym == 0.0,
             f"block energies vs closed form: max rel {rel:.3e} (tol {BLOCK_REL:.1e}); "
             f"negation symmetry dev {sym:.1e}"))
-    for (family, ham), lam in zip(oracle.items(), lams[len(block):]):
-        dense = np.linalg.eigvalsh(ham.to_dense())
+    # The oracle's values come from sterf on the block operator, through the
+    # same solve_many driver and LAPACK seam as the route it checks. They are
+    # the bits of numpy.linalg.eigvalsh on the dense 2N matrix only while
+    # max|H| lies in [2^-485, 2^485] (see solver._lapack_seam), which holds
+    # for both models here; the detail line keeps its dense wording.
+    for family, ham in oracle.items():
+        lam, dense = next(solved), next(solved)
         fact = block_branches(ham, lam)
         dev = float(np.max(np.abs(dense - fact) / np.maximum(1.0, np.abs(dense))))
         mirror = -dense[::-1]
@@ -217,7 +228,7 @@ def _suite_susy(tolerance: float) -> List[CheckResult]:
             f"ladder commutator Rayleigh quotients off 1 by {dev:.3e} (tol {COMMUTATOR_ABS:.1e})"))
     spec, grid, _, lam = dtd_lowest[Family.HARMONIC_1D]
     e2_susy = spec.mc2 ** 2 + spec.params.c ** 2 * lam
-    _, problem, eigenvalues, _ = route
+    _, problem, eigenvalues, _ = next(solved)
     e2_num = spectrum_table(problem, eigenvalues).e2_values()
     rel = float(np.max(np.abs(e2_susy - e2_num) / e2_num))
     out.append(CheckResult(
@@ -296,15 +307,16 @@ def nonrel_check(family: Family) -> CheckResult:
     return CheckResult("nonrel", f"limit {family.value}", passed, detail)
 
 
-def _suite_nonrel(tolerance: float) -> List[CheckResult]:
+def _suite_nonrel(tolerance: float):
+    yield []  # closed forms only: nothing to solve
     return [nonrel_check(family) for family in Family]
 
 
-def _suite_pair(tolerance: float) -> List[CheckResult]:
+def _suite_pair(tolerance: float):
     out = []
     families = (Family.HARMONIC_1D, Family.ISOTONIC_1D)
-    solved = iter(solve_many([SolveRequest(default_spec(family), 4, n_points=n_points, vectors=True)
-                              for family in families for n_points in (4000, 8000)]))
+    solved = iter((yield [SolveRequest(default_spec(family), 4, n_points=n_points, vectors=True)
+                          for family in families for n_points in (4000, 8000)]))
     for family in families:
         spec = default_spec(family)
         residuals = {}
@@ -340,12 +352,48 @@ def available_suites() -> List[str]:
 
 
 def run_suite(suite: str, tolerance: float = DEFAULT_TOLERANCE) -> List[CheckResult]:
-    """Run one suite (or all of them) and return the check results."""
+    """Run one suite (or all of them) and return the check results.
+
+    Each suite is a generator: it yields one list of solve_many requests,
+    is sent their answers, and returns its checks. The selected suites are
+    primed in order, one solve_many batch answers all their requests, and
+    each suite then runs its checks on its slice, in order. A suite that
+    raises while it builds its requests ends the priming; the suites before
+    it still run their checks, and then its exception is raised. A batch
+    that raises does not say whose request failed, so each suite's slice is
+    then solved on its own, in order; if every slice then solves and no
+    suite raises, the batch's exception is raised all the same, so a
+    failure seen once is never returned as a pass. Otherwise the checks
+    returned, or the exception raised, are those of running the suites one
+    by one.
+    """
     if suite == "all":
-        results = []
-        for name in SUITES:
-            results.extend(SUITES[name](tolerance))
-        return results
-    if suite not in SUITES:
+        names = list(SUITES)
+    elif suite in SUITES:
+        names = [suite]
+    else:
         raise ValueError(f"unknown suite {suite!r}; expected one of: {', '.join(available_suites())}")
-    return SUITES[suite](tolerance)
+    runs, batches, failure, batch_failure = [], [], None, None
+    for name in names:
+        run = SUITES[name](tolerance)
+        try:
+            batches.append(next(run))
+        except Exception as exc:  # raised once the suites before it have run their checks
+            failure = exc
+            break
+        runs.append(run)
+    try:
+        answers = iter(solve_many([request for batch in batches for request in batch]))
+    except Exception as exc:  # raised below unless solving the slices one by one raises first
+        answers, batch_failure = None, exc
+    results = []
+    for run, batch in zip(runs, batches):
+        try:
+            run.send(solve_many(batch) if answers is None else [next(answers) for _ in batch])
+        except StopIteration as stop:
+            results.extend(stop.value)
+    if failure is not None:
+        raise failure
+    if batch_failure is not None:
+        raise batch_failure
+    return results

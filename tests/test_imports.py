@@ -122,7 +122,7 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-LAPACK = {"dstebz", "dstein", "_flapack", "_lapack"}
+LAPACK = {"dstebz", "dstein", "dsterf", "_flapack", "_lapack"}
 SOLVE_STEPS = {"discretize", "eigen_lowest"}
 
 
@@ -155,9 +155,9 @@ def package_callers(names: set) -> set:
 
 
 def test_only_the_seam_calls_lapack():
-    """Every LAPACK call goes through solver._stebz_lowest, which scales the operator first:
-    only it calls _lapack's dstebz and dstein, and only _lapack calls _flapack."""
-    assert package_callers(LAPACK) == {("solver.py", "_stebz_lowest"), ("solver.py", "_lapack")}
+    """Every LAPACK call goes through solver._lapack_seam, which scales the operator for stebz and stein:
+    only it calls _lapack's dstebz, dstein and dsterf, and only _lapack calls _flapack."""
+    assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_lapack")}
 
 
 def test_finds_lapack_callers():

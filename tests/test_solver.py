@@ -4,6 +4,7 @@ import importlib.machinery
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -36,7 +37,7 @@ from relqosc import (
 )
 from relqosc import solver, verify
 from relqosc.models import RadialProblem, default_spec
-from relqosc.solver import Grid, TridiagonalOperator, _first_extremum_sign, _stebz_lowest, eigenvalues_lowest
+from relqosc.solver import Grid, TridiagonalOperator, _first_extremum_sign, _lapack_seam, eigenvalues_lowest
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -93,11 +94,12 @@ def free_problem(length: float) -> RadialProblem:
 
 
 # The positions, among each routine's ctypes arguments, of what _flapack's
-# wrapper returns: dstebz's (m, w, iblock, isplit, info) and dstein's (z, info).
-RETURNED = {"dstebz": (10, 12, 13, 14, 17), "dstein": (7, 12)}
+# wrapper returns: dstebz's (m, w, iblock, isplit, info), dstein's (z, info)
+# and dsterf's (vals, info).
+RETURNED = {"dstebz": (10, 12, 13, 14, 17), "dstein": (7, 12), "dsterf": (1, 3)}
 
 
-def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
+def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out, sterf=lambda out: out):
     """Make the solver's LAPACK routines run through fakes, and return a record of their calls.
 
     Each fake wraps a routine that solver._lapack() returns and runs the real
@@ -129,15 +131,15 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out):
 
         return routine
 
-    fakes = {"dstebz": fake("dstebz", stebz), "dstein": fake("dstein", stein)}
+    fakes = {"dstebz": fake("dstebz", stebz), "dstein": fake("dstein", stein), "dsterf": fake("dsterf", sterf)}
     monkeypatch.setattr(solver, "_lapack", lambda: fakes)
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     return types.SimpleNamespace(calls=calls)
 
 
 def run_seam(op: TridiagonalOperator, k: int, eigvals_only: bool):
-    """What solver._stebz_lowest returns, with each of its LAPACK calls run on this thread."""
-    seam = _stebz_lowest(op, k, eigvals_only)
+    """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread."""
+    seam = _lapack_seam(op, k, eigvals_only)
     try:
         while True:
             next(seam)(np.empty(5 * op.size), np.empty(3 * op.size, np.intc))
@@ -415,6 +417,12 @@ class TestEigenvaluesLowest:
         with pytest.raises(SolverError, match="stebz"):
             solve(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 2)
 
+    @pytest.mark.parametrize("info, error", [(1, SolverError), (-3, ValueError)], ids=["failure", "illegal-argument"])
+    def test_sterf_info_raises(self, monkeypatch, info, error):
+        patch_lapack(monkeypatch, sterf=lambda out: (out[0], info))
+        with pytest.raises(error, match="LAPACK sterf"):
+            solver.solve_many([(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), None)])
+
     @pytest.mark.parametrize("routine, fault", [
         ("stebz", dict(stebz=lambda out: (*out[:4], -3))),
         ("stein", dict(stein=lambda out: (out[0], -3))),
@@ -430,7 +438,7 @@ class TestEigenvaluesLowest:
         d, e = np.full(5, 2.0), np.full(4, -1.0)
         (d if where == "diag" else e)[2] = value
         op = TridiagonalOperator(d, e)
-        for solve in (eigenvalues_lowest, eigen_lowest):
+        for solve in (eigenvalues_lowest, eigen_lowest, lambda op, k: solver.solve_many([(op, None)])):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve(op, 2)
 
@@ -440,6 +448,13 @@ class TestEigenvaluesLowest:
         for solve in (eigenvalues_lowest, eigen_lowest):
             with pytest.raises(SolverError, match="bisection returned 2 values, 0 of them finite"):
                 solve(op, 2)
+        assert not recwarn.list
+
+    def test_all_values_past_the_float_range_raise(self, recwarn):
+        """sterf scales the operator itself, but its largest value, 2.4e308, lies past the float range."""
+        op = TridiagonalOperator(np.full(3, 1e308), np.full(2, 1e308))
+        with pytest.raises(SolverError, match="sterf returned 3 values, 2 of them finite"):
+            solver.solve_many([(op, None)])
         assert not recwarn.list
 
     @pytest.mark.parametrize("e_max", [1.35e154, 1e300])  # sqrt of the largest float is 1.34e154
@@ -665,10 +680,19 @@ class TestLatestSolve:
 
     def test_verify_all_bisects_each_operator_once(self, monkeypatch):
         """block-route keeps the D^T D values of its solves for ladder-integers and
-        route-equivalence, and kernel-dimension reads the kernels of the isospectrality solves."""
+        route-equivalence, kernel-dimension reads the kernels of the isospectrality solves,
+        and every suite's solves, the dense oracles' sterf included, run in one batch."""
+        batches = []
+
+        def counted(requests):
+            batches.append(len(requests))
+            return solver.solve_many(requests)
+
+        monkeypatch.setattr(verify, "solve_many", counted)
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("all"))
-        assert fake.calls == {"dstebz": 24, "dstein": 4}
+        assert fake.calls == {"dstebz": 24, "dstein": 4, "dsterf": 2}
+        assert batches == [26]
 
     def test_pair_suite_tables_come_from_its_own_eigenpairs(self, monkeypatch):
         """The pair suite maps the values of its eigenpair solves to E^2 and never asks numeric_spectrum."""
@@ -871,11 +895,13 @@ def test_lapack_runs_without_the_gil():
 
 
 def solve_outcome(request):
-    """solve, or eigenvalues_lowest for an (operator, k) pair, run alone with no latest solve; or its exception."""
+    """solve, eigenvalues_lowest for an (operator, k) pair or the seam's sterf for an (operator, None) pair,
+    run alone with no latest solve; or its exception."""
     solver._latest_model_solve = None
     try:
         if isinstance(request[0], TridiagonalOperator):
-            return eigenvalues_lowest(*request)
+            op, k = request
+            return run_seam(op, None, True) if k is None else eigenvalues_lowest(op, k)
         return solver.solve(*request)
     except (SolverError, ValueError) as exc:
         return exc
@@ -954,7 +980,8 @@ class TestSolveMany:
         assert_batch_matches_serial([solver.SolveRequest(default_spec(family), 5, vectors=vectors)
                                      for family in Family])
 
-    @given(st.lists(solve_requests() | operators_and_k(), min_size=1, max_size=5))
+    @given(st.lists(solve_requests() | operators_and_k() | operators_and_k().map(lambda case: (case[0], None)),
+                    min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_drawn_models(self, requests):
         latest = solver._latest_model_solve
@@ -1003,6 +1030,23 @@ class TestSolveMany:
                                for spec, n in zip(ALL_SPECS, (200, 300, 400, 500))])
         assert fake.calls == {"dstebz": 4, "dstein": 3}
         assert sorted(stein_sizes) == [200, 400, 500]
+
+    def test_largest_operator_last(self, monkeypatch):
+        """With the largest operator requested last, on one lane, each answer keeps its bits and its place."""
+        def op(n):
+            return TridiagonalOperator(np.linspace(1.0, 2.0, n), np.full(n - 1, -1.0))
+
+        requests = [(op(50), 4), (op(30), None), (op(120), 2), (op(60), 4), (op(400), 3)]
+        want = [solve_outcome(request) for request in requests]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for g, w in zip(solver.solve_many(requests), want):
+            assert_same_answer(g, w)
+
+    def test_verify_all_on_one_cpu(self, monkeypatch):
+        """run_suite("all") on one lane gives the checks, and so the bits, it gives on every lane the process may use."""
+        want = run_suite("all")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_suite("all") == want
 
     def test_concurrent_batches(self):
         """Batches from more threads than CPUs, each on more lanes than one, keep every answer's bits."""

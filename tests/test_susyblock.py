@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from relqosc import (
@@ -20,8 +23,9 @@ from relqosc import (
     pair_superpotential,
     susy_isospectrality_check,
 )
-from relqosc.solver import Grid
-from relqosc.susyblock import SupersymmetricPair
+from relqosc.models import default_spec
+from relqosc.solver import Grid, solve_many
+from relqosc.susyblock import BlockHamiltonian, SupersymmetricPair, isospectrality_report
 from relqosc.verify import COMMUTATOR_ABS
 
 ALL_SPECS = [
@@ -122,7 +126,41 @@ class TestSupercharge:
         assert effective_problem(isotonic).delta == pytest.approx(2.8)
 
 
+def oracle_hamiltonian(family: Family) -> BlockHamiltonian:
+    """The block Hamiltonian of verify's dense-oracle check: the family's default model on N = 160."""
+    spec = default_spec(family)
+    grid = choose_domain(effective_problem(spec), 4, n_points=160)
+    return build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# Entries and rest energies across decades, with max|H| inside [2^-485, 2^485],
+# where numpy.linalg.eigvalsh's dsyevd does not scale the matrix first.
+@st.composite
+def block_hamiltonians(draw):
+    n = draw(st.integers(3, 400))
+    scale = 10.0 ** draw(st.integers(-140, 140))
+    d_diag = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0))) * scale
+    d_super = draw(arrays(np.float64, n - 1, elements=st.floats(-1.0, 1.0))) * scale
+    c = 10.0 ** draw(st.integers(-3, 3))
+    mc2 = draw(st.floats(0.5, 5.0)) * 10.0 ** draw(st.integers(-140, 140))
+    return BlockHamiltonian(SupersymmetricPair(d_diag, d_super, h=1.0, delta=1.0, c=c), mc2)
+
+
 class TestBlockHamiltonian:
+    @given(block_hamiltonians())
+    @example(oracle_hamiltonian(Family.HARMONIC_1D))
+    @example(oracle_hamiltonian(Family.ISOTONIC_2D))
+    @settings(max_examples=100, deadline=None)
+    def test_all_values_are_the_bits_of_dense_eigvalsh(self, ham):
+        """LAPACK sterf on the interleaved operator is the last step of eigvalsh on the dense matrix."""
+        op = ham.operator()
+        assert 2.0 ** -485 <= max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag))) <= 2.0 ** 485
+        assert bits(solve_many([(op, None)])[0]) == bits(np.linalg.eigvalsh(ham.to_dense()))
+
     def test_interleaved_layout(self):
         pair = toy_pair()
         dense = build_block_hamiltonian(pair, mc2=1.5).to_dense()
@@ -163,6 +201,12 @@ class TestBlockHamiltonian:
 
 
 class TestSpectralRelations:
+    def test_isospectrality_report_from_given_values(self):
+        """One value under KERNEL_LADDER_TOL delta on the D^T D side counts as kernel; the rest pair up in order."""
+        pair = toy_pair()  # delta = 2
+        report = isospectrality_report(pair, np.array([1e-5, 1.0, 4.0]), np.array([1.0, 4.0 + 4e-12, 9.0]))
+        assert report == {"kernel_dim_dtd": 1, "kernel_dim_ddt": 0, "max_rel_mismatch": pytest.approx(1e-12)}
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
     def test_partner_isospectrality(self, spec):
         grid = choose_domain(effective_problem(spec), 6, n_points=2000)
