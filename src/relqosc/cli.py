@@ -415,6 +415,8 @@ def cmd_ajc(cfg: RunConfig) -> int:
     for i, lam in enumerate(eigenvalues):
         lam = max(lam, 0.0)
         ata = lam / delta
+        if not math.isfinite(ata):
+            raise ValueError(f"A+A rung {lam:g}/delta is not finite at delta={delta:g}")
         is_kernel = ata < KERNEL_LADDER_TOL
         e2 = mc2 ** 2 + c2 * lam
         e_plus = math.sqrt(e2)
@@ -489,8 +491,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.tolerance is not None and args.suite not in ("spectrum", "all"):
                 raise ValueError(f"--tolerance is read only by the spectrum suite, not by --suite {args.suite}")
             tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-            if not tolerance > 0:
-                raise ValueError("tolerance must be positive")
+            if not 0 < tolerance < math.inf:
+                raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
             return cmd_verify(args.suite, tolerance)
         cfg = make_config(args)
         if args.command == "spectrum":

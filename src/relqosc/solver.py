@@ -428,8 +428,10 @@ def _run_lanes(calls, n: int) -> list:
     return errors
 
 
-def _eigenpairs(op: TridiagonalOperator, lam: np.ndarray, vec: np.ndarray, p: int) -> List[EigenResult]:
-    """eigen_lowest's eigenpairs from the seam's values, vectors and scale exponent p."""
+def _eigenpairs(op: TridiagonalOperator, k: int):
+    """eigen_lowest's eigenpairs: a generator that runs _lapack_seam's eigenpair request and returns them
+    from the seam's values, vectors and scale exponent p."""
+    lam, vec, p = yield from _lapack_seam(op, k, False)
     scaled = TridiagonalOperator(np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p))
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
     # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
@@ -453,18 +455,20 @@ def _eigenpairs(op: TridiagonalOperator, lam: np.ndarray, vec: np.ndarray, p: in
 def _lowest_many(jobs) -> list:
     """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job; with k None, all eigenvalues.
 
-    Each job's _lapack_seam runs side by side with the others: each round
-    advances every unfinished seam, on this thread, to its next LAPACK
-    call, runs those calls on _run_lanes, with scratch for the largest
-    operator, and resumes each seam with None or throws its call's
-    exception into it. So every stebz and sterf call runs, then the stein
-    calls of the jobs with vectors whose stebz check passed. Raises the
-    exception of the first failing job, in job order, once every call has
-    returned.
+    Each job's _lapack_seam, through _eigenpairs for a job with vectors,
+    runs side by side with the others: each round advances every
+    unfinished seam, on this thread, to its next LAPACK call, runs those
+    calls on _run_lanes, with scratch for the largest operator, and resumes
+    each seam with None or throws its call's exception into it. So every
+    stebz and sterf call runs, then the stein calls of the jobs with vectors
+    whose stebz check passed. Once every call has returned, each job is
+    answered in its own place: with its result, or with the exception that
+    its seam, a LAPACK call or _eigenpairs' residual bound raised for it.
+    Nothing is raised for the batch.
     """
-    seams = [_lapack_seam(op, k, not vectors) for op, k, vectors in jobs]
+    seams = [_eigenpairs(op, k) if vectors else _lapack_seam(op, k, True) for op, k, vectors in jobs]
     n = max((op.size for op, _, _ in jobs), default=0)
-    results = [None] * len(seams)
+    answers = [None] * len(seams)
     # Each unfinished seam with what it resumes with: None, or its last call's exception.
     resume = dict.fromkeys(range(len(seams)))
     while resume:
@@ -473,16 +477,19 @@ def _lowest_many(jobs) -> list:
             try:
                 calls[i] = seams[i].send(None) if exc is None else seams[i].throw(exc)
             except StopIteration as stop:
-                results[i] = stop.value
-            except Exception as failure:  # raised below, once every call has returned
-                results[i] = failure
+                answers[i] = stop.value
+            except Exception as failure:  # the job's answer
+                answers[i] = failure
         resume = dict(zip(calls, _run_lanes(list(calls.values()), n))) if calls else {}
-    out = []
-    for (op, _, vectors), result in zip(jobs, results):
-        if isinstance(result, Exception):
-            raise result
-        out.append(_eigenpairs(op, *result) if vectors else result)
-    return out
+    return answers
+
+
+def raise_first(answers: list) -> list:
+    """The answers of solve_many or _lowest_many, unless one is an exception: then the first of those is raised."""
+    for answer in answers:
+        if isinstance(answer, Exception):
+            raise answer
+    return answers
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
@@ -493,7 +500,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    return _lowest_many([(op, k, False)])[0]
+    return raise_first(_lowest_many([(op, k, False)]))[0]
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
@@ -507,7 +514,7 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     computed on the operator the seam scaled by 2^-p, where no product
     overflows, and the residual is reported in T's own units.
     """
-    return _lowest_many([(op, k, True)])[0]
+    return raise_first(_lowest_many([(op, k, True)]))[0]
 
 
 # The latest solve as ((spec, grid, k), its eigenvalues as a tuple of floats),
@@ -529,7 +536,7 @@ class SolveRequest(NamedTuple):
 
 
 def solve_many(requests) -> list:
-    """Independent solves side by side, each answered with the bits it gets on its own.
+    """Independent solves side by side, each answered in its own place with the bits it gets on its own.
 
     A request is a SolveRequest, answered with what solve returns for it;
     an (operator, k) pair, answered with eigenvalues_lowest(operator, k); or
@@ -537,15 +544,17 @@ def solve_many(requests) -> list:
     from LAPACK sterf (see _lapack_seam). This thread builds every operator,
     allocates every array, checks every LAPACK result and does all the work
     on values and vectors; only the LAPACK calls, which release the GIL, run
-    side by side (_run_lanes), so a batch of one starts no thread. A batch
-    raises the exception of its first failing request, in request order,
-    once every LAPACK call has returned. A values-only SolveRequest whose
-    (spec, grid, k) equals that of the latest solve as the batch began runs
-    no LAPACK; after a batch that returns, the latest solve is its last
-    SolveRequest, and a batch that raises leaves it.
+    side by side (_run_lanes), so a batch of one starts no thread. A request
+    that fails, while its operator is built, in a LAPACK call or in a check,
+    is answered with the exception it raises on its own, and every other
+    request is answered all the same: solve_many raises nothing for the
+    batch, and raise_first raises the first failure of its answers. A
+    values-only SolveRequest whose (spec, grid, k) equals that of the latest
+    solve as the batch began runs no LAPACK; the batch's last SolveRequest
+    answered without an exception becomes the latest solve.
     """
     global _latest_model_solve
-    latest, jobs, plans, failure = _latest_model_solve, [], [], None
+    latest, jobs, plans = _latest_model_solve, [], []
     for request in requests:
         try:
             if isinstance(request[0], TridiagonalOperator):
@@ -558,31 +567,26 @@ def solve_many(requests) -> list:
             if grid is None:
                 grid = choose_domain(problem, k, n_points, x_max)
             key = (spec, grid, k)
-            hit = not vectors and latest is not None and latest[0] == key
-            if not hit:
+            # The latest solve's entry, where it answers this request without LAPACK.
+            hit = latest if not vectors and latest is not None and latest[0] == key else None
+            if hit is None:
                 jobs.append((discretize(problem, grid), k, vectors))
-            plans.append((grid, problem, key, hit, vectors))
-        except Exception as exc:  # raised below unless an earlier request fails first
-            failure = exc
-            break
+            plans.append((grid, problem, key, vectors, hit))
+        except Exception as exc:  # the request's answer
+            plans.append(exc)
     solved = iter(_lowest_many(jobs))
-    if failure is not None:
-        raise failure
     out, entry = [], None
     for plan in plans:
-        if plan is None:
-            out.append(next(solved))
+        if not isinstance(plan, tuple):  # an operator's request (None), or the exception that answers a request
+            out.append(next(solved) if plan is None else plan)
             continue
-        grid, problem, key, hit, vectors = plan
-        results = None
-        if hit:
-            entry = latest
-        elif vectors:
-            results = next(solved)
-            entry = (key, tuple(r.eigenvalue for r in results))
-        else:
-            entry = (key, tuple(next(solved).tolist()))
-        out.append((grid, problem, entry[1], results))
+        grid, problem, key, vectors, hit = plan
+        answer = None if hit else next(solved)
+        if isinstance(answer, Exception):
+            out.append(answer)
+            continue
+        entry = hit or (key, tuple(r.eigenvalue for r in answer) if vectors else tuple(answer.tolist()))
+        out.append((grid, problem, entry[1], answer if vectors else None))
     if entry is not None:
         _latest_model_solve = entry
     return out
@@ -597,9 +601,10 @@ def solve(spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = 
     work always runs and its eigenpairs are returned; otherwise only
     eigenvalues are computed, and none when the latest solve had an equal
     (spec, grid, k). Every successful solve becomes the latest; one that
-    raises leaves it. This is solve_many's one-request case.
+    raises leaves it. This is solve_many's one-request case: it raises the
+    exception solve_many answers the request with.
     """
-    return solve_many([SolveRequest(spec, k, grid, n_points, x_max, vectors)])[0]
+    return raise_first(solve_many([SolveRequest(spec, k, grid, n_points, x_max, vectors)]))[0]
 
 
 def numeric_levels(

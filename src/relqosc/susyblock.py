@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .models import ModelSpec, effective_problem, pair_superpotential, superpotential
-from .solver import Grid, TridiagonalOperator, eigenvalues_lowest, solve_many
+from .solver import Grid, TridiagonalOperator, eigenvalues_lowest, raise_first, solve_many
 
 __all__ = [
     "KERNEL_LADDER_TOL",
@@ -171,7 +171,7 @@ def block_branches(hamiltonian: BlockHamiltonian, lam: np.ndarray) -> np.ndarray
 
 def susy_isospectrality_check(pair: SupersymmetricPair, k: int) -> Dict[str, object]:
     """isospectrality_report on the k lowest eigenvalues of D^T D and D D^T, solved in one batch."""
-    return isospectrality_report(pair, *solve_many([(pair.dtd_operator(), k), (pair.ddt_operator(), k)]))
+    return isospectrality_report(pair, *raise_first(solve_many([(pair.dtd_operator(), k), (pair.ddt_operator(), k)])))
 
 
 def isospectrality_report(pair: SupersymmetricPair, dtd: np.ndarray, ddt: np.ndarray) -> Dict[str, object]:

@@ -21,6 +21,7 @@ from .solver import (
     SolverError,
     choose_domain,
     numeric_spectrum,
+    raise_first,
     residual_pair_check,
     solve_many,
     spectrum_table,
@@ -356,16 +357,13 @@ def run_suite(suite: str, tolerance: float = DEFAULT_TOLERANCE) -> List[CheckRes
 
     Each suite is a generator: it yields one list of solve_many requests,
     is sent their answers, and returns its checks. The selected suites are
-    primed in order, one solve_many batch answers all their requests, and
-    each suite then runs its checks on its slice, in order. A suite that
-    raises while it builds its requests ends the priming; the suites before
-    it still run their checks, and then its exception is raised. A batch
-    that raises does not say whose request failed, so each suite's slice is
-    then solved on its own, in order; if every slice then solves and no
-    suite raises, the batch's exception is raised all the same, so a
-    failure seen once is never returned as a pass. Otherwise the checks
-    returned, or the exception raised, are those of running the suites one
-    by one.
+    primed in order, one solve_many batch answers all their requests, each
+    in its own place, and each suite then runs its checks on its slice, in
+    order; a slice with a failed answer raises its first failure, through
+    raise_first, before its suite runs a check. A suite that raises while
+    it builds its requests ends the priming; the suites before it still run
+    their checks, and then its exception is raised. So the checks returned,
+    or the exception raised, are those of running the suites one by one.
     """
     if suite == "all":
         names = list(SUITES)
@@ -373,7 +371,7 @@ def run_suite(suite: str, tolerance: float = DEFAULT_TOLERANCE) -> List[CheckRes
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of: {', '.join(available_suites())}")
-    runs, batches, failure, batch_failure = [], [], None, None
+    runs, batches, failure = [], [], None
     for name in names:
         run = SUITES[name](tolerance)
         try:
@@ -382,18 +380,13 @@ def run_suite(suite: str, tolerance: float = DEFAULT_TOLERANCE) -> List[CheckRes
             failure = exc
             break
         runs.append(run)
-    try:
-        answers = iter(solve_many([request for batch in batches for request in batch]))
-    except Exception as exc:  # raised below unless solving the slices one by one raises first
-        answers, batch_failure = None, exc
+    answers = iter(solve_many([request for batch in batches for request in batch]))
     results = []
     for run, batch in zip(runs, batches):
         try:
-            run.send(solve_many(batch) if answers is None else [next(answers) for _ in batch])
+            run.send(raise_first([next(answers) for _ in batch]))
         except StopIteration as stop:
             results.extend(stop.value)
     if failure is not None:
         raise failure
-    if batch_failure is not None:
-        raise batch_failure
     return results

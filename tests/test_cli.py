@@ -190,6 +190,11 @@ class TestValidationExits:
             # E_0^2 = (mc^2)^2 = 1e-320 is subnormal, and the relative error divides by it
             ("spectrum", "--family", "2d-iso", "--m", "1e-160", "--levels", "2", "--grid-max", "3", "--format", "json"),
             ("ajc", "--family", "2d-iso", "--m", "1e-160", "--levels", "2", "--grid-max", "3"),
+            # an A+A rung lambda/delta past the float range
+            ("ajc", "--family", "2d-ho", "--delta", "1e-320", "--levels", "2"),
+            ("ajc", "--family", "1d-ho", "--delta", "1e-310", "--levels", "2"),
+            # a tolerance that bounds nothing
+            ("verify", "--suite", "spectrum", "--tolerance", "inf"),
         ],
     )
     def test_bad_input_exits_2(self, run_main, capsys, recwarn, args):

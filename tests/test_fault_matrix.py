@@ -12,7 +12,9 @@ return or raise what running the suites one by one does.
 """
 
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 from relqosc import analytic, models, solver, susyblock, verify
@@ -152,15 +154,21 @@ def refused_build(*args, **kwargs):
     raise ValueError("planted failure while the susy suite builds its requests")
 
 
-def lapack_with_failing_stebz(real):
-    """solver._lapack with every dstebz call reporting failure (INFO, its 18th argument, set to 1)."""
+def lapack_with_failing_stebz(real, victim=None):
+    """solver._lapack with dstebz reporting failure (INFO, its 18th argument, set to 1) on every call,
+    or, given a victim operator, on that operator alone, which the seam hands dstebz scaled by 2^-p."""
+    if victim is not None:
+        p = math.frexp(np.max(np.abs(np.concatenate((victim.diag, victim.offdiag)))))[1]
+        victim_diag = np.ldexp(victim.diag, -p)
+
     def lapack():
         routines = dict(real())
         stebz = routines["dstebz"]
 
         def failing(*args):
             stebz(*args)
-            args[17].value = 1
+            if victim is None or np.array_equal(args[8], victim_diag):
+                args[17].value = 1
 
         routines["dstebz"] = failing
         return routines
@@ -183,22 +191,22 @@ def test_build_failure_after_the_suites_before_it(monkeypatch, module, name, pla
     assert error is want[0] and want[1] in message
 
 
-@pytest.mark.parametrize("suite", ["all", "spectrum"])
-def test_batch_failure_that_does_not_repeat_is_raised(monkeypatch, suite):
-    """The first solve_many call, the combined batch, raises; solving each suite's slice
-    again then succeeds. run_suite still raises the batch's exception rather than
-    returning the checks as passes."""
-    real = verify.solve_many
-    calls = []
+def test_lapack_failure_of_a_later_suite_in_the_one_batch(monkeypatch):
+    """dstebz fails on one request of the pair suite, the last suite that solves: its 1d-iso
+    model at N = 8000. Run one by one, each suite makes one solve_many call, the spectrum and
+    susy suites pass, and the pair suite raises. run_suite("all") makes one solve_many call
+    of all 26 requests, and raises the same exception."""
+    spec = models.default_spec(models.Family.ISOTONIC_1D)
+    problem = models.effective_problem(spec)
+    victim = solver.discretize(problem, solver.choose_domain(problem, 4, n_points=8000))
+    monkeypatch.setattr(solver, "_lapack", lapack_with_failing_stebz(solver._lapack, victim))
+    real, batches = verify.solve_many, []
 
-    def fails_once(requests):
-        calls.append(len(requests))
-        if len(calls) == 1:
-            raise SolverError("planted failure of the combined batch")
+    def counted(requests):
+        batches.append(len(requests))
         return real(requests)
 
-    monkeypatch.setattr(verify, "solve_many", fails_once)
-    monkeypatch.setattr(solver, "_latest_model_solve", None)
-    with pytest.raises(SolverError, match="planted failure of the combined batch"):
-        verify.run_suite(suite)
-    assert len(calls) == (len(verify.SUITES) if suite == "all" else 1) + 1
+    monkeypatch.setattr(verify, "solve_many", counted)
+    error, message = same_as_one_by_one(monkeypatch)
+    assert error is SolverError and message == "tridiagonal eigensolve failed: LAPACK stebz returned info=1"
+    assert batches == [7, 15, 0, 4, 26]

@@ -1,5 +1,5 @@
 """Import hygiene: every name a package or test module imports is read in it; only the LAPACK seam calls LAPACK,
-and only solver.solve builds and solves a model's finite-difference operator."""
+only solver.solve builds and solves a model's finite-difference operator, and verify solves at one call site."""
 
 import ast
 from pathlib import Path
@@ -135,18 +135,23 @@ def called_name(func: ast.expr):
     return getattr(func, "id", None)
 
 
-def callers(tree: ast.Module, names: set) -> set:
-    """Functions that call any of names, by name, attribute or string key; "<module>" for a call outside any function."""
-    found = set()
+def call_sites(tree: ast.Module, names: set) -> list:
+    """(function, line) of each call of any of names, by name, attribute or string key; "<module>" for a call outside any function."""
+    found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and called_name(child.func) in names:
-                found.add(owner)
+                found.append((owner, child.lineno))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "<module>")
     return found
+
+
+def callers(tree: ast.Module, names: set) -> set:
+    """Functions that call any of names, by name, attribute or string key; "<module>" for a call outside any function."""
+    return {owner for owner, _ in call_sites(tree, names)}
 
 
 def package_callers(names: set) -> set:
@@ -175,6 +180,22 @@ def test_finds_lapack_callers():
         "    return _flapack, lapack.dstebz, routines['dstebz'], routines[name](), routines[0]()\n"
     )
     assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner", "keyed"}
+
+
+def test_verify_solves_in_one_place():
+    """run_suite answers every suite's requests with one solve_many call, and verify calls it nowhere else."""
+    tree = ast.parse((ROOT / "src" / "relqosc" / "verify.py").read_text(encoding="utf-8"))
+    assert [owner for owner, _ in call_sites(tree, {"solve_many"})] == ["run_suite"]
+
+
+def test_finds_call_sites():
+    tree = ast.parse(
+        "def run(batch):\n"
+        "    answers = solve_many(batch)\n"
+        "    return answers or solver.solve_many(batch)\n"
+        "solve_many\n"
+    )
+    assert call_sites(tree, {"solve_many"}) == [("run", 2), ("run", 3)]
 
 
 def test_only_solve_builds_and_solves_the_model_operator():

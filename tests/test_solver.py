@@ -420,8 +420,8 @@ class TestEigenvaluesLowest:
     @pytest.mark.parametrize("info, error", [(1, SolverError), (-3, ValueError)], ids=["failure", "illegal-argument"])
     def test_sterf_info_raises(self, monkeypatch, info, error):
         patch_lapack(monkeypatch, sterf=lambda out: (out[0], info))
-        with pytest.raises(error, match="LAPACK sterf"):
-            solver.solve_many([(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), None)])
+        [got] = solver.solve_many([(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), None)])
+        assert type(got) is error and "LAPACK sterf" in str(got)
 
     @pytest.mark.parametrize("routine, fault", [
         ("stebz", dict(stebz=lambda out: (*out[:4], -3))),
@@ -438,7 +438,7 @@ class TestEigenvaluesLowest:
         d, e = np.full(5, 2.0), np.full(4, -1.0)
         (d if where == "diag" else e)[2] = value
         op = TridiagonalOperator(d, e)
-        for solve in (eigenvalues_lowest, eigen_lowest, lambda op, k: solver.solve_many([(op, None)])):
+        for solve in (eigenvalues_lowest, eigen_lowest, lambda op, k: solver.raise_first(solver.solve_many([(op, None)]))):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve(op, 2)
 
@@ -453,8 +453,8 @@ class TestEigenvaluesLowest:
     def test_all_values_past_the_float_range_raise(self, recwarn):
         """sterf scales the operator itself, but its largest value, 2.4e308, lies past the float range."""
         op = TridiagonalOperator(np.full(3, 1e308), np.full(2, 1e308))
-        with pytest.raises(SolverError, match="sterf returned 3 values, 2 of them finite"):
-            solver.solve_many([(op, None)])
+        [got] = solver.solve_many([(op, None)])
+        assert type(got) is SolverError and str(got) == "sterf returned 3 values, 2 of them finite"
         assert not recwarn.list
 
     @pytest.mark.parametrize("e_max", [1.35e154, 1e300])  # sqrt of the largest float is 1.34e154
@@ -908,6 +908,9 @@ def solve_outcome(request):
 
 
 def assert_same_answer(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
     if isinstance(want, np.ndarray):
         assert bits(got) == bits(want)
         return
@@ -920,21 +923,16 @@ def assert_same_answer(got, want):
 
 
 def assert_batch_matches_serial(requests):
-    """solve_many answers every request with its lone solve's bits, or raises the first lone failure, in request order."""
+    """solve_many answers every request in its own place: with its lone solve's bits, or with an
+    exception of the type and message that its lone solve raises."""
     want = [solve_outcome(request) for request in requests]
-    failures = [w for w in want if isinstance(w, Exception)]
     solver._latest_model_solve = None
     before = threading.active_count()
-    try:
-        got = solver.solve_many(requests)
-    except (SolverError, ValueError) as exc:
-        assert failures and (type(exc), str(exc)) == (type(failures[0]), str(failures[0]))
-    else:
-        assert not failures
-        assert len(got) == len(requests)
-        for g, w in zip(got, want):
-            assert_same_answer(g, w)
+    got = solver.solve_many(requests)
     assert threading.active_count() == before
+    assert len(got) == len(requests)
+    for g, w in zip(got, want):
+        assert_same_answer(g, w)
 
 
 def drawn_scale(lo_decade: int, hi_decade: int):
@@ -971,8 +969,9 @@ def refusing_stebz(size: int):
 
 
 class TestSolveMany:
-    """solve_many answers each request with the bits that solve (or eigenvalues_lowest) gives it
-    alone, and every helper thread it starts has ended when it returns or raises."""
+    """solve_many answers each request in its own place, with the bits that solve (or eigenvalues_lowest)
+    gives it alone or with the exception it raises alone, and every helper thread it starts has ended
+    when it returns."""
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_default_models(self, monkeypatch, vectors):
@@ -996,19 +995,25 @@ class TestSolveMany:
         (solver.SolveRequest(ALL_SPECS[0], 4, n_points=300, vectors=True), SolverError, "stebz returned info=1"),
     ], ids=["building", "seam-check", "lapack"])
     def test_second_request_failure_is_raised(self, monkeypatch, bad, error, match):
-        """The batch raises its second request's exception, as that request's lone solve does,
-        once every lane has ended, and leaves the latest solve. stebz reports failure on the
-        operators of 300 and 500 points: the bad request's where it reaches stebz, and the third request's."""
+        """The batch answers its second request with the exception that request's lone solve
+        raises, answers the first and third in their places, once every lane has ended, and
+        raise_first raises the second's. stebz reports failure on the operators of 300 and 500
+        points: the bad request's where it reaches stebz, and the third request's. The first
+        request, answered last without an exception, becomes the latest solve."""
         good = solver.SolveRequest(ALL_SPECS[1], 4, n_points=400, vectors=True)
         patch_lapack(monkeypatch, stebz=failing_stebz(300, 500))
-        solver.solve(*good)
-        entry, before = solver._latest_model_solve, threading.active_count()
-        with pytest.raises(error, match=match) as got:
-            solver.solve_many([good, bad, solver.SolveRequest(ALL_SPECS[2], 3, n_points=500)])
-        assert threading.active_count() == before
-        assert solver._latest_model_solve is entry
         want = solve_outcome(bad)
-        assert (type(got.value), str(got.value)) == (type(want), str(want))
+        first = solver.solve(*good)
+        entry, before = solver._latest_model_solve, threading.active_count()
+        answers = solver.solve_many([good, bad, solver.SolveRequest(ALL_SPECS[2], 3, n_points=500)])
+        assert threading.active_count() == before
+        assert_same_answer(answers[0], first)
+        assert isinstance(want, error)
+        assert_same_answer(answers[1], want)
+        assert_same_answer(answers[2], SolverError("tridiagonal eigensolve failed: LAPACK stebz returned info=1"))
+        with pytest.raises(error, match=match):
+            solver.raise_first(answers)
+        assert solver._latest_model_solve == entry and solver._latest_model_solve is not entry
 
     @pytest.mark.parametrize("fault, error, match", [
         (failing_stebz(300), SolverError, "stebz returned info=1"),
@@ -1017,19 +1022,26 @@ class TestSolveMany:
     def test_failed_stebz_skips_only_its_stein(self, monkeypatch, fault, error, match):
         """In one batch of eigenpair requests every stebz call runs, then the stein calls of all
         but the request whose stebz result fails its check, or whose stebz call raised on its lane;
-        the batch raises that request's exception."""
+        the batch answers that request with its exception and the others with their eigenpairs,
+        and every helper thread has ended."""
         stein_sizes = []
 
         def record(out):
             stein_sizes.append(out[0].shape[0])
             return out
 
+        requests = [solver.SolveRequest(spec, 4, n_points=n, vectors=True)
+                    for spec, n in zip(ALL_SPECS, (200, 300, 400, 500))]
         fake = patch_lapack(monkeypatch, stebz=fault, stein=record)
-        with pytest.raises(error, match=match):
-            solver.solve_many([solver.SolveRequest(spec, 4, n_points=n, vectors=True)
-                               for spec, n in zip(ALL_SPECS, (200, 300, 400, 500))])
+        before = threading.active_count()
+        answers = solver.solve_many(requests)
+        assert threading.active_count() == before
         assert fake.calls == {"dstebz": 4, "dstein": 3}
         assert sorted(stein_sizes) == [200, 400, 500]
+        for i in (0, 2, 3):
+            assert_same_answer(answers[i], solve_outcome(requests[i]))
+        with pytest.raises(error, match=match):
+            solver.raise_first(answers)
 
     def test_largest_operator_last(self, monkeypatch):
         """With the largest operator requested last, on one lane, each answer keeps its bits and its place."""
