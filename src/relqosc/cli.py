@@ -408,8 +408,9 @@ def cmd_ajc(cfg: RunConfig) -> int:
     eigenvalues = eigenvalues_lowest(pair.dtd_operator(), k).tolist()
     mc2 = spec.mc2
     c2 = spec.params.c ** 2
+    # Kernel rows are judged on the problem's own ladder scale; --delta scales only the ata column.
     ground_shift = analytic_e2(spec, 0) - mc2 ** 2
-    genuine_kernel = ground_shift <= c2 * delta * KERNEL_LADDER_TOL
+    genuine_kernel = ground_shift <= c2 * problem.delta * KERNEL_LADDER_TOL
     rows = []
     next_n = 0
     for i, lam in enumerate(eigenvalues):
@@ -417,7 +418,7 @@ def cmd_ajc(cfg: RunConfig) -> int:
         ata = lam / delta
         if not math.isfinite(ata):
             raise ValueError(f"A+A rung {lam:g}/delta is not finite at delta={delta:g}")
-        is_kernel = ata < KERNEL_LADDER_TOL
+        is_kernel = lam / problem.delta < KERNEL_LADDER_TOL
         e2 = mc2 ** 2 + c2 * lam
         e_plus = math.sqrt(e2)
         if is_kernel and not genuine_kernel:
@@ -477,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma separated light speeds (default %(default)s, the nonrel suite's)")
     p_ajc = sub.add_parser("ajc", parents=[model, grid], help="ladder route: A+A rungs and paired energies")
     p_ajc.add_argument("--delta", type=float, help="ladder normalization: A+A rung = D^T D eigenvalue / delta "
-                       "(default 4*m*omega in the harmonic families, 4*a in the isotonic ones)")
+                       "(default 4*m*omega in the harmonic families, 4*a in the isotonic ones); it scales only "
+                       "the ata column, kernel rows are judged on the default scale")
     return parser
 
 

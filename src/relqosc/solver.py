@@ -22,7 +22,9 @@ solve_many is the one model-level solve: effective problem, domain, operator,
 LAPACK, for a batch of independent requests; solve is its one-request case.
 numeric_levels, numeric_spectrum, the CLI's spectrum and wavefunction
 commands and the verify suites all go through it; it also takes bare
-operators, for their k lowest eigenvalues or for all of them. A values-only
+operators, for their k lowest eigenvalues or eigenpairs or for all their
+eigenvalues, and it is the only code that drives the LAPACK seam:
+eigenvalues_lowest and eigen_lowest are its one-request cases. A values-only
 model-level solve reuses the eigenvalues of the latest solve of an equal
 (spec, grid, k); every other request runs LAPACK.
 This route never touches the closed forms: it imports only the Level and
@@ -39,7 +41,7 @@ either. The solver takes each routine's address from its f2py wrapper, and
 _lapack_seam, the only code that knows their arguments, calls them through
 ctypes with the arguments the wrapper would pass, so the results are the
 same bits; unlike the wrapper, ctypes releases the GIL for the length of the
-call. So _lowest_many runs the LAPACK calls of a batch's independent
+call. So solve_many runs the LAPACK calls of a batch's independent
 operators side by side, on up to one thread per CPU the process may use,
 while the calling thread builds every operator, allocates every array
 (helper threads would each grow a malloc arena of their own) and does all
@@ -299,17 +301,17 @@ def _lapack():
             for name, argtypes in signatures.items()}
 
 
-def _lapack_seam(op: TridiagonalOperator, k: Optional[int], eigvals_only: bool):
-    """LAPACK stebz for the k smallest eigenvalues, ascending, with stein vectors and p unless eigvals_only;
-    with k None, sterf for every eigenvalue, ascending.
+def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False):
+    """LAPACK stebz for the k smallest eigenvalues, ascending, or with vectors stein for their eigenpairs,
+    as eigen_lowest returns them; with k None, sterf for every eigenvalue, ascending.
 
     A generator, and the only code that knows the arguments of dstebz,
     dstein and dsterf. It allocates every array they write, on the calling
     thread, and yields each call as call(work, iwork) over _lapack()'s
     routine, to run without the GIL on any thread with scratch of at least
     5N doubles and 3N ints (sterf uses none). Resumed with None, or with the
-    call's exception thrown in, it reads the output back itself, and
-    returns the result.
+    call's exception thrown in, it reads the output back itself, checks it,
+    and returns the answer.
 
     stebz and stein do not scale their input, so both run on 2^-p T, with p
     the binary exponent of the largest |entry| of T: its entries lie below 1
@@ -318,7 +320,10 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], eigvals_only: bool):
     the same stebz call, in block order as stein needs, raise SolverError
     before any stein call unless it gave k values that are finite in T's
     units, and sort them by one stable argsort, so values and eigenpairs are
-    the same bits. The calls, arguments and checks are those of
+    the same bits. Each eigenpair's residual and its bound are taken on
+    2^-p T, against the returned value scaled by 2^-p, and the residual is
+    reported in T's units; the vector is signed and h-normalized as
+    EigenResult states. The calls, arguments and checks are those of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
     lapack_driver="stebz") on 2^-p T; on every operator that stebz does not
     split into blocks, whose off-diagonal squares are normal floats, whose
@@ -379,13 +384,30 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], eigvals_only: bool):
             f"of them finite, for k={k}"
         )
     order = np.argsort(w, kind="stable")
-    if eigvals_only:
+    if not vectors:
         return lam[order]
     z, ifail = np.empty((n, k), order="F"), np.empty(k, np.intc)
     yield lambda work, iwork: lapack["dstein"](
         ctypes.c_int(n), d, e, ctypes.c_int(k), w, iblock, isplit, z, ctypes.c_int(n), work, iwork, ifail, info)
     _check_info(info.value, "stein")
-    return lam[order], z[:, order], p
+    scaled = TridiagonalOperator(d, e)
+    # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
+    # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
+    # Evaluating the residual itself rounds at a few eps ||T||, which sets the
+    # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
+    bound = max(math.sqrt(n), RESIDUAL_FLOOR) * np.finfo(float).eps * scaled.norm_inf()
+    results = []
+    for idx, j in enumerate(order):
+        u = z[:, j]
+        res = float(np.linalg.norm(scaled.matvec(u) - np.ldexp(lam[j], -p) * u) / np.linalg.norm(u))
+        if not res <= bound:  # a NaN residual fails too
+            raise SolverError(
+                f"inverse iteration for eigenvalue index {idx} left residual "
+                f"{np.ldexp(res, p):.3e} above bound {np.ldexp(bound, p):.3e}"
+            )
+        v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
+        results.append(EigenResult(eigenvalue=float(lam[j]), vector=v, residual=float(np.ldexp(res, p))))
+    return results
 
 
 def _run_lanes(calls, n: int) -> list:
@@ -428,64 +450,8 @@ def _run_lanes(calls, n: int) -> list:
     return errors
 
 
-def _eigenpairs(op: TridiagonalOperator, k: int):
-    """eigen_lowest's eigenpairs: a generator that runs _lapack_seam's eigenpair request and returns them
-    from the seam's values, vectors and scale exponent p."""
-    lam, vec, p = yield from _lapack_seam(op, k, False)
-    scaled = TridiagonalOperator(np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p))
-    # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
-    # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
-    # Evaluating the residual itself rounds at a few eps ||T||, which sets the
-    # floor on tiny grids (measured up to 2.3 eps ||T|| at N = 3).
-    bound = max(math.sqrt(op.size), RESIDUAL_FLOOR) * np.finfo(float).eps * scaled.norm_inf()
-    results = []
-    for idx in range(lam.size):
-        u = vec[:, idx]
-        res = float(np.linalg.norm(scaled.matvec(u) - np.ldexp(lam[idx], -p) * u) / np.linalg.norm(u))
-        if not res <= bound:  # a NaN residual fails too
-            raise SolverError(
-                f"inverse iteration for eigenvalue index {idx} left residual "
-                f"{np.ldexp(res, p):.3e} above bound {np.ldexp(bound, p):.3e}"
-            )
-        v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
-        results.append(EigenResult(eigenvalue=float(lam[idx]), vector=v, residual=float(np.ldexp(res, p))))
-    return results
-
-
-def _lowest_many(jobs) -> list:
-    """The k lowest eigenvalues, or with vectors the eigenpairs, of each (operator, k, vectors) job; with k None, all eigenvalues.
-
-    Each job's _lapack_seam, through _eigenpairs for a job with vectors,
-    runs side by side with the others: each round advances every
-    unfinished seam, on this thread, to its next LAPACK call, runs those
-    calls on _run_lanes, with scratch for the largest operator, and resumes
-    each seam with None or throws its call's exception into it. So every
-    stebz and sterf call runs, then the stein calls of the jobs with vectors
-    whose stebz check passed. Once every call has returned, each job is
-    answered in its own place: with its result, or with the exception that
-    its seam, a LAPACK call or _eigenpairs' residual bound raised for it.
-    Nothing is raised for the batch.
-    """
-    seams = [_eigenpairs(op, k) if vectors else _lapack_seam(op, k, True) for op, k, vectors in jobs]
-    n = max((op.size for op, _, _ in jobs), default=0)
-    answers = [None] * len(seams)
-    # Each unfinished seam with what it resumes with: None, or its last call's exception.
-    resume = dict.fromkeys(range(len(seams)))
-    while resume:
-        calls = {}
-        for i, exc in resume.items():
-            try:
-                calls[i] = seams[i].send(None) if exc is None else seams[i].throw(exc)
-            except StopIteration as stop:
-                answers[i] = stop.value
-            except Exception as failure:  # the job's answer
-                answers[i] = failure
-        resume = dict(zip(calls, _run_lanes(list(calls.values()), n))) if calls else {}
-    return answers
-
-
 def raise_first(answers: list) -> list:
-    """The answers of solve_many or _lowest_many, unless one is an exception: then the first of those is raised."""
+    """The answers of solve_many, unless one is an exception: then the first of those is raised."""
     for answer in answers:
         if isinstance(answer, Exception):
             raise answer
@@ -500,7 +466,7 @@ def eigenvalues_lowest(op: TridiagonalOperator, k: int) -> np.ndarray:
     residual is needed. The values equal those of eigen_lowest(op, k)
     exactly. Raises SolverError unless bisection returns k finite values.
     """
-    return raise_first(_lowest_many([(op, k, False)]))[0]
+    return raise_first(solve_many([(op, k)]))[0]
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
@@ -514,7 +480,7 @@ def eigen_lowest(op: TridiagonalOperator, k: int) -> List[EigenResult]:
     computed on the operator the seam scaled by 2^-p, where no product
     overflows, and the residual is reported in T's own units.
     """
-    return raise_first(_lowest_many([(op, k, True)]))[0]
+    return raise_first(solve_many([(op, k, True)]))[0]
 
 
 # The latest solve as ((spec, grid, k), its eigenvalues as a tuple of floats),
@@ -538,58 +504,68 @@ class SolveRequest(NamedTuple):
 def solve_many(requests) -> list:
     """Independent solves side by side, each answered in its own place with the bits it gets on its own.
 
-    A request is a SolveRequest, answered with what solve returns for it;
-    an (operator, k) pair, answered with eigenvalues_lowest(operator, k); or
-    an (operator, None) pair, answered with all its eigenvalues, ascending,
-    from LAPACK sterf (see _lapack_seam). This thread builds every operator,
-    allocates every array, checks every LAPACK result and does all the work
-    on values and vectors; only the LAPACK calls, which release the GIL, run
-    side by side (_run_lanes), so a batch of one starts no thread. A request
-    that fails, while its operator is built, in a LAPACK call or in a check,
-    is answered with the exception it raises on its own, and every other
-    request is answered all the same: solve_many raises nothing for the
-    batch, and raise_first raises the first failure of its answers. A
-    values-only SolveRequest whose (spec, grid, k) equals that of the latest
-    solve as the batch began runs no LAPACK; the batch's last SolveRequest
-    answered without an exception becomes the latest solve.
+    A request is a SolveRequest, answered with what solve returns for it, or
+    an operator's request in the form (operator, k[, vectors]) that
+    _lapack_seam takes: (operator, k) is answered with
+    eigenvalues_lowest(operator, k), (operator, k, True) with
+    eigen_lowest(operator, k), and (operator, None) with all its
+    eigenvalues, ascending, from LAPACK sterf. This thread builds every
+    operator, allocates every array, checks every LAPACK result and does all
+    the work on values and vectors: each round advances every unfinished
+    seam to its next LAPACK call, runs those calls side by side on
+    _run_lanes, with scratch for the largest operator, and resumes each seam
+    with None or throws its call's exception into it. Only the LAPACK calls,
+    which release the GIL, run off this thread, so a batch of one starts no
+    thread. A request that fails, while its operator is built, in a LAPACK
+    call or in a check, is answered with the exception it raises on its
+    own, and every other request is answered all the same: solve_many
+    raises nothing for the batch, and raise_first raises the first failure
+    of its answers. A values-only SolveRequest whose (spec, grid, k) equals
+    that of the latest solve as the batch began runs no LAPACK; the batch's
+    last SolveRequest answered without an exception becomes the latest solve.
     """
     global _latest_model_solve
-    latest, jobs, plans = _latest_model_solve, [], []
-    for request in requests:
+    latest, answers, seams, plans, n = _latest_model_solve, [], {}, {}, 0
+    for i, request in enumerate(requests):
+        answers.append(None)
         try:
             if isinstance(request[0], TridiagonalOperator):
-                op, k = request
-                jobs.append((op, k, False))
-                plans.append(None)
-                continue
-            spec, k, grid, n_points, x_max, vectors = request
-            problem = effective_problem(spec)
-            if grid is None:
-                grid = choose_domain(problem, k, n_points, x_max)
-            key = (spec, grid, k)
-            # The latest solve's entry, where it answers this request without LAPACK.
-            hit = latest if not vectors and latest is not None and latest[0] == key else None
-            if hit is None:
-                jobs.append((discretize(problem, grid), k, vectors))
-            plans.append((grid, problem, key, vectors, hit))
+                op, job = request[0], request[1:]
+            else:
+                spec, k, grid, n_points, x_max, vectors = request
+                problem = effective_problem(spec)
+                if grid is None:
+                    grid = choose_domain(problem, k, n_points, x_max)
+                key = (spec, grid, k)
+                plans[i] = (grid, problem, key, vectors)
+                if not vectors and latest is not None and latest[0] == key:
+                    continue  # the latest solve's entry answers it without LAPACK
+                op, job = discretize(problem, grid), (k, vectors)
+            seams[i], n = _lapack_seam(op, *job), max(n, op.size)
         except Exception as exc:  # the request's answer
-            plans.append(exc)
-    solved = iter(_lowest_many(jobs))
-    out, entry = [], None
-    for plan in plans:
-        if not isinstance(plan, tuple):  # an operator's request (None), or the exception that answers a request
-            out.append(next(solved) if plan is None else plan)
-            continue
-        grid, problem, key, vectors, hit = plan
-        answer = None if hit else next(solved)
+            answers[i] = exc
+    # Each unfinished seam with what it resumes with: None, or its last call's exception.
+    resume = dict.fromkeys(seams)
+    while resume:
+        calls = {}
+        for i, exc in resume.items():
+            try:
+                calls[i] = seams[i].send(None) if exc is None else seams[i].throw(exc)
+            except StopIteration as stop:
+                answers[i] = stop.value
+            except Exception as failure:  # the request's answer
+                answers[i] = failure
+        resume = dict(zip(calls, _run_lanes(list(calls.values()), n))) if calls else {}
+    entry = None
+    for i, (grid, problem, key, vectors) in plans.items():
+        answer = answers[i]
         if isinstance(answer, Exception):
-            out.append(answer)
             continue
-        entry = hit or (key, tuple(r.eigenvalue for r in answer) if vectors else tuple(answer.tolist()))
-        out.append((grid, problem, entry[1], answer if vectors else None))
+        entry = (key, tuple(r.eigenvalue for r in answer) if vectors else tuple(answer.tolist())) if i in seams else latest
+        answers[i] = (grid, problem, entry[1], answer if vectors else None)
     if entry is not None:
         _latest_model_solve = entry
-    return out
+    return answers
 
 
 def solve(spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = DEFAULT_N_POINTS, x_max: Optional[float] = None,

@@ -728,6 +728,18 @@ class TestAjc:
         assert len(spurious) == 1
         assert spurious[0]["n"] == "" and spurious[0]["e2_analytic"] == ""
 
+    @pytest.mark.parametrize("family", ["1d-iso", "2d-ho"])
+    @pytest.mark.parametrize("delta", ["1e300", "1e-9"])
+    def test_delta_scales_only_the_ata_column(self, run_main, family, delta):
+        """Kernel rows are judged on the problem's own ladder scale, whatever --delta the user gives."""
+        columns = ("kernel", "n", "e2_analytic", "rel_err")
+
+        def labels(*extra):
+            _, rows = parse_csv(run_main("ajc", "--family", family, "--levels", "3", *extra, check=True).stdout)
+            return [tuple(row[c] for c in columns) for row in rows]
+
+        assert labels("--delta", delta) == labels()
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, run_main, tmp_path):

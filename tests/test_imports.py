@@ -165,6 +165,12 @@ def test_only_the_seam_calls_lapack():
     assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_lapack")}
 
 
+def test_only_solve_many_drives_the_seam():
+    """solver.solve_many is the one driver of every LAPACK seam: eigenvalues_lowest and eigen_lowest
+    are its one-request cases, and the seam itself returns each request's checked answer."""
+    assert package_callers({"_lapack_seam"}) == {("solver.py", "solve_many")}
+
+
 def test_finds_lapack_callers():
     tree = ast.parse(
         "lapack = _flapack()\n"

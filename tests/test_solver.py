@@ -137,9 +137,9 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out, ster
     return types.SimpleNamespace(calls=calls)
 
 
-def run_seam(op: TridiagonalOperator, k: int, eigvals_only: bool):
+def run_seam(op: TridiagonalOperator, k: int, vectors: bool = False):
     """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread."""
-    seam = _lapack_seam(op, k, eigvals_only)
+    seam = _lapack_seam(op, k, vectors)
     try:
         while True:
             next(seam)(np.empty(5 * op.size), np.empty(3 * op.size, np.intc))
@@ -484,7 +484,8 @@ def oracle_operators():
 class TestLapackCalls:
     """The direct LAPACK calls on 2^-p T reproduce scipy.linalg.eigh_tridiagonal's stebz route
     bit for bit on operators that stebz does not split into blocks: the values equal its
-    values on T, the vectors its vectors on 2^-p T, the operator stein sees."""
+    values on T, the vectors its vectors on 2^-p T, the operator stein sees, signed and
+    h-normalized as EigenResult states."""
 
     @pytest.mark.parametrize("op", oracle_operators())
     def test_bit_identical_to_eigh_tridiagonal(self, op):
@@ -494,11 +495,13 @@ class TestLapackCalls:
         for k in sorted({k for k in (1, 5, 8) if k <= n} | ({n} if n <= 160 else set())):
             kwargs = dict(select="i", select_range=(0, k - 1), lapack_driver="stebz")
             want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, **kwargs)
-            assert run_seam(op, k, eigvals_only=True).tolist() == want.tolist()
+            assert run_seam(op, k).tolist() == want.tolist()
             _, want_vec = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
-            lam, vec, got_p = run_seam(op, k, eigvals_only=False)
-            assert lam.tolist() == want.tolist() and got_p == p
-            assert np.array_equal(vec, want_vec)
+            pairs = run_seam(op, k, vectors=True)
+            assert [r.eigenvalue for r in pairs] == want.tolist()
+            for r, u in zip(pairs, want_vec.T):
+                v = u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))
+                assert np.array_equal(r.vector.view(np.int64), v.view(np.int64))
 
     def test_solve_then_import_scipy_linalg(self):
         got = run_fresh("""
@@ -766,9 +769,12 @@ class TestLatestSolve:
     def test_returned_and_operator_arrays_are_not_aliased(self):
         op = small_operator()
         want = bits(eigenvalues_lowest(op, 3))
-        run_seam(op, 3, eigvals_only=True)[:] = 0.0
-        run_seam(op, 3, eigvals_only=False)[0][:] = 0.0
+        want_vectors = [r.vector.copy() for r in eigen_lowest(op, 3)]
+        run_seam(op, 3)[:] = 0.0
+        for r in run_seam(op, 3, vectors=True):
+            r.vector[:] = 0.0
         assert bits(eigenvalues_lowest(op, 3)) == want
+        assert all(np.array_equal(r.vector, v) for r, v in zip(eigen_lowest(op, 3), want_vectors))
         op.diag[0] += 1.0
         assert bits(eigenvalues_lowest(op, 3)) != want
 
@@ -895,16 +901,26 @@ def test_lapack_runs_without_the_gil():
 
 
 def solve_outcome(request):
-    """solve, eigenvalues_lowest for an (operator, k) pair or the seam's sterf for an (operator, None) pair,
-    run alone with no latest solve; or its exception."""
+    """solve, eigenvalues_lowest for an (operator, k) pair, eigen_lowest for an (operator, k, True)
+    triple or the seam's sterf for an (operator, None) pair, run alone with no latest solve; or its
+    exception."""
     solver._latest_model_solve = None
     try:
         if isinstance(request[0], TridiagonalOperator):
-            op, k = request
-            return run_seam(op, None, True) if k is None else eigenvalues_lowest(op, k)
+            op, k, *vectors = request
+            if k is None:
+                return run_seam(op, None)
+            return eigen_lowest(op, k) if vectors else eigenvalues_lowest(op, k)
         return solver.solve(*request)
     except (SolverError, ValueError) as exc:
         return exc
+
+
+def assert_same_pairs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert bits([a.eigenvalue, a.residual]) == bits([b.eigenvalue, b.residual])
+        assert np.array_equal(a.vector, b.vector)
 
 
 def assert_same_answer(got, want):
@@ -914,12 +930,13 @@ def assert_same_answer(got, want):
     if isinstance(want, np.ndarray):
         assert bits(got) == bits(want)
         return
+    if isinstance(want, list):
+        assert_same_pairs(got, want)
+        return
     grid, problem, values, pairs = got
     assert grid == want[0] and bits(values) == bits(want[2])
     assert (pairs is None) == (want[3] is None)
-    for a, b in zip(pairs or (), want[3] or ()):
-        assert bits([a.eigenvalue, a.residual]) == bits([b.eigenvalue, b.residual])
-        assert np.array_equal(a.vector, b.vector)
+    assert_same_pairs(pairs or [], want[3] or [])
 
 
 def assert_batch_matches_serial(requests):
@@ -979,8 +996,8 @@ class TestSolveMany:
         assert_batch_matches_serial([solver.SolveRequest(default_spec(family), 5, vectors=vectors)
                                      for family in Family])
 
-    @given(st.lists(solve_requests() | operators_and_k() | operators_and_k().map(lambda case: (case[0], None)),
-                    min_size=1, max_size=5))
+    @given(st.lists(solve_requests() | operators_and_k() | operators_and_k().map(lambda case: (*case, True))
+                    | operators_and_k().map(lambda case: (case[0], None)), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_drawn_models(self, requests):
         latest = solver._latest_model_solve
