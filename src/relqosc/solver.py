@@ -3,16 +3,17 @@
 The effective problem -u'' + V u = lambda u is discretized on a uniform
 Dirichlet grid with the standard 3-point stencil, giving a symmetric
 tridiagonal matrix whose lowest eigenvalues are found by Sturm-sequence
-bisection (LAPACK stebz). Neither stebz nor stein scales its input, so the
-one LAPACK seam (_lapack_seam) hands them 2^-p T, with 2^p just above the
-largest |entry| of T, and scales the values back by 2^p: a power of two is
-exact, so the size of T's entries alone does not make a solve fail.
-Values-only (eigenvalues_lowest) and eigenpair (eigen_lowest) requests make
-the same single stebz call and sort its values the same way, so both return
-the same bits; on the operators that _lapack_seam names, these equal the
-values of scipy.linalg.eigh_tridiagonal. All the eigenvalues of an
-operator come from LAPACK sterf, the last step of numpy.linalg.eigvalsh,
-on unscaled copies of its diagonals (sterf scales each block itself).
+bisection: LAPACK dstebz, made of its own steps on its bisection kernel
+dlaebz. Neither the bisection nor stein scales its input, so the one LAPACK
+seam (_lapack_seam) hands them 2^-p T, with 2^p just above the largest
+|entry| of T, and scales the values back by 2^p: a power of two is exact,
+so the size of T's entries alone does not make a solve fail. Values-only
+(eigenvalues_lowest) and eigenpair (eigen_lowest) requests make the same
+bisection and sort its values the same way, so both return the same bits;
+on the operators that _lapack_seam names, these equal the values of
+scipy.linalg.eigh_tridiagonal. All the eigenvalues of an operator come from
+LAPACK sterf, the last step of numpy.linalg.eigvalsh, on unscaled copies of
+its diagonals (sterf scales each block itself).
 Bisection certifies each value to its absolute tolerance without any
 eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
@@ -33,19 +34,22 @@ size the domain and map lambda to E^2, so agreement with it is a genuine
 cross-check (verify.convergence_order).
 
 scipy.linalg is never imported. The three LAPACK routines are the Fortran
-dstebz, dstein and dsterf that scipy's compiled LAPACK wrapper module wraps
-(scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), which the
-solver loads on its own at the first eigensolve, without running the package
-initialisation of scipy or scipy.linalg: scipy itself is never imported
-either. The solver takes each routine's address from its f2py wrapper, and
+dstein and dsterf that scipy's compiled LAPACK wrapper module wraps
+(scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), and
+dlaebz from the LAPACK library that module links, next to its dstebz. The
+solver loads the module on its own at the first eigensolve, without running
+the package initialisation of scipy or scipy.linalg: scipy itself is never
+imported either. It takes dstein's and dsterf's addresses from their f2py
+wrappers and dlaebz's from the library through the module's handle, and
 _lapack_seam, the only code that knows their arguments, calls them through
-ctypes with the arguments the wrapper would pass, so the results are the
-same bits; unlike the wrapper, ctypes releases the GIL for the length of the
-call. So solve_many runs the LAPACK calls of a batch's independent
-operators side by side, on up to one thread per CPU the process may use,
-while the calling thread builds every operator, allocates every array
-(helper threads would each grow a malloc arena of their own) and does all
-the checking and the work on values and vectors.
+ctypes with the arguments the wrapper or dstebz would pass, so the results
+are the same bits; ctypes releases the GIL for the length of each call. So
+solve_many runs the LAPACK calls of a batch's independent operators side by
+side, on up to one thread per CPU the process may use, and splits one
+operator's bisection over the CPUs its batch leaves it, while the calling
+thread builds every operator, allocates every array (helper threads would
+each grow a malloc arena of their own) and does all the checking and the
+work on values and vectors.
 Commands that only evaluate closed forms (spectrum --method analytic,
 nonrel) load no LAPACK at all. A later `import scipy.linalg` reuses the
 module the solver loaded, and the solver reuses one already imported.
@@ -58,7 +62,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -269,14 +273,18 @@ def _check_info(info: int, routine: str) -> None:
 
 @functools.cache
 def _lapack():
-    """{"dstebz": ..., "dstein": ..., "dsterf": ...}: the Fortran routines behind _flapack's wrappers, as ctypes functions.
+    """{"dlaebz": ..., "dstein": ..., "dsterf": ...}: the Fortran routines the seam calls, as ctypes functions.
 
-    Each f2py wrapper's _cpointer capsule holds the address of the routine
-    it calls. The ctypes functions take the routine's own arguments: every
-    scalar by reference, arrays checked for dtype, rank and layout, and the
-    hidden length of each character argument as a size_t after the others.
-    ctypes releases the GIL for the length of each call, which the f2py
-    wrappers hold.
+    dstein and dsterf are the routines behind _flapack's f2py wrappers: each
+    wrapper's _cpointer capsule holds the address of the routine it calls.
+    dlaebz, the bisection kernel of dstebz, has no wrapper. It is looked up
+    through the handle of _flapack's own shared object, whose symbol search
+    covers the LAPACK library that object links, under the name prefix of
+    that library's dstebz (scipy_dlaebz_ where scipy_dstebz_ resolves, else
+    plain dlaebz_); ImportError names it when it is missing. The ctypes
+    functions take the routine's own arguments: every scalar by reference,
+    arrays checked for dtype, rank and layout. ctypes releases the GIL for
+    the length of each call, which the f2py wrappers hold.
     """
     import ctypes
 
@@ -284,12 +292,13 @@ def _lapack():
 
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    c_int, c_double, c_size_t = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
+    c_int, c_double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
     doubles, ints = ndpointer(np.float64, 1, flags="C"), ndpointer(np.intc, 1, flags="C")
     signatures = {
-        # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
-        "dstebz": (ctypes.c_char_p, ctypes.c_char_p, c_int, c_double, c_double, c_int, c_int, c_double, doubles,
-                   doubles, c_int, c_int, doubles, ints, ints, doubles, ints, c_int, c_size_t, c_size_t),
+        # IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO
+        "dlaebz": (c_int, c_int, c_int, c_int, c_int, c_int, c_double, c_double, c_double, doubles, doubles, doubles,
+                   ints, ndpointer(np.float64, 2, flags="F"), doubles, c_int, ndpointer(np.intc, 2, flags="F"),
+                   doubles, ints, c_int),
         # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
         "dstein": (c_int, doubles, doubles, c_int, doubles, ints, ints, ndpointer(np.float64, 2, flags="F"),
                    c_int, doubles, ints, ints, c_int),
@@ -297,42 +306,199 @@ def _lapack():
         "dsterf": (c_int, doubles, doubles, c_int),
     }
     module = _flapack()
-    return {name: ctypes.CFUNCTYPE(None, *argtypes)(address(getattr(module, name)._cpointer, None))
-            for name, argtypes in signatures.items()}
+    routines = {name: address(getattr(module, name)._cpointer, None) for name in ("dstein", "dsterf")}
+    library = ctypes.CDLL(module.__file__)
+    laebz = "scipy_dlaebz_" if hasattr(library, "scipy_dstebz_") else "dlaebz_"
+    if not hasattr(library, laebz):
+        raise ImportError(f"LAPACK routine {laebz} not found next to dstebz in {module.__file__}", name=_FLAPACK)
+    routines["dlaebz"] = ctypes.cast(getattr(library, laebz), ctypes.c_void_p).value
+    return {name: ctypes.CFUNCTYPE(None, *argtypes)(routines[name]) for name, argtypes in signatures.items()}
 
 
-def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False):
-    """LAPACK stebz for the k smallest eigenvalues, ascending, or with vectors stein for their eigenpairs,
-    as eigen_lowest returns them; with k None, sterf for every eigenvalue, ascending.
+# dstebz's FUDGE and RELFAC * ULP, with ULP = DLAMCH('P') and SAFEMN = DLAMCH('S').
+_FUDGE, _ULP, _SAFEMIN = 2.1, float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_RTOL = 2.0 * _ULP
 
-    A generator, and the only code that knows the arguments of dstebz,
+
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> Tuple[float, float]:
+    """The ends (GL, GU) of the Gershgorin interval of the tridiagonal matrix (d, e >= 0), summed in dstebz's order."""
+    row = np.empty_like(d)
+    row[0] = d[0]
+    np.add(d[1:], e, out=row[1:])
+    row[:-1] += e
+    gu = max(float(d[0]), float(row.max()))
+    row[0] = d[0]
+    np.subtract(d[1:], e, out=row[1:])
+    row[:-1] -= e
+    return min(float(d[0]), float(row.min())), gu
+
+
+def _itmax(width: float, pivmin: float) -> int:
+    """dstebz's iteration bound for bisecting an interval of the given width."""
+    return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+
+
+class _Intervals:
+    """The interval arrays of one dlaebz call, allocated on the calling thread.
+
+    Each interval is a row (lower end, upper end, Sturm count at the lower,
+    count at the upper) of AB and NAB, with room for mmax rows (at least one
+    per eigenvalue, so bisection never runs out of room); an index search
+    (IJOB 3) starts from the points C and looks for the counts NVAL.
+    """
+
+    def __init__(self, rows: list, points=(), targets=(), mmax: Optional[int] = None):
+        import ctypes
+
+        # dlaebz writes each row past the first minp before it reads it.
+        self.minp, self.mmax = len(rows), mmax or len(rows)
+        self.ab = np.empty((self.mmax, 2), order="F")
+        self.nab = np.empty((self.mmax, 2), np.intc, order="F")
+        self.ab[:self.minp] = [row[:2] for row in rows]
+        self.nab[:self.minp] = [row[2:] for row in rows]
+        self.c = np.empty(self.mmax)
+        self.c[:len(points)] = points
+        self.nval = np.array(targets or [0], np.intc)
+        self.mout, self.info = ctypes.c_int(), ctypes.c_int()
+
+    def rows(self, count: int) -> list:
+        return [(lo, hi, nlo, nhi) for (lo, hi), (nlo, nhi) in zip(self.ab[:count].tolist(), self.nab[:count].tolist())]
+
+
+def _room(rows: list) -> int:
+    """Rows for every interval that bisecting the given ones can make: one per eigenvalue, one per empty interval."""
+    return sum(max(nhi - nlo, 1) for _, _, nlo, nhi in rows)
+
+
+@dataclass(eq=False)
+class _Block:
+    """One block of the matrix as dstebz splits it, bisected by dlaebz.
+
+    d, e and e2 (the off-diagonal squares, 0 at a split) start at the
+    block's first row; number counts blocks from 1; below marks a block
+    that lies below WL. A bisected block has its absolute tolerance atol,
+    its starting interval start, its iteration budget itmax, of which used
+    are spent, its open intervals, and those done, each with whether it
+    converged; offset maps its counts to positions in W.
+    """
+
+    number: int
+    d: np.ndarray
+    e: np.ndarray
+    e2: np.ndarray
+    atol: float = 0.0
+    itmax: int = 0
+    used: int = 0
+    offset: int = 0
+    below: bool = False
+    start: Optional[_Intervals] = None
+    open: list = field(default_factory=list)
+    done: list = field(default_factory=list)
+
+    def settle(self, q: _Intervals, final: bool) -> list:
+        """Take back the intervals of a bisection on q: dlaebz returns the converged first and its INFO open ones
+        last, which stay open (returned) unless the bisection was the block's last, and then are done unconverged."""
+        rows = q.rows(q.mout.value)
+        settled = len(rows) - q.info.value
+        self.done += [(row, True) for row in rows[:settled]] + [(row, False) for row in rows[settled:] if final]
+        return [] if final else rows[settled:]
+
+
+def _deal(blocks: List[_Block], lanes: int) -> list:
+    """The open intervals of the blocks dealt to lanes, most eigenvalues first to the lane with the fewest so far:
+    (block, rows) for each lane and block, in lane order."""
+    loads, dealt = [0] * lanes, [{} for _ in range(lanes)]
+    for block, row in sorted(((b, row) for b in blocks for row in b.open), key=lambda item: item[1][2] - item[1][3]):
+        lane = loads.index(min(loads))
+        loads[lane] += row[3] - row[2]
+        dealt[lane].setdefault(block, []).append(row)
+    return [item for lane in dealt for item in lane.items()]
+
+
+def _discard(w: np.ndarray, iblock: np.ndarray, m: int, idiscl: int, idiscu: int, wlu: float, wul: float):
+    """dstebz's discard of the IDISCL lowest and IDISCU highest of the m values, which the index search left
+    inside (WL, WLU] and [WUL, WU]: (m, IDISCL, IDISCU) after it, with w and iblock compacted in place."""
+    if idiscl > 0 or idiscu > 0:
+        im = 0
+        for je in range(m):
+            if w[je] <= wlu and idiscl > 0:
+                idiscl -= 1
+            elif w[je] >= wul and idiscu > 0:
+                idiscu -= 1
+            else:
+                w[im], iblock[im], im = w[je], iblock[je], im + 1
+        m = im
+    if idiscl > 0 or idiscu > 0:
+        # Counts that are not monotone left values outside those intervals: drop the lowest and the highest.
+        for count, lowest in ((idiscl, True), (idiscu, False)):
+            for _ in range(count):
+                iw = -1
+                for je in range(m):
+                    if iblock[je] != 0 and (iw < 0 or (w[je] < w[iw] if lowest else w[je] > w[iw])):
+                        iw = je
+                iblock[iw] = 0
+        keep = np.flatnonzero(iblock[:m])
+        w[:keep.size], iblock[:keep.size], m = w[keep], iblock[keep], keep.size
+    return m, idiscl, idiscu
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
+    """dstebz for the k smallest eigenvalues, ascending, made of its own steps on dlaebz, or with vectors stein
+    for their eigenpairs, as eigen_lowest returns them; with k None, sterf for every eigenvalue, ascending.
+
+    A generator, and the only code that knows the arguments of dlaebz,
     dstein and dsterf. It allocates every array they write, on the calling
-    thread, and yields each call as call(work, iwork) over _lapack()'s
-    routine, to run without the GIL on any thread with scratch of at least
-    5N doubles and 3N ints (sterf uses none). Resumed with None, or with the
-    call's exception thrown in, it reads the output back itself, checks it,
-    and returns the answer.
+    thread, and yields each round of its calls as a list, each call as
+    call(work, iwork) over _lapack()'s routines, to run without the GIL on
+    any thread with scratch of at least 5N doubles and N ints (only stein
+    uses it). Resumed with None, or with the first exception among the
+    round's calls thrown in, it reads the output back itself, checks it, and
+    returns the answer.
 
-    stebz and stein do not scale their input, so both run on 2^-p T, with p
-    the binary exponent of the largest |entry| of T: its entries lie below 1
-    in magnitude, so no square or product inside them overflows. A power of
-    two is exact, and the values are scaled back by 2^p. Both requests make
-    the same stebz call, in block order as stein needs, raise SolverError
-    before any stein call unless it gave k values that are finite in T's
-    units, and sort them by one stable argsort, so values and eigenpairs are
-    the same bits. Each eigenpair's residual and its bound are taken on
-    2^-p T, against the returned value scaled by 2^-p, and the residual is
-    reported in T's units; the vector is signed and h-normalized as
-    EigenResult states. The calls, arguments and checks are those of
-    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-    lapack_driver="stebz") on 2^-p T; on every operator that stebz does not
-    split into blocks, whose off-diagonal squares are normal floats, whose
-    scaled entries do not underflow and whose nonzero diagonal entries all
-    exceed 1e-100 max|T|, its values are the same bits as that call on T
-    itself. stebz floors each Sturm-count pivot at SAFEMIN max(1, max e_j^2),
-    which does not scale with T, so next to a nonzero diagonal entry that
-    small the two bisections can count differently, and then agree within
-    eps ||T||_inf (within 0.5 eps ||T||_inf in every mismatch measured).
+    The bisection and stein do not scale their input, so both run on 2^-p T,
+    with p the binary exponent of the largest |entry| of T: its entries lie
+    below 1 in magnitude, so no square or product inside them overflows. A
+    power of two is exact, and the values are scaled back by 2^p.
+
+    The bisection is dstebz(RANGE "I", ORDER "B", IL 1, IU k, ABSTOL 0),
+    which dstebz runs as RANGE "A" for k = N, in dstebz's own steps and
+    arithmetic on its kernel dlaebz, so M, W, IBLOCK, ISPLIT and INFO are the
+    bits dstebz writes: the split into blocks; for RANGE "I", the index
+    search (IJOB 3) for the points with counts 0 and k; each block's
+    Gershgorin interval, the counts at its ends (IJOB 1) and its bisection
+    (IJOB 2); W and IBLOCK from the intervals; and the discard of values that
+    the index search could not separate. A negative INFO from dlaebz raises
+    ValueError. Each interval is refined only by its own midpoints and
+    counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116), so splitting the
+    work changes no bit. On one lane the calls are dstebz's, with room for
+    one interval per eigenvalue where dstebz has one per row. On L lanes the
+    two searches are two calls; each block makes one iteration, and more
+    while an open interval holds more than ceil(m/L) of the m eigenvalues
+    still open; then the open intervals are dealt to L calls by eigenvalue
+    count, each with the iterations its block has left.
+
+    Both requests make the same bisection, in block order as stein needs,
+    raise SolverError before any stein call unless it gave k values that
+    are finite in T's units, and then unless its INFO is 0, and sort them by
+    one stable argsort, so values and eigenpairs are the same bits. Each
+    eigenpair's residual and its bound are taken on 2^-p T, against the
+    returned value scaled by 2^-p, and the residual is reported in T's
+    units; the vector is signed and h-normalized as EigenResult states. The
+    results are those of scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(0, k - 1), lapack_driver="stebz") on 2^-p T; on every
+    operator that stebz does not split into blocks, whose off-diagonal
+    squares are normal floats, whose scaled entries do not underflow and
+    whose nonzero diagonal entries all exceed 1e-100 max|T|, its values are
+    the same bits as that call on T itself. stebz floors each Sturm-count
+    pivot at SAFEMIN max(1, max e_j^2), which does not scale with T, so next
+    to a nonzero diagonal entry that small the two bisections can count
+    differently, and then agree within eps ||T||_inf (within 0.5 eps
+    ||T||_inf in every mismatch measured).
 
     sterf scales each block itself, so it runs on unscaled copies of d and
     e, and raises SolverError unless all N values are finite. It is the last
@@ -350,7 +516,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     n = op.size
     if k is not None and (k < 1 or k > n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    s = float(np.max(np.abs(np.concatenate((op.diag, op.offdiag)))))
+    # max |entry|, or NaN when an entry is NaN
+    s = float(np.max([op.diag.max(), -op.diag.min(), op.offdiag.max(), -op.offdiag.min()]))
     if not math.isfinite(s):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
     lapack = _lapack()
@@ -358,7 +525,7 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     if k is None:
         # sterf overwrites d with the values, ascending, and e with scratch.
         d, e = op.diag.copy(), op.offdiag.copy()
-        yield lambda work, iwork: lapack["dsterf"](ctypes.c_int(n), d, e, info)
+        yield [lambda work, iwork: lapack["dsterf"](ctypes.c_int(n), d, e, info)]
         _check_info(info.value, "sterf")
         finite = int(np.count_nonzero(np.isfinite(d)))
         if finite < n:
@@ -366,15 +533,106 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
         return d
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
-    m, nsplit = ctypes.c_int(), ctypes.c_int()
-    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
-    # Range "I" over indices 1..k (VL and VU unused); ABSTOL 0 is LAPACK's
-    # machine-precision default; block order ("B"), as stein needs.
-    yield lambda work, iwork: lapack["dstebz"](
-        b"I", b"B", ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1), ctypes.c_int(k),
-        ctypes.c_double(0.0), d, e, m, nsplit, w, iblock, isplit, work, iwork, info, 1, 1)
-    _check_info(info.value, "stebz")
-    w = w[:m.value]
+    # dlaebz on block b's intervals q, serially (NBMIN 0, as dstebz sets it), so WORK and IWORK go unused.
+    laebz = lambda ijob, nitmax, b, q: lambda work, iwork: lapack["dlaebz"](  # noqa: E731
+        ctypes.c_int(ijob), ctypes.c_int(nitmax), ctypes.c_int(b.d.size), ctypes.c_int(q.mmax), ctypes.c_int(q.minp),
+        ctypes.c_int(0), ctypes.c_double(b.atol), ctypes.c_double(_RTOL), ctypes.c_double(pivmin),
+        b.d, b.e, b.e2, q.nval, q.ab, q.c, q.mout, q.nab, work, iwork, q.info)
+
+    def checked(qs):
+        for q in qs:  # a positive INFO counts open intervals
+            _check_info(min(q.info.value, 0), "laebz")
+        return qs
+
+    # The split: where e_j^2 does not exceed |d_j d_{j+1}| ULP^2 + SAFEMIN, a block ends and e_j^2 counts as 0.
+    e2 = np.zeros(n)
+    np.multiply(e, e, out=e2[:-1])
+    floor = d[1:] * d[:-1]
+    np.abs(floor, out=floor)
+    floor *= _ULP ** 2
+    floor += _SAFEMIN
+    split = np.flatnonzero(floor > e2[:-1])
+    del floor
+    e2[split] = 0.0
+    pivmin = max(1.0, float(e2.max())) * _SAFEMIN
+    isplit = np.append(split + 1, n).astype(np.intc)
+    blocks = [_Block(j + 1, d[begin:end], e[begin:], e2[begin:])
+              for j, (begin, end) in enumerate(zip((0, *isplit), isplit))]
+    ranged, wl, wu, stebz_info = k < n, 0.0, 0.0, 0
+    if ranged:
+        gl, gu = _gershgorin(d, np.sqrt(e2[:-1]))
+        tnorm = max(abs(gl), abs(gu))
+        whole = _Block(0, d, e, e2, _ULP * tnorm)
+        gl = gl - _FUDGE * tnorm * _ULP * n - _FUDGE * 2.0 * pivmin
+        gu = gu + _FUDGE * tnorm * _ULP * n + _FUDGE * pivmin
+        # The searches from GL for the count 0 and from GU for the count k: one call, or one each on more lanes.
+        starts = [(gl, 0), (gu, k)]
+        searches = [_Intervals([(gl, gu, -1, n + 1)] * len(part), [x for x, _ in part], [t for _, t in part])
+                    for part in ([starts] if lanes == 1 else [[one] for one in starts])]
+        yield [laebz(3, _itmax(tnorm, pivmin), whole, q) for q in searches]
+        # dlaebz moves a search that converges to the front, with its target count.
+        found = {target: row for q in checked(searches) for target, row in zip(q.nval.tolist(), q.rows(q.minp))}
+        (wl, wlu, nwl, _), (wul, wu, _, nwu) = found[0], found[k]
+        if nwl < 0 or nwl >= n or nwu < 1 or nwu > n:
+            blocks = []  # dstebz returns INFO 4 and no value
+    for b in blocks:
+        size = b.d.size
+        if size == 1:
+            continue
+        gl, gu = _gershgorin(b.d, np.abs(b.e[:size - 1]))
+        bnorm = max(abs(gl), abs(gu))
+        gl = gl - _FUDGE * bnorm * _ULP * size - _FUDGE * pivmin
+        gu = gu + _FUDGE * bnorm * _ULP * size + _FUDGE * pivmin
+        b.atol = _ULP * max(abs(gl), abs(gu))
+        if ranged:
+            b.below = gu < wl
+            gl, gu = max(gl, wl), min(gu, wu)
+            if b.below or gl >= gu:
+                continue
+        b.itmax, b.start = _itmax(gu - gl, pivmin), _Intervals([(gl, gu, 0, 0)])
+    bisected = [b for b in blocks if b.start is not None]
+    if bisected:
+        yield [laebz(1, 0, b, b.start) for b in bisected]
+    # Through the blocks in order: W positions, and NWL and NWU recounted as the eigenvalues up to WL and WU.
+    w, iblock = np.empty(n), np.empty(n, np.intc)
+    m = nwl = nwu = 0
+    for b in blocks:
+        if b.start is not None:
+            [(_, _, nlo, nhi)] = b.open = checked([b.start])[0].rows(1)
+            nwl, nwu, b.offset, m = nwl + nlo, nwu + nhi, m - nlo, m + nhi - nlo
+        elif b.d.size > 1:
+            nwl, nwu = nwl + b.below * b.d.size, nwu + b.below * b.d.size
+        else:
+            x = float(b.d[0]) - pivmin
+            nwl, nwu = nwl + (not ranged or wl >= x), nwu + (not ranged or wu >= x)
+            if not ranged or wl < x <= wu:
+                w[m], iblock[m], m = b.d[0], b.number, m + 1
+    while lanes > 1:
+        most = -(-sum(row[3] - row[2] for b in bisected for row in b.open) // lanes)
+        busy = [b for b in bisected if any(row[3] - row[2] > most for row in b.open)]
+        if not busy:
+            break
+        steps = [_Intervals(b.open, mmax=_room(b.open)) for b in busy]
+        yield [laebz(2, 1, b, q) for b, q in zip(busy, steps)]
+        for b, q in zip(busy, checked(steps)):
+            b.used += 1
+            b.open = b.settle(q, b.used == b.itmax)
+    dealt = [(b, _Intervals(rows, mmax=_room(rows))) for b, rows in _deal(bisected, lanes)]
+    if dealt:
+        yield [laebz(2, b.itmax - b.used, b, q) for b, q in dealt]
+        for b, q in dealt:
+            checked([q])
+            b.settle(q, True)
+    for b in bisected:
+        for (lo, hi, nlo, nhi), converged in b.done:
+            w[b.offset + nlo:b.offset + nhi] = 0.5 * (lo + hi)
+            iblock[b.offset + nlo:b.offset + nhi] = b.number if converged else -b.number
+            stebz_info |= not converged
+    if ranged and blocks:
+        m, idiscl, idiscu = _discard(w, iblock, m, -nwl, nwu - k, wlu, wul)
+        stebz_info |= 2 * (idiscl < 0 or idiscu < 0)
+    stebz_info = stebz_info | 2 * (m != k) if blocks else 4
+    w = w[:max(m, 0)]
     # An eigenvalue past the float range of T shows as inf, caught below.
     with np.errstate(over="ignore"):
         lam = np.ldexp(w, p)
@@ -383,12 +641,13 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
             f"bisection returned {lam.size} values, {int(np.count_nonzero(np.isfinite(lam)))} "
             f"of them finite, for k={k}"
         )
+    _check_info(stebz_info, "stebz")
     order = np.argsort(w, kind="stable")
     if not vectors:
         return lam[order]
     z, ifail = np.empty((n, k), order="F"), np.empty(k, np.intc)
-    yield lambda work, iwork: lapack["dstein"](
-        ctypes.c_int(n), d, e, ctypes.c_int(k), w, iblock, isplit, z, ctypes.c_int(n), work, iwork, ifail, info)
+    yield [lambda work, iwork: lapack["dstein"](
+        ctypes.c_int(n), d, e, ctypes.c_int(k), w, iblock, isplit, z, ctypes.c_int(n), work, iwork, ifail, info)]
     _check_info(info.value, "stein")
     scaled = TridiagonalOperator(d, e)
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
@@ -410,44 +669,81 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     return results
 
 
-def _run_lanes(calls, n: int) -> list:
-    """Run seam calls side by side, each on scratch for an operator of size up to n; each call's exception, or None.
+def _run_lanes(seams: dict, n: int) -> dict:
+    """Run every seam to its answer, its LAPACK calls side by side; {key: what the seam returned or raised}.
 
-    There is one lane per CPU the process may use, and at most one per call:
-    the calling thread and helper threads, each with its own scratch arrays,
-    allocated here, taking the next call that no lane has taken. The calls
-    release the GIL. A single call runs inline and starts no thread.
-    Returns once every call has returned.
+    Each round of calls a seam yields is queued at once. There is one lane
+    per CPU the process may use: the calling thread and helper threads, each
+    with its own scratch arrays for an operator of size up to n, allocated
+    here, taking the next queued call; a helper starts only when a second
+    call waits, so seams whose rounds are single calls start no thread. As
+    soon as a seam's whole round has returned, the calling thread resumes it
+    with None, or with the first exception among the round's calls, while
+    the helpers go on with the calls of other seams: the calls release the
+    GIL. Returns once every seam has returned and every helper has ended.
     """
+    import queue
     import threading
 
-    errors = [None] * len(calls)
-    untaken = iter(range(len(calls)))
-    lock = threading.Lock()
+    answers, rounds, helpers, cpus = {}, {}, [], _usable_cpus()
+    queued, returned = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def advance(key, exc):
+        try:
+            calls = seams[key].send(None) if exc is None else seams[key].throw(exc)
+            while not calls:
+                calls = seams[key].send(None)
+        except StopIteration as stop:
+            answers[key] = stop.value
+        except Exception as failure:  # the request's answer
+            answers[key] = failure
+        else:
+            rounds[key] = [len(calls)] + [None] * len(calls)  # calls not yet returned, then each call's exception
+            for j, call in enumerate(calls, 1):
+                queued.put((key, j, call))
+            while len(helpers) < min(cpus - 1, queued.qsize() - 1):
+                helpers.append(threading.Thread(target=lane, args=(np.empty(5 * n), np.empty(n, np.intc))))
+                helpers[-1].start()
+
+    def run(task, work, iwork):
+        key, j, call = task
+        try:
+            call(work, iwork)
+        except Exception as exc:  # thrown back into the call's seam on the calling thread
+            returned.put((key, j, exc))
+        else:
+            returned.put((key, j, None))
 
     def lane(work, iwork):
-        while True:
-            with lock:
-                i = next(untaken, None)
-            if i is None:
-                return
-            try:
-                calls[i](work, iwork)
-            except Exception as exc:  # thrown back into the call's seam on the calling thread
-                errors[i] = exc
+        for task in iter(queued.get, None):
+            run(task, work, iwork)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # Scratch for dstebz (4n doubles, 3n ints) or dstein (5n doubles, n ints).
-    scratch = [(np.empty(5 * n), np.empty(3 * n, np.intc)) for _ in range(min(len(calls), cpus))]
-    helpers = [threading.Thread(target=lane, args=arrays) for arrays in scratch[1:]]
-    for helper in helpers:
-        helper.start()
+    # Scratch for dstein (5n doubles, n ints); dlaebz and dsterf use none.
+    scratch = (np.empty(5 * n), np.empty(n, np.intc))
     try:
-        lane(*scratch[0])
+        for key in seams:
+            advance(key, None)
+        while rounds:
+            try:
+                key, j, exc = returned.get_nowait()
+            except queue.Empty:
+                try:
+                    task = queued.get_nowait()
+                except queue.Empty:
+                    key, j, exc = returned.get()
+                else:
+                    run(task, *scratch)
+                    continue
+            rounds[key][j] = exc
+            rounds[key][0] -= 1
+            if not rounds[key][0]:
+                advance(key, next(filter(None, rounds.pop(key)[1:]), None))
     finally:
         for helper in helpers:
+            queued.put(None)
+        for helper in helpers:
             helper.join()
-    return errors
+    return answers
 
 
 def raise_first(answers: list) -> list:
@@ -511,18 +807,21 @@ def solve_many(requests) -> list:
     eigen_lowest(operator, k), and (operator, None) with all its
     eigenvalues, ascending, from LAPACK sterf. This thread builds every
     operator, allocates every array, checks every LAPACK result and does all
-    the work on values and vectors: each round advances every unfinished
-    seam to its next LAPACK call, runs those calls side by side on
-    _run_lanes, with scratch for the largest operator, and resumes each seam
-    with None or throws its call's exception into it. Only the LAPACK calls,
-    which release the GIL, run off this thread, so a batch of one starts no
-    thread. A request that fails, while its operator is built, in a LAPACK
-    call or in a check, is answered with the exception it raises on its
-    own, and every other request is answered all the same: solve_many
-    raises nothing for the batch, and raise_first raises the first failure
-    of its answers. A values-only SolveRequest whose (spec, grid, k) equals
-    that of the latest solve as the batch began runs no LAPACK; the batch's
-    last SolveRequest answered without an exception becomes the latest solve.
+    the work on values and vectors, while _run_lanes runs the seams' rounds
+    of LAPACK calls side by side, with scratch for the largest operator, and
+    resumes each seam as soon as its own round has returned, with None or
+    with the first exception among the round's calls. The usable CPUs are
+    shared out among the operators as the lanes of each one's bisection,
+    one apiece when there are at least as many operators. Only the LAPACK
+    calls, which release the GIL, run off this thread, and a round of one
+    call starts no thread. A request that fails, while its operator is
+    built, in a LAPACK call or in a check, is answered with the exception it
+    raises on its own, and every other request is answered all the same:
+    solve_many raises nothing for the batch, and raise_first raises the
+    first failure of its answers. A values-only SolveRequest whose (spec,
+    grid, k) equals that of the latest solve as the batch began runs no
+    LAPACK; the batch's last SolveRequest answered without an exception
+    becomes the latest solve.
     """
     global _latest_model_solve
     latest, answers, seams, plans, n = _latest_model_solve, [], {}, {}, 0
@@ -541,21 +840,14 @@ def solve_many(requests) -> list:
                 if not vectors and latest is not None and latest[0] == key:
                     continue  # the latest solve's entry answers it without LAPACK
                 op, job = discretize(problem, grid), (k, vectors)
-            seams[i], n = _lapack_seam(op, *job), max(n, op.size)
+            seams[i], n = (op, *job), max(n, op.size)
         except Exception as exc:  # the request's answer
             answers[i] = exc
-    # Each unfinished seam with what it resumes with: None, or its last call's exception.
-    resume = dict.fromkeys(seams)
-    while resume:
-        calls = {}
-        for i, exc in resume.items():
-            try:
-                calls[i] = seams[i].send(None) if exc is None else seams[i].throw(exc)
-            except StopIteration as stop:
-                answers[i] = stop.value
-            except Exception as failure:  # the request's answer
-                answers[i] = failure
-        resume = dict(zip(calls, _run_lanes(list(calls.values()), n))) if calls else {}
+    # The CPUs shared out among the operators: one apiece when there are at least as many operators.
+    lanes = max(1, _usable_cpus() // max(1, len(seams)))
+    seams = {i: _lapack_seam(*job, lanes=lanes) for i, job in seams.items()}
+    for i, answer in _run_lanes(seams, n).items():
+        answers[i] = answer
     entry = None
     for i, (grid, problem, key, vectors) in plans.items():
         answer = answers[i]

@@ -48,11 +48,14 @@ def negated(real):
     return lambda spec, x: -real(spec, x)
 
 
-def perturbed_stencil(real):
-    def discretize(problem, grid):
-        op = real(problem, grid)
-        return TridiagonalOperator(op.diag + 1e-3, op.offdiag, op.h)
-    return discretize
+def perturbed_stencil(eps):
+    """A plant for solver.discretize: eps added to every diagonal entry of the stencil."""
+    def plant(real):
+        def discretize(problem, grid):
+            op = real(problem, grid)
+            return TridiagonalOperator(op.diag + eps, op.offdiag, op.h)
+        return discretize
+    return plant
 
 
 def unscaled_values(real):
@@ -89,7 +92,7 @@ FAULTS = {
     "delta-times-2": (models, "_facts", lambda real: changed_fact(real, _DELTA, lambda f: 2.0 * f[_DELTA]), {
         "susy/ladder-integers 2d-ho", "susy/commutator 2d-ho ml=1", "susy/commutator 2d-ho ml=2",
     }),
-    "stencil-diagonal-plus-1e-3": (solver, "discretize", perturbed_stencil, {
+    "stencil-diagonal-plus-1e-3": (solver, "discretize", perturbed_stencil(1e-3), {
         "spectrum/numeric-agreement 1d-ho", "spectrum/numeric-agreement 1d-iso",
         "spectrum/numeric-agreement 2d-ho", "spectrum/numeric-agreement 2d-iso",
         "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
@@ -110,6 +113,41 @@ def test_planted_fault_fails_the_recorded_checks(monkeypatch, module, name, plan
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert failed_checks() == caught
+
+
+def shifted_intercept(eps):
+    """A plant for models._facts: eps c^2 added to the E^2 intercept."""
+    return lambda real: changed_fact(real, _E2_INTERCEPT, lambda f: f[_E2_INTERCEPT] + eps * f[_C2])
+
+
+# The resolution of the cross-check: for each graded fault, the smallest decade eps in 1e-1 .. 1e-6 at
+# which any check fails, and the checks that fail there. Both faults fail 4 numeric-agreement checks, the
+# 2 pair closures and, at 1e-1, route-equivalence 1d-ho, down to 1e-3; at 1e-4 and 1e-5 only the pair
+# closures, through their halve-under-doubling clause; at 1e-6 nothing.
+GRADED = {
+    "e2-intercept-plus-eps-c2": (models, "_facts", shifted_intercept, 1e-5, {
+        "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
+    }),
+    "stencil-diagonal-plus-eps": (solver, "discretize", perturbed_stencil, 1e-5, {
+        "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
+    }),
+}
+
+
+@pytest.mark.parametrize("module, name, graded, eps, caught", GRADED.values(), ids=GRADED)
+def test_graded_fault_fails_the_recorded_checks_at_its_smallest_decade(monkeypatch, record_property, module, name,
+                                                                       graded, eps, caught):
+    """The fault of size 0 fails nothing, and at its recorded decade fails the recorded checks; the checks
+    that fail one decade below are reported as a test property, not asserted."""
+    def failed_at(size):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_latest_model_solve", None)
+            patch.setattr(module, name, graded(size)(getattr(module, name)))
+            return failed_checks()
+
+    assert failed_at(0.0) == set()
+    assert failed_at(eps) == caught
+    record_property(f"failed at {eps / 10:g}", sorted(failed_at(eps / 10)))
 
 
 def test_an_earlier_solve_does_not_answer_a_faulted_one(monkeypatch):
@@ -155,22 +193,25 @@ def refused_build(*args, **kwargs):
 
 
 def lapack_with_failing_stebz(real, victim=None):
-    """solver._lapack with dstebz reporting failure (INFO, its 18th argument, set to 1) on every call,
-    or, given a victim operator, on that operator alone, which the seam hands dstebz scaled by 2^-p."""
+    """solver._lapack with every bisection reporting failure, stebz's INFO 1, or, given a victim operator,
+    that operator's alone: each dlaebz bisection (IJOB, its 1st argument, 2) leaves at least one interval
+    open (INFO, its 20th, at least 1). The seam hands dlaebz the operator scaled by 2^-p, and a block of it
+    as a view of that whole diagonal (D, its 10th)."""
     if victim is not None:
         p = math.frexp(np.max(np.abs(np.concatenate((victim.diag, victim.offdiag)))))[1]
         victim_diag = np.ldexp(victim.diag, -p)
 
     def lapack():
         routines = dict(real())
-        stebz = routines["dstebz"]
+        laebz = routines["dlaebz"]
 
         def failing(*args):
-            stebz(*args)
-            if victim is None or np.array_equal(args[8], victim_diag):
-                args[17].value = 1
+            laebz(*args)
+            d = args[9] if args[9].base is None else args[9].base
+            if args[0].value == 2 and (victim is None or np.array_equal(d, victim_diag)):
+                args[19].value = max(args[19].value, 1)
 
-        routines["dstebz"] = failing
+        routines["dlaebz"] = failing
         return routines
     return lapack
 
@@ -192,7 +233,7 @@ def test_build_failure_after_the_suites_before_it(monkeypatch, module, name, pla
 
 
 def test_lapack_failure_of_a_later_suite_in_the_one_batch(monkeypatch):
-    """dstebz fails on one request of the pair suite, the last suite that solves: its 1d-iso
+    """The bisection fails on one request of the pair suite, the last suite that solves: its 1d-iso
     model at N = 8000. Run one by one, each suite makes one solve_many call, the spectrum and
     susy suites pass, and the pair suite raises. run_suite("all") makes one solve_many call
     of all 26 requests, and raises the same exception."""

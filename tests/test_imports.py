@@ -122,7 +122,7 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-LAPACK = {"dstebz", "dstein", "dsterf", "_flapack", "_lapack"}
+LAPACK = {"dlaebz", "dstein", "dsterf", "_flapack", "_lapack"}
 SOLVE_STEPS = {"discretize", "eigen_lowest"}
 
 
@@ -160,8 +160,8 @@ def package_callers(names: set) -> set:
 
 
 def test_only_the_seam_calls_lapack():
-    """Every LAPACK call goes through solver._lapack_seam, which scales the operator for stebz and stein:
-    only it calls _lapack's dstebz, dstein and dsterf, and only _lapack calls _flapack."""
+    """Every LAPACK call goes through solver._lapack_seam, which scales the operator for the bisection and stein:
+    only it calls _lapack's dlaebz, dstein and dsterf, and only _lapack calls _flapack."""
     assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_lapack")}
 
 
@@ -175,15 +175,15 @@ def test_finds_lapack_callers():
     tree = ast.parse(
         "lapack = _flapack()\n"
         "def seam(d, e):\n"
-        "    return lapack.dstebz(d, e), _flapack().dstein(d)\n"
+        "    return lapack.dlaebz(d, e), _flapack().dstein(d)\n"
         "def outer():\n"
         "    f = lambda: mod.dstein()\n"
         "    def inner():\n"
-        "        return dstebz()\n"
+        "        return dlaebz()\n"
         "def keyed():\n"
         "    return lambda work: routines['dstein'](work)\n"
         "def clean():\n"
-        "    return _flapack, lapack.dstebz, routines['dstebz'], routines[name](), routines[0]()\n"
+        "    return _flapack, lapack.dlaebz, routines['dlaebz'], routines[name](), routines[0]()\n"
     )
     assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner", "keyed"}
 

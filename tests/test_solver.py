@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import ctypes
 import importlib.machinery
 import importlib.util
 import json
@@ -93,28 +94,46 @@ def free_problem(length: float) -> RadialProblem:
     )
 
 
-# The positions, among each routine's ctypes arguments, of what _flapack's
-# wrapper returns: dstebz's (m, w, iblock, isplit, info), dstein's (z, info)
-# and dsterf's (vals, info).
-RETURNED = {"dstebz": (10, 12, 13, 14, 17), "dstein": (7, 12), "dsterf": (1, 3)}
+# The positions, among each routine's ctypes arguments, of what its fake
+# passes through a fault: dlaebz's (MOUT, AB, NAB, INFO), and what _flapack's
+# wrapper returns for dstein, (z, info), and for dsterf, (vals, info).
+RETURNED = {"dlaebz": (15, 13, 16, 19), "dstein": (7, 12), "dsterf": (1, 3)}
 
 
-def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out, sterf=lambda out: out):
+def whole_diagonal(d: np.ndarray) -> np.ndarray:
+    """The scaled diagonal of the operator whose block, or whole diagonal, the seam hands dlaebz as D."""
+    return d if d.base is None else d.base
+
+
+def laebz_call(args) -> types.SimpleNamespace:
+    """A dlaebz call as a fault sees it: its job, the size of its operator, whether its block ends that
+    operator, and its outputs mout, ab, nab (arrays, changed in place) and info."""
+    d = args[9]
+    whole = whole_diagonal(d)
+    return types.SimpleNamespace(
+        ijob=args[0].value, size=whole.size, last=d.ctypes.data + d.nbytes == whole.ctypes.data + whole.nbytes,
+        mout=args[15].value, ab=args[13], nab=args[16], info=args[19].value)
+
+
+def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, sterf=lambda out: out):
     """Make the solver's LAPACK routines run through fakes, and return a record of their calls.
 
     Each fake wraps a routine that solver._lapack() returns and runs the real
-    routine. It then passes what the routine wrote, as the tuple _flapack's
-    wrapper returns, through the given function, which may corrupt it, and
-    writes the result back into the same ctypes objects and arrays (a shorter
-    array into the first entries). A batch runs the fakes on several threads,
-    in no fixed order, so a fault picks its victim by operator, never by call
-    order. The record counts the calls per routine in `calls`, under a lock.
-    The latest model solve is cleared, so that the first values-only solve
-    reaches the fake.
+    routine. The fake of dstein or dsterf then passes what the routine wrote,
+    as the tuple _flapack's wrapper returns, through the given function, which
+    may corrupt it, and writes the result back into the same ctypes objects
+    and arrays. The fake of dlaebz hands the given fault a laebz_call, which it
+    may change, and writes back its mout and info. A batch runs the fakes on
+    several threads, in no fixed order, so a fault picks its victim by
+    operator, never by call order. The record counts the calls per routine in
+    `calls`, under a lock: for dlaebz, one bisection per operator whose
+    scaled diagonal it sees. The latest model solve is cleared, so that the
+    first values-only solve reaches the fake.
     """
     calls = collections.Counter()
     lock = threading.Lock()
     real = solver._lapack()
+    bisected = {}
 
     def fake(name, post):
         def routine(*args):
@@ -131,31 +150,83 @@ def patch_lapack(monkeypatch, stebz=lambda out: out, stein=lambda out: out, ster
 
         return routine
 
-    fakes = {"dstebz": fake("dstebz", stebz), "dstein": fake("dstein", stein), "dsterf": fake("dsterf", sterf)}
+    def bisection(*args):
+        real["dlaebz"](*args)
+        whole = whole_diagonal(args[9])
+        with lock:
+            if id(whole) not in bisected:
+                bisected[id(whole)] = whole  # held, so that no later operator reuses its id
+                calls["bisections"] += 1
+        call = laebz_call(args)
+        laebz(call)
+        args[15].value, args[19].value = call.mout, call.info
+
+    fakes = {"dlaebz": bisection, "dstein": fake("dstein", stein), "dsterf": fake("dsterf", sterf)}
     monkeypatch.setattr(solver, "_lapack", lambda: fakes)
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     return types.SimpleNamespace(calls=calls)
 
 
+def unconverged(call):
+    """dlaebz leaves at least one interval of each bisection open, so the bisection reports INFO 1, as dstebz does."""
+    if call.ijob == 2:
+        call.info = max(call.info, 1)
+
+
+def illegal_argument(call):
+    """dlaebz reports an illegal third argument."""
+    call.info = -3
+
+
+def one_value_short(call):
+    """The count at the upper end of the operator's last block is one short, so the bisection returns one
+    value fewer than asked for (and INFO 2, as dstebz does)."""
+    if call.ijob == 1 and call.last:
+        call.nab[0, 1] -= 1
+        call.mout -= 1
+
+
+def second_value_nan(call):
+    """Each block's interval that holds its second eigenvalue has NaN ends."""
+    if call.ijob == 2:
+        holds = (call.nab[:call.mout, 0] <= 1) & (call.nab[:call.mout, 1] > 1)
+        call.ab[:call.mout][holds] = np.nan
+
+
 def run_seam(op: TridiagonalOperator, k: int, vectors: bool = False):
-    """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread."""
+    """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread, in order."""
     seam = _lapack_seam(op, k, vectors)
+    work, iwork = np.empty(5 * op.size), np.empty(op.size, np.intc)
     try:
         while True:
-            next(seam)(np.empty(5 * op.size), np.empty(3 * op.size, np.intc))
+            for call in next(seam):
+                call(work, iwork)
     except StopIteration as stop:
         return stop.value
 
 
-# For a fresh interpreter that imports scipy.linalg: whether each ctypes routine
-# of the seam calls the Fortran routine behind scipy.linalg.lapack's wrapper.
+# For a fresh interpreter that imports scipy.linalg: whether the seam's dstein
+# is the Fortran routine behind scipy.linalg.lapack's wrapper, and whether its
+# dlaebz is, by dladdr, the symbol named like the dstebz that the wrapper
+# module's handle resolves, in the same shared library.
 SAME_ROUTINES = """
 import ctypes
+class Symbol(ctypes.Structure):
+    _fields_ = [("file", ctypes.c_char_p), ("base", ctypes.c_void_p),
+                ("name", ctypes.c_char_p), ("address", ctypes.c_void_p)]
+def symbol(address):
+    found = Symbol()
+    assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(found))
+    return found.file, found.name
 def same_routines():
-    address = ctypes.pythonapi.PyCapsule_GetPointer
-    address.restype, address.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
-    return [ctypes.cast(solver._lapack()[name], ctypes.c_void_p).value
-            == address(getattr(scipy.linalg.lapack, name)._cpointer, None) for name in ("dstebz", "dstein")]
+    capsule = ctypes.pythonapi.PyCapsule_GetPointer
+    capsule.restype, capsule.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
+    routines = {name: ctypes.cast(routine, ctypes.c_void_p).value for name, routine in solver._lapack().items()}
+    library = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
+    stebz = next(getattr(library, name) for name in ("scipy_dstebz_", "dstebz_") if hasattr(library, name))
+    file, name = symbol(ctypes.cast(stebz, ctypes.c_void_p).value)
+    return [routines["dstein"] == capsule(scipy.linalg.lapack.dstein._cpointer, None),
+            symbol(routines["dlaebz"]) == (file, name.replace(b"dstebz", b"dlaebz"))]
 """
 
 
@@ -404,16 +475,16 @@ class TestEigenvaluesLowest:
                 eigenvalues_lowest(op, k)
         assert eigenvalues_lowest(op, 5).size == 5
 
-    @pytest.mark.parametrize("bad", [np.array([1.0]), np.array([1.0, np.nan])])
+    @pytest.mark.parametrize("bad", [one_value_short, second_value_nan], ids=["bad0", "bad1"])
     def test_short_or_nonfinite_bisection_raises(self, monkeypatch, bad):
-        patch_lapack(monkeypatch, stebz=lambda out: (bad.size, bad.copy(), *out[2:]))
+        patch_lapack(monkeypatch, laebz=bad)
         op = TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0))
         with pytest.raises(SolverError, match="bisection"):
             eigenvalues_lowest(op, 2)
 
     @pytest.mark.parametrize("solve", [eigenvalues_lowest, eigen_lowest])
     def test_bisection_failure_raises(self, monkeypatch, solve):
-        patch_lapack(monkeypatch, stebz=lambda out: (*out[:4], 1))
+        patch_lapack(monkeypatch, laebz=unconverged)
         with pytest.raises(SolverError, match="stebz"):
             solve(TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 2)
 
@@ -424,7 +495,7 @@ class TestEigenvaluesLowest:
         assert type(got) is error and "LAPACK sterf" in str(got)
 
     @pytest.mark.parametrize("routine, fault", [
-        ("stebz", dict(stebz=lambda out: (*out[:4], -3))),
+        ("laebz", dict(laebz=illegal_argument)),
         ("stein", dict(stein=lambda out: (out[0], -3))),
     ], ids=["stebz", "stein"])
     def test_illegal_argument_info_raises_value_error(self, monkeypatch, routine, fault):
@@ -543,6 +614,18 @@ print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._f
             solver._flapack.__wrapped__()
         assert excinfo.value.name == "scipy.linalg._flapack"
 
+    @pytest.mark.parametrize("exported, missing", [(("scipy_dstebz_",), "scipy_dlaebz_"), ((), "dlaebz_")],
+                             ids=["prefixed", "plain"])
+    def test_missing_dlaebz_raises_import_error(self, monkeypatch, exported, missing):
+        """dlaebz is looked up under the name prefix of the library's dstebz, and nowhere else: its absence
+        is an ImportError that names it, never a second bisection path."""
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
+            **{name: getattr(real(path), name) for name in exported}))
+        with pytest.raises(ImportError, match=rf"LAPACK routine {missing} not found next to dstebz") as excinfo:
+            solver._lapack.__wrapped__()
+        assert excinfo.value.name == "scipy.linalg._flapack"
+
     def test_scipy_without_lapack_raises_import_error(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
         empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
@@ -571,20 +654,6 @@ def split_zero_operator() -> TridiagonalOperator:
 
 def ulp_up(x: float) -> float:
     return float(np.nextafter(x, np.inf))
-
-
-def short_stebz(out):
-    """A stebz result one value short of the request."""
-    m, w, *rest = out
-    return (m - 1, w, *rest)
-
-
-def nan_stebz(out):
-    """A stebz result whose second value is NaN."""
-    m, w, *rest = out
-    w = w.copy()
-    w[1] = np.nan
-    return (m, w, *rest)
 
 
 def fresh_spectrum(spec: ModelSpec, k: int, grid: Grid):
@@ -627,10 +696,10 @@ class TestLatestSolve:
         spec = ALL_SPECS[1]
         grid, results = numeric_levels(spec, 6, n_points=2000)
         table = numeric_spectrum(spec, 6, grid=grid)
-        assert fake.calls == {"dstebz": 1, "dstein": 1}
+        assert fake.calls == {"bisections": 1, "dstein": 1}
         problem = effective_problem(spec)
         fresh = eigenvalues_lowest(discretize(problem, grid), 6)
-        assert fake.calls == {"dstebz": 2, "dstein": 1}
+        assert fake.calls == {"bisections": 2, "dstein": 1}
         assert bits([r.eigenvalue for r in results]) == bits(fresh)
         assert table == solver.spectrum_table(problem, fresh)
 
@@ -641,7 +710,7 @@ class TestLatestSolve:
         spec = ModelSpec(Family.HARMONIC_2D, ml=2)
         grid = choose_domain(effective_problem(spec), 4, n_points=400)
         assert numeric_spectrum(spec, 4, grid=grid) == table
-        assert fake.calls == {"dstebz": 1}
+        assert fake.calls == {"bisections": 1}
 
     def test_seam_keeps_no_state(self, monkeypatch):
         fake = patch_lapack(monkeypatch)
@@ -650,7 +719,7 @@ class TestLatestSolve:
         assert bits(eigenvalues_lowest(op, 3)) == want
         eigen_lowest(op, 3)
         assert bits(eigenvalues_lowest(op, 3)) == want
-        assert fake.calls == {"dstebz": 4, "dstein": 1}
+        assert fake.calls == {"bisections": 4, "dstein": 1}
 
     @pytest.mark.parametrize("solve_twice", [
         changed_key(lambda spec, grid: (spec, grid, 5)),
@@ -665,7 +734,7 @@ class TestLatestSolve:
         the seam solves again an operator that differs from the last only in the sign of a zero."""
         fake = patch_lapack(monkeypatch)
         got, fresh = solve_twice()
-        assert fake.calls["dstebz"] == 2
+        assert fake.calls["bisections"] == 2
         assert got == fresh()
 
     def test_signed_zero_keys_hit_with_equal_bits(self, monkeypatch):
@@ -679,7 +748,7 @@ class TestLatestSolve:
         assert bits(op.diag) == bits(neg_op.diag) and bits(op.offdiag) == bits(neg_op.offdiag)
         table = numeric_spectrum(spec, 4, grid=grid)
         assert numeric_spectrum(neg_spec, 4, grid=neg_grid) == table
-        assert fake.calls == {"dstebz": 1}
+        assert fake.calls == {"bisections": 1}
 
     def test_verify_all_bisects_each_operator_once(self, monkeypatch):
         """block-route keeps the D^T D values of its solves for ladder-integers and
@@ -694,7 +763,7 @@ class TestLatestSolve:
         monkeypatch.setattr(verify, "solve_many", counted)
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("all"))
-        assert fake.calls == {"dstebz": 24, "dstein": 4, "dsterf": 2}
+        assert fake.calls == {"bisections": 24, "dstein": 4, "dsterf": 2}
         assert batches == [26]
 
     def test_pair_suite_tables_come_from_its_own_eigenpairs(self, monkeypatch):
@@ -705,7 +774,7 @@ class TestLatestSolve:
         monkeypatch.setattr(verify, "numeric_spectrum", refuse)
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("pair"))
-        assert fake.calls == {"dstebz": 4, "dstein": 4}
+        assert fake.calls == {"bisections": 4, "dstein": 4}
 
     def test_solve_entry_rules(self, monkeypatch):
         """A values-only solve answered by the entry leaves that very entry; a vectors solve
@@ -716,9 +785,9 @@ class TestLatestSolve:
         entry = solver._latest_model_solve
         assert pairs is None and entry == ((spec, grid, 4), lam)
         assert solver.solve(spec, 4, grid)[2] is lam and solver._latest_model_solve is entry
-        assert fake.calls == {"dstebz": 1}
+        assert fake.calls == {"bisections": 1}
         _, _, lam_v, pairs = solver.solve(spec, 4, grid, vectors=True)
-        assert fake.calls == {"dstebz": 2, "dstein": 1}
+        assert fake.calls == {"bisections": 2, "dstein": 1}
         assert bits(lam_v) == bits(lam) and lam_v == tuple(r.eigenvalue for r in pairs)
         entry = solver._latest_model_solve
         assert entry[1] is lam_v
@@ -733,29 +802,29 @@ class TestLatestSolve:
         eigenvalues_lowest(op, 3)
         eigen_lowest(op, 3)
         eigen_lowest(op, 3)
-        assert fake.calls == {"dstebz": 3, "dstein": 2}
+        assert fake.calls == {"bisections": 3, "dstein": 2}
 
     @pytest.mark.parametrize("solve, fault, match", [
-        (eigenvalues_lowest, lambda out: (*out[:4], 1), "stebz"),
-        (eigenvalues_lowest, lambda out: (1, out[1][:1].copy(), *out[2:]), "bisection"),
-        (eigen_lowest, lambda out: (*out[:4], 1), "stebz"),
-        (eigen_lowest, short_stebz, "bisection returned 2 values, 2 of them finite"),
-        (eigen_lowest, nan_stebz, "bisection returned 3 values, 2 of them finite"),
+        (eigenvalues_lowest, unconverged, "stebz"),
+        (eigenvalues_lowest, one_value_short, "bisection"),
+        (eigen_lowest, unconverged, "stebz"),
+        (eigen_lowest, one_value_short, "bisection returned 2 values, 2 of them finite"),
+        (eigen_lowest, second_value_nan, "bisection returned 3 values, 2 of them finite"),
     ], ids=["values-info", "values-short", "vectors-info", "vectors-short", "vectors-nan"])
     def test_corrupting_module_after_clean_solve_raises(self, monkeypatch, solve, fault, match):
-        """Both requests check stebz's result before any stein call."""
+        """Both requests check the bisection's result before any stein call."""
         op = small_operator()
         eigen_lowest(op, 3)
         eigenvalues_lowest(op, 3)
-        fake = patch_lapack(monkeypatch, stebz=fault)
+        fake = patch_lapack(monkeypatch, laebz=fault)
         with pytest.raises(SolverError, match=match):
             solve(op, 3)
-        assert fake.calls == {"dstebz": 1}
+        assert fake.calls == {"bisections": 1}
 
     def test_short_bisection_leaves_the_entry(self, monkeypatch):
-        """numeric_levels raises on a short stebz result, so the entry never holds fewer than k values."""
+        """numeric_levels raises on a short bisection, so the entry never holds fewer than k values."""
         short = []
-        fake = patch_lapack(monkeypatch, stebz=lambda out: short_stebz(out) if short else out)
+        fake = patch_lapack(monkeypatch, laebz=lambda call: one_value_short(call) if short else None)
         spec = ALL_SPECS[0]
         grid, _ = numeric_levels(spec, 4, n_points=400)
         entry = solver._latest_model_solve
@@ -764,7 +833,7 @@ class TestLatestSolve:
             numeric_levels(spec, 4, grid=grid)
         assert solver._latest_model_solve is entry
         assert len(numeric_spectrum(spec, 4, grid=grid).levels) == 4
-        assert fake.calls == {"dstebz": 2, "dstein": 1}
+        assert fake.calls == {"bisections": 2, "dstein": 1}
 
     def test_returned_and_operator_arrays_are_not_aliased(self):
         op = small_operator()
@@ -871,6 +940,120 @@ def test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal(case):
         assert bits(got) == bits(want)
 
 
+def listed_operator(d, e) -> TridiagonalOperator:
+    return TridiagonalOperator(np.array(d), np.array(e))
+
+
+@st.composite
+def bisection_cases(draw):
+    """An operator that stebz does not split; one that it splits into blocks, one-point blocks among
+    them, where an off-diagonal entry is 0 or at most an ulp of its diagonal neighbour; or copies of one
+    block, whose eigenvalues come in clusters of equal values. k runs from 1 to N, where stebz bisects
+    every eigenvalue of every block (its RANGE "A")."""
+    n = draw(st.integers(3, 120))
+    d = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    e = draw(arrays(np.float64, n - 1, elements=offdiag_units))
+    kind = draw(st.sampled_from(["unsplit", "split", "clustered"]))
+    if kind == "split":
+        ulps = draw(arrays(np.float64, n - 1, elements=st.floats(-1.0, 1.0)))
+        e = np.where(draw(arrays(np.bool_, n - 1)), e, ulps * np.finfo(float).eps * np.abs(d[:-1]))
+    elif kind == "clustered":
+        size = draw(st.integers(1, min(5, n)))
+        copies = max(2, -(-3 // size), n // size)
+        d, e = np.tile(d[:size], copies), np.tile(np.append(e[:size - 1], 0.0), copies)[:-1]
+    return TridiagonalOperator(d, e), draw(st.integers(1, d.size))
+
+
+def lane_outcome(run):
+    """What run() returns, or the type and message of the SolverError it raises."""
+    try:
+        return run()
+    except SolverError as exc:
+        return SolverError, str(exc)
+
+
+def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
+    """With `cpus` usable CPUs: the outcomes of eigenvalues_lowest(op, k), as bits, and of eigen_lowest(op, k),
+    as the bits of each eigenvalue, residual and vector; and the M, W (as bits), IBLOCK and ISPLIT that the
+    bisection of the eigenpair request handed dstein, if it reached dstein."""
+    real = solver._lapack()
+    handed = []
+
+    def stein(*args):
+        m = args[3].value
+        handed.append((m, bits(args[4][:m]), args[5][:m].tolist(), args[6].tolist()))
+        real["dstein"](*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_lapack", lambda: {**real, "dstein": stein})
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        values = lane_outcome(lambda: bits(eigenvalues_lowest(op, k)))
+        pairs = lane_outcome(lambda: [(bits([r.eigenvalue, r.residual]), r.vector.tobytes())
+                                      for r in eigen_lowest(op, k)])
+    return values, pairs, handed
+
+
+@given(bisection_cases())
+@example((TridiagonalOperator(np.array([2.0, 0.0, 1.5, -0.5, 3.0, 1.0]), np.array([-1.0, 0.5, 0.0, 0.0, 0.75])), 6))
+@example((split_zero_operator(), 7))
+@example((listed_operator([-0.75, 3.25, -0.75, 3.25], [0.25, 0.0, 0.25]), 1))  # IDISCU: one value discarded
+@example((listed_operator([-1.25, -0.75] * 3, [0.5, 0.0, 0.5, 0.0, 0.5]), 4))  # and two more dropped as the highest
+# Splits where e_j^2 is tiny but e_j is not: the whole matrix's Gershgorin interval takes sqrt(e_j^2) = 0
+# there, not |e_j|, and each block's tolerance comes from its interval before the clip to [WL, WU].
+@example((listed_operator(
+    [0.5930922209368608, 0.3431752679614066, 0.6900461831366929, 0.8775036569597692, -0.9547645422259945,
+     -0.7637895456982826, -0.27947223063271376, -0.8128262939148005, 0.19904894610655433, -0.47927155530378274],
+    [-1.2603964646075249e-16, 4.971657949480134e-17, -1.3426852957248362e-16, -1.5860691198224117e-16,
+     1.963893402347875e-16, 0.21301618128252486, -0.9319088354444491, -0.141071710722245, 2.2396360081298738e-17]), 9))
+@example((listed_operator(
+    [0.43921323297677284, 0.14977163629402312, 0.5768401596866328, 0.0038592076012964327, -0.5481250002175433,
+     -0.8113019500436662, 0.8165114466047447, 0.5097579628061728, -0.6455161284793138],
+    [-2.2899917112682245e-16, -1.7453302402840473e-17, 0.2713099442171958, -0.2876942845026027,
+     3.6109016877609077e-16, -0.6487824724343769, -0.8580993785111848, -0.8511228872106829]), 6))
+@example((default_operator(ALL_SPECS[0], 8, 16000), 8))
+@example((default_operator(ALL_SPECS[1], 8, 16000), 8))
+@example((default_operator(ALL_SPECS[2], 8, 16000), 8))
+@example((default_operator(ALL_SPECS[3], 8, 16000), 8))
+@settings(max_examples=150, deadline=None)
+def test_bisection_is_dstebz_on_every_lane_count(case):
+    """On 1, 2, 3 and 4 usable CPUs the seam gives the same bits: values, eigenpairs, and the M, W, IBLOCK and
+    ISPLIT its bisection hands dstein, which are those of LAPACK dstebz on 2^-p T; the values are those of
+    eigh_tridiagonal's stebz route on 2^-p T, scaled back, and the vectors its vectors, signed and
+    h-normalized, where no two values tie. Under test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal's
+    condition the values are also the bits of that route on T itself."""
+    op, k = case
+    got = [bisection_on(op, k, cpus) for cpus in (1, 2, 3, 4)]
+    assert got[1:] == got[:1] * 3
+    values, pairs, handed = got[0]
+    p = math.frexp(max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag))))[1]
+    d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
+    m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if m != k:
+        assert values[0] is SolverError and values[1].startswith(f"bisection returned {m} values")
+        return
+    if info != 0:
+        assert values == (SolverError, f"tridiagonal eigensolve failed: LAPACK stebz returned info={info}")
+        return
+    w = w[:m]
+    assert handed == [(m, bits(w), iblock[:m].tolist(), isplit[:len(handed[0][3])].tolist())]
+    assert handed[0][3][-1] == op.size
+    order = np.argsort(w, kind="stable")
+    assert values == bits(np.ldexp(w[order], p))
+    kwargs = dict(select="i", select_range=(0, k - 1), lapack_driver="stebz")
+    if isinstance(pairs, list):
+        assert [value for (value, _), _ in pairs] == values
+        if np.unique(w).size == m:
+            _, want_vec = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+            for (_, vector), u in zip(pairs, want_vec.T):
+                assert vector == (u * (_first_extremum_sign(u) / math.sqrt(op.h * float(u @ u)))).tobytes()
+    want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, **kwargs)
+    largest = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)))
+    if np.any((op.diag != 0) & (np.abs(op.diag) < 1e-100 * largest)):
+        assert np.max(np.abs(np.ldexp(w[order], p) - want)) <= np.finfo(float).eps * op.norm_inf()
+    else:
+        assert values == bits(want)
+
+
 def test_lapack_runs_without_the_gil():
     """A pure-Python loop on this thread completes while another thread is inside one long bisection."""
     n = 64000
@@ -970,17 +1153,16 @@ def solve_requests(draw):
                                vectors=draw(st.booleans()))
 
 
-def failing_stebz(*sizes: int):
-    """A stebz fault that reports failure (info=1) on every operator of one of the given sizes."""
-    return lambda out: (*out[:4], 1) if out[1].size in sizes else out
+def failing_bisection(*sizes: int):
+    """A bisection fault that reports failure (stebz's INFO 1) on every operator of one of the given sizes."""
+    return lambda call: unconverged(call) if call.size in sizes else None
 
 
-def refusing_stebz(size: int):
-    """A stebz fault that raises inside the call on the operator of the given size."""
-    def fault(out):
-        if out[1].size == size:
-            raise RuntimeError(f"stebz refused the operator of {size} points")
-        return out
+def refusing_bisection(size: int):
+    """A bisection fault that raises inside each dlaebz call on the operator of the given size."""
+    def fault(call):
+        if call.size == size:
+            raise RuntimeError(f"dlaebz refused the operator of {size} points")
 
     return fault
 
@@ -1014,11 +1196,11 @@ class TestSolveMany:
     def test_second_request_failure_is_raised(self, monkeypatch, bad, error, match):
         """The batch answers its second request with the exception that request's lone solve
         raises, answers the first and third in their places, once every lane has ended, and
-        raise_first raises the second's. stebz reports failure on the operators of 300 and 500
-        points: the bad request's where it reaches stebz, and the third request's. The first
+        raise_first raises the second's. The bisection reports failure on the operators of 300 and
+        500 points: the bad request's where it reaches the bisection, and the third request's. The first
         request, answered last without an exception, becomes the latest solve."""
         good = solver.SolveRequest(ALL_SPECS[1], 4, n_points=400, vectors=True)
-        patch_lapack(monkeypatch, stebz=failing_stebz(300, 500))
+        patch_lapack(monkeypatch, laebz=failing_bisection(300, 500))
         want = solve_outcome(bad)
         first = solver.solve(*good)
         entry, before = solver._latest_model_solve, threading.active_count()
@@ -1033,12 +1215,12 @@ class TestSolveMany:
         assert solver._latest_model_solve == entry and solver._latest_model_solve is not entry
 
     @pytest.mark.parametrize("fault, error, match", [
-        (failing_stebz(300), SolverError, "stebz returned info=1"),
-        (refusing_stebz(300), RuntimeError, "refused the operator of 300 points"),
+        (failing_bisection(300), SolverError, "stebz returned info=1"),
+        (refusing_bisection(300), RuntimeError, "refused the operator of 300 points"),
     ], ids=["info", "raises-in-call"])
     def test_failed_stebz_skips_only_its_stein(self, monkeypatch, fault, error, match):
-        """In one batch of eigenpair requests every stebz call runs, then the stein calls of all
-        but the request whose stebz result fails its check, or whose stebz call raised on its lane;
+        """In one batch of eigenpair requests every bisection runs, then the stein calls of all
+        but the request whose bisection fails its check, or whose dlaebz calls raised on their lane;
         the batch answers that request with its exception and the others with their eigenpairs,
         and every helper thread has ended."""
         stein_sizes = []
@@ -1049,11 +1231,11 @@ class TestSolveMany:
 
         requests = [solver.SolveRequest(spec, 4, n_points=n, vectors=True)
                     for spec, n in zip(ALL_SPECS, (200, 300, 400, 500))]
-        fake = patch_lapack(monkeypatch, stebz=fault, stein=record)
+        fake = patch_lapack(monkeypatch, laebz=fault, stein=record)
         before = threading.active_count()
         answers = solver.solve_many(requests)
         assert threading.active_count() == before
-        assert fake.calls == {"dstebz": 4, "dstein": 3}
+        assert fake.calls == {"bisections": 4, "dstein": 3}
         assert sorted(stein_sizes) == [200, 400, 500]
         for i in (0, 2, 3):
             assert_same_answer(answers[i], solve_outcome(requests[i]))
