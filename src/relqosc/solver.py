@@ -15,7 +15,8 @@ scipy.linalg.eigh_tridiagonal. All the eigenvalues of an operator come from
 LAPACK sterf, the last step of numpy.linalg.eigvalsh, on unscaled copies of
 its diagonals (sterf scales each block itself).
 Bisection certifies each value to its absolute tolerance without any
-eigenvector. Inverse iteration (LAPACK stein) runs only where eigenvectors
+eigenvector. Inverse iteration (LAPACK dstein, made of its own steps on
+its kernels dlagtf and dlagts and the BLAS) runs only where eigenvectors
 are returned, and each of those eigenpairs must pass the backward-error
 bound max(sqrt(N), 4) eps ||T||_inf on its residual, taken on the scaled
 operator; a NaN residual fails the bound.
@@ -33,23 +34,25 @@ SpectrumTable records from the analytic module, and reads the ladder only to
 size the domain and map lambda to E^2, so agreement with it is a genuine
 cross-check (verify.convergence_order).
 
-scipy.linalg is never imported. The three LAPACK routines are the Fortran
-dstein and dsterf that scipy's compiled LAPACK wrapper module wraps
-(scipy.linalg._flapack, the module scipy.linalg.lapack re-exports), and
-dlaebz from the LAPACK library that module links, next to its dstebz. The
-solver loads the module on its own at the first eigensolve, without running
-the package initialisation of scipy or scipy.linalg: scipy itself is never
-imported either. It takes dstein's and dsterf's addresses from their f2py
-wrappers and dlaebz's from the library through the module's handle, and
-_lapack_seam, the only code that knows their arguments, calls them through
-ctypes with the arguments the wrapper or dstebz would pass, so the results
-are the same bits; ctypes releases the GIL for the length of each call. So
-solve_many runs the LAPACK calls of a batch's independent operators side by
-side, on up to one thread per CPU the process may use, and splits one
-operator's bisection over the CPUs its batch leaves it, while the calling
-thread builds every operator, allocates every array (helper threads would
-each grow a malloc arena of their own) and does all the checking and the
-work on values and vectors.
+scipy.linalg is never imported. The LAPACK routines dlaebz and dsterf,
+dstein's kernels dlagtf and dlagts, and the BLAS idamax, dscal, ddot, daxpy
+and dnrm2 come from the LAPACK library that scipy's compiled LAPACK wrapper
+module (scipy.linalg._flapack, the module scipy.linalg.lapack re-exports)
+links, under the name prefix of its dstebz. The solver loads the module on
+its own at the first eigensolve, without running the package
+initialisation of scipy or scipy.linalg: scipy itself is never imported
+either. It looks each routine up in the library through the module's
+handle, and _lapack_seam, with its inverse iteration _stein, the only code
+that knows their arguments, calls them through ctypes with the arguments
+dstebz or dstein would pass, so the results are the same bits; ctypes
+releases the GIL for the length of each call. So solve_many runs the LAPACK
+calls of a batch's independent operators side by side, on up to one thread
+per CPU the process may use, splits one operator's bisection over the CPUs
+its batch leaves it, and runs each eigenvector's factorization beside the
+previous eigenvector's iterations, while the calling thread builds every
+operator, allocates every array (helper threads would each grow a malloc
+arena of their own) and does all the checking and the work on values and
+vectors.
 Commands that only evaluate closed forms (spectrum --method analytic,
 nonrel) load no LAPACK at all. A later `import scipy.linalg` reuses the
 module the solver loaded, and the solver reuses one already imported.
@@ -273,46 +276,64 @@ def _check_info(info: int, routine: str) -> None:
 
 @functools.cache
 def _lapack():
-    """{"dlaebz": ..., "dstein": ..., "dsterf": ...}: the Fortran routines the seam calls, as ctypes functions.
+    """{"dlaebz": ..., "dsterf": ..., "dlagtf": ..., ...}: the LAPACK and BLAS routines the seam calls, as ctypes
+    functions.
 
-    dstein and dsterf are the routines behind _flapack's f2py wrappers: each
-    wrapper's _cpointer capsule holds the address of the routine it calls.
-    dlaebz, the bisection kernel of dstebz, has no wrapper. It is looked up
-    through the handle of _flapack's own shared object, whose symbol search
-    covers the LAPACK library that object links, under the name prefix of
-    that library's dstebz (scipy_dlaebz_ where scipy_dstebz_ resolves, else
-    plain dlaebz_); ImportError names it when it is missing. The ctypes
-    functions take the routine's own arguments: every scalar by reference,
-    arrays checked for dtype, rank and layout. ctypes releases the GIL for
-    the length of each call, which the f2py wrappers hold.
+    Each is looked up through the handle of _flapack's own shared object,
+    whose symbol search covers the LAPACK library that object links, under
+    the name prefix of that library's dstebz (scipy_dsterf_ where
+    scipy_dstebz_ resolves, else plain dsterf_), so the BLAS kernels are the
+    ones that library's own routines call; ImportError names a routine that
+    is missing. The ctypes functions take the routine's own arguments: every
+    scalar by reference and every array by address (an _Array), unchecked,
+    since the seam checks each array once where it allocates it. ctypes
+    releases the GIL for the length of each call.
     """
     import ctypes
 
-    from numpy.ctypeslib import ndpointer
-
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    c_int, c_double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    doubles, ints = ndpointer(np.float64, 1, flags="C"), ndpointer(np.intc, 1, flags="C")
+    c_int, c_double, array = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
     signatures = {
         # IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO
-        "dlaebz": (c_int, c_int, c_int, c_int, c_int, c_int, c_double, c_double, c_double, doubles, doubles, doubles,
-                   ints, ndpointer(np.float64, 2, flags="F"), doubles, c_int, ndpointer(np.intc, 2, flags="F"),
-                   doubles, ints, c_int),
-        # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
-        "dstein": (c_int, doubles, doubles, c_int, doubles, ints, ints, ndpointer(np.float64, 2, flags="F"),
-                   c_int, doubles, ints, ints, c_int),
+        "dlaebz": (None, *[c_int] * 6, *[c_double] * 3, *[array] * 6, c_int, *[array] * 3, c_int),
         # N, D, E, INFO
-        "dsterf": (c_int, doubles, doubles, c_int),
+        "dsterf": (None, c_int, array, array, c_int),
+        # N, A, LAMBDA, B, C, TOL, D, IN, INFO
+        "dlagtf": (None, c_int, array, c_double, array, array, c_double, array, array, c_int),
+        # JOB, N, A, B, C, D, IN, Y, TOL, INFO
+        "dlagts": (None, c_int, c_int, *[array] * 6, c_double, c_int),
+        # N, DX, INCX: the first index of max |DX(i)|
+        "idamax": (ctypes.c_int, c_int, array, c_int),
+        # N, DA, DX, INCX
+        "dscal": (None, c_int, c_double, array, c_int),
+        # N, DX, INCX, DY, INCY: DX . DY
+        "ddot": (ctypes.c_double, c_int, array, c_int, array, c_int),
+        # N, DA, DX, INCX, DY, INCY
+        "daxpy": (None, c_int, c_double, array, c_int, array, c_int),
+        # N, DX, INCX: ||DX||_2
+        "dnrm2": (ctypes.c_double, c_int, array, c_int),
     }
     module = _flapack()
-    routines = {name: address(getattr(module, name)._cpointer, None) for name in ("dstein", "dsterf")}
     library = ctypes.CDLL(module.__file__)
-    laebz = "scipy_dlaebz_" if hasattr(library, "scipy_dstebz_") else "dlaebz_"
-    if not hasattr(library, laebz):
-        raise ImportError(f"LAPACK routine {laebz} not found next to dstebz in {module.__file__}", name=_FLAPACK)
-    routines["dlaebz"] = ctypes.cast(getattr(library, laebz), ctypes.c_void_p).value
-    return {name: ctypes.CFUNCTYPE(None, *argtypes)(routines[name]) for name, argtypes in signatures.items()}
+    prefix = "scipy_" if hasattr(library, "scipy_dstebz_") else ""
+    routines = {}
+    for name, (restype, *argtypes) in signatures.items():
+        symbol = f"{prefix}{name}_"
+        if not hasattr(library, symbol):
+            raise ImportError(f"LAPACK routine {symbol} not found next to dstebz in {module.__file__}", name=_FLAPACK)
+        address = ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+        routines[name] = ctypes.CFUNCTYPE(restype, *argtypes)(address)
+    return routines
+
+
+class _Array:
+    """An array handed to LAPACK by address, checked once: ctypes passes _as_parameter_ for a c_void_p argument."""
+
+    __slots__ = ("array", "_as_parameter_")
+
+    def __init__(self, array: np.ndarray, dtype=np.float64):
+        if array.dtype != dtype or not (array.flags.c_contiguous or array.flags.f_contiguous):
+            raise ValueError(f"LAPACK needs a contiguous {np.dtype(dtype)} array, got {array.dtype}")
+        self.array, self._as_parameter_ = array, array.ctypes.data
 
 
 # dstebz's FUDGE and RELFAC * ULP, with ULP = DLAMCH('P') and SAFEMN = DLAMCH('S').
@@ -344,7 +365,8 @@ class _Intervals:
     Each interval is a row (lower end, upper end, Sturm count at the lower,
     count at the upper) of AB and NAB, with room for mmax rows (at least one
     per eigenvalue, so bisection never runs out of room); an index search
-    (IJOB 3) starts from the points C and looks for the counts NVAL.
+    (IJOB 3) starts from the points C and looks for the counts NVAL. args
+    are dlaebz's NVAL, AB, C, MOUT and NAB.
     """
 
     def __init__(self, rows: list, points=(), targets=(), mmax: Optional[int] = None):
@@ -356,10 +378,11 @@ class _Intervals:
         self.nab = np.empty((self.mmax, 2), np.intc, order="F")
         self.ab[:self.minp] = [row[:2] for row in rows]
         self.nab[:self.minp] = [row[2:] for row in rows]
-        self.c = np.empty(self.mmax)
-        self.c[:len(points)] = points
+        c = np.empty(self.mmax)
+        c[:len(points)] = points
         self.nval = np.array(targets or [0], np.intc)
         self.mout, self.info = ctypes.c_int(), ctypes.c_int()
+        self.args = (_Array(self.nval, np.intc), _Array(self.ab), _Array(c), self.mout, _Array(self.nab, np.intc))
 
     def rows(self, count: int) -> list:
         return [(lo, hi, nlo, nhi) for (lo, hi), (nlo, nhi) in zip(self.ab[:count].tolist(), self.nab[:count].tolist())]
@@ -376,7 +399,8 @@ class _Block:
 
     d, e and e2 (the off-diagonal squares, 0 at a split) start at the
     block's first row; number counts blocks from 1; below marks a block
-    that lies below WL. A bisected block has its absolute tolerance atol,
+    that lies below WL. A bisected block has its D, E and E2 for dlaebz in
+    args, its absolute tolerance atol,
     its starting interval start, its iteration budget itmax, of which used
     are spent, its open intervals, and those done, each with whether it
     converged; offset maps its counts to positions in W.
@@ -391,6 +415,7 @@ class _Block:
     used: int = 0
     offset: int = 0
     below: bool = False
+    args: tuple = ()
     start: Optional[_Intervals] = None
     open: list = field(default_factory=list)
     done: list = field(default_factory=list)
@@ -447,18 +472,155 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
-    """dstebz for the k smallest eigenvalues, ascending, made of its own steps on dlaebz, or with vectors stein
-    for their eigenpairs, as eigen_lowest returns them; with k None, sterf for every eigenvalue, ascending.
+# dstein's iteration limits MAXITS and EXTRA. Its start vectors come from DLARUV's generator, which steps the
+# 48-bit seed s to s a mod 2^48 and, from ISEED = (1, 1, 1, 1) (12 bits apiece), gives the value 2 s / 2^48 - 1.
+_MAXITS, _EXTRA = 5, 2
+_SEED_A, _SEED_1, _SEED_MASK = 33952834046453, 0x001001001001, (1 << 48) - 1
 
-    A generator, and the only code that knows the arguments of dlaebz,
-    dstein and dsterf. It allocates every array they write, on the calling
-    thread, and yields each round of its calls as a list, each call as
-    call(work, iwork) over _lapack()'s routines, to run without the GIL on
-    any thread with scratch of at least 5N doubles and N ints (only stein
-    uses it). Resumed with None, or with the first exception among the
-    round's calls thrown in, it reads the output back itself, checks it, and
-    returns the answer.
+
+def _stein(lapack: dict, d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray,
+           z: np.ndarray):
+    """LAPACK dstein(N, D, E, M, W, IBLOCK, ISPLIT, Z) made of its own steps on its kernels, bit for bit: a
+    generator of rounds of calls, as _lapack_seam yields them, that writes the M eigenvectors into z (N x M,
+    zeros, in Fortran order) and returns INFO, the number that did not converge.
+
+    dstein is inverse iteration with modified Gram-Schmidt (Jessup and Ipsen,
+    SIAM J. Sci. Stat. Comput. 13 (1992) 550). Per block: ONENRM, the largest
+    row sum |d_i| + |e_{i-1}| + |e_i|; ORTOL = 1e-3 ONENRM; DTPCRT =
+    sqrt(0.1 / BLKSIZ). Each vector j of a block of more than one row is
+    computed at the shift XJ = W_j, raised to XJM + 10 |EPS XJ| where it lies
+    less than that above the previous vector's shift XJM, in two parts:
+    - its prefix needs only W: the start vector, DLARNV(2) from the seed
+      (1, 1, 1, 1) advanced by BLKSIZ values per vector before it, made here
+      from DLARUV's generator; dlagtf's LU factorization of T - XJ; and the
+      first iteration, IDAMAX, DSCAL by BLKSIZ ONENRM max(EPS, |U_nn|) over
+      the largest |entry|, and dlagts (JOB -1, TOL 0);
+    - its chain needs vector j - 1: modified Gram-Schmidt (DDOT, DAXPY)
+      against the block's vectors from GPIND on, GPIND moving to j where
+      |XJ - XJM| > ORTOL; the infinity norm by IDAMAX; more iterations while
+      it stays below DTPCRT, then EXTRA more, with INFO counting a vector
+      that passes MAXITS; and DSCAL by 1/DNRM2, signed so the largest entry
+      is positive.
+    A one-row block's vector is 1. The rounds are the first prefix, then
+    [chain(j), prefix(j + 1)], then the last chain: each vector's
+    factorization runs beside the previous vector's iterations, on two
+    buffer sets (LU factors and pivots) allocated here. The iterate is z's
+    own column, and each call is scalar glue around the kernels.
+    """
+    import ctypes
+
+    n, m = z.shape
+    one, job = ctypes.c_int(1), ctypes.c_int(-1)
+    # DLARUV's powers a^1 .. a^N mod 2^48, by doubling; uint64 products wrap mod 2^64, a multiple of 2^48.
+    powers = np.empty(n, np.uint64)
+    powers[0], size = _SEED_A, 1
+    while size < n:
+        step = min(size, n - size)
+        np.multiply(powers[:step], powers[size - 1], out=powers[size:size + step])
+        powers[size:size + step] &= np.uint64(_SEED_MASK)
+        size += step
+    seeds = np.empty(n, np.uint64)
+    buffers = [[_Array(row) for row in block] + [_Array(pivots, np.intc)]
+               for block, pivots in zip(np.empty((2, 4, n)), np.empty((2, n), np.intc))]
+    info = 0
+
+    def vector(j: int, b1: int, blksiz: int, xj: float, seed: int, onenrm: float, dtpcrt: float, reorth: range,
+               factors: list):
+        """The prefix and the chain of vector j, on the given buffer set."""
+        a, b, c, d2, pivots = factors
+        x = _Array(z[b1:b1 + blksiz, j])
+        columns = [_Array(z[b1:b1 + blksiz, i]) for i in reorth]
+        size, tol, iinfo = ctypes.c_int(blksiz), ctypes.c_double(0.0), ctypes.c_int()
+
+        def solve():
+            jmax = lapack["idamax"](size, x, one)
+            scale = blksiz * onenrm * max(_ULP, abs(float(a.array[blksiz - 1]))) / abs(float(x.array[jmax - 1]))
+            lapack["dscal"](size, ctypes.c_double(scale), x, one)
+            lapack["dlagts"](job, size, a, b, c, d2, pivots, x, tol, iinfo)
+
+        def prefix():
+            np.multiply(powers[:blksiz], np.uint64(seed), out=seeds[:blksiz])
+            seeds[:blksiz] &= np.uint64(_SEED_MASK)
+            np.multiply(seeds[:blksiz], 2.0 ** -47, out=x.array)
+            x.array -= 1.0
+            a.array[:blksiz] = d[b1:b1 + blksiz]
+            b.array[:blksiz - 1] = c.array[:blksiz - 1] = e[b1:b1 + blksiz - 1]
+            lapack["dlagtf"](size, a, ctypes.c_double(xj), b, c, tol, d2, pivots, iinfo)
+            solve()
+
+        def chain():
+            nonlocal info
+            its, checks = 1, 0
+            while True:
+                for column in columns:
+                    lapack["daxpy"](size, ctypes.c_double(-lapack["ddot"](size, x, one, column, one)), column, one,
+                                    x, one)
+                if abs(float(x.array[lapack["idamax"](size, x, one) - 1])) >= dtpcrt:
+                    checks += 1
+                    if checks > _EXTRA:
+                        break
+                its += 1
+                if its > _MAXITS:
+                    info += 1
+                    break
+                solve()
+            scale = 1.0 / lapack["dnrm2"](size, x, one)
+            if x.array[lapack["idamax"](size, x, one) - 1] < 0:
+                scale = -scale
+            lapack["dscal"](size, ctypes.c_double(scale), x, one)
+
+        return prefix, chain
+
+    steps, seed, xjm, block = [], _SEED_1, 0.0, 0
+    for j in range(m):
+        if iblock[j] != block:
+            block = int(iblock[j])
+            b1, bn = int(isplit[block - 2]) if block > 1 else 0, int(isplit[block - 1])
+            blksiz, jblk, gpind = bn - b1, 0, j
+            if blksiz > 1:
+                rows, offdiag = np.abs(d[b1:bn]), np.abs(e[b1:bn - 1])
+                onenrm = max(rows[0] + offdiag[0], rows[-1] + offdiag[-1])
+                if blksiz > 2:
+                    rows = rows[1:-1] + offdiag[:-1]
+                    rows += offdiag[1:]
+                    onenrm = max(onenrm, rows.max())
+                onenrm = float(onenrm)
+                ortol, dtpcrt = 1e-3 * onenrm, math.sqrt(0.1 / blksiz)
+        jblk += 1
+        xj = float(w[j])
+        if blksiz == 1:
+            z[b1, j] = 1.0
+        else:
+            if jblk > 1:
+                pertol = 10.0 * abs(_ULP * xj)
+                if xj - xjm < pertol:
+                    xj = xjm + pertol
+                if abs(xj - xjm) > ortol:
+                    gpind = j
+            steps.append(vector(j, b1, blksiz, xj, seed, onenrm, dtpcrt, range(gpind, j), buffers[len(steps) % 2]))
+            seed = seed * int(powers[blksiz - 1]) & _SEED_MASK
+        xjm = xj
+    if steps:
+        yield [steps[0][0]]
+        for (_, chain), (prefix, _) in zip(steps, steps[1:]):
+            yield [chain, prefix]
+        yield [steps[-1][1]]
+    return info
+
+
+def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
+    """dstebz for the k smallest eigenvalues, ascending, made of its own steps on dlaebz, or with vectors dstein,
+    made of its own steps by _stein, for their eigenpairs, as eigen_lowest returns them; with k None, sterf for
+    every eigenvalue, ascending.
+
+    A generator, and with _stein the only code that knows the arguments of
+    _lapack()'s routines. It allocates every array they write, on the
+    calling thread, checks each once there (an _Array), and yields each
+    round of its calls as a list, each call a closure, call(), to run on any
+    thread: the routines run without the GIL, with only their scalar glue
+    between them, which calls no package function. Resumed with None, or
+    with the first exception among the round's calls thrown in, it reads the
+    output back itself, checks it, and returns the answer.
 
     The bisection and stein do not scale their input, so both run on 2^-p T,
     with p the binary exponent of the largest |entry| of T: its entries lie
@@ -482,10 +644,16 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     still open; then the open intervals are dealt to L calls by eigenvalue
     count, each with the iterations its block has left.
 
+    Without a split every e_j^2 is normal, so the whole matrix's Gershgorin
+    interval, from sqrt(e_j^2), is its one block's, from |e_j|, bit for bit:
+    it is taken once.
+
     Both requests make the same bisection, in block order as stein needs,
     raise SolverError before any stein call unless it gave k values that
     are finite in T's units, and then unless its INFO is 0, and sort them by
-    one stable argsort, so values and eigenpairs are the same bits. Each
+    one stable argsort, so values and eigenpairs are the same bits. The
+    eigenvectors are dstein's bits on the bisection's M, W, IBLOCK and
+    ISPLIT, and its INFO is checked like dstebz's. Each
     eigenpair's residual and its bound are taken on 2^-p T, against the
     returned value scaled by 2^-p, and the residual is reported in T's
     units; the vector is signed and h-normalized as EigenResult states. The
@@ -525,7 +693,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     if k is None:
         # sterf overwrites d with the values, ascending, and e with scratch.
         d, e = op.diag.copy(), op.offdiag.copy()
-        yield [lambda work, iwork: lapack["dsterf"](ctypes.c_int(n), d, e, info)]
+        args = ctypes.c_int(n), _Array(d), _Array(e), info
+        yield [lambda: lapack["dsterf"](*args)]
         _check_info(info.value, "sterf")
         finite = int(np.count_nonzero(np.isfinite(d)))
         if finite < n:
@@ -534,10 +703,10 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
     # dlaebz on block b's intervals q, serially (NBMIN 0, as dstebz sets it), so WORK and IWORK go unused.
-    laebz = lambda ijob, nitmax, b, q: lambda work, iwork: lapack["dlaebz"](  # noqa: E731
+    laebz = lambda ijob, nitmax, b, q: lambda: lapack["dlaebz"](  # noqa: E731
         ctypes.c_int(ijob), ctypes.c_int(nitmax), ctypes.c_int(b.d.size), ctypes.c_int(q.mmax), ctypes.c_int(q.minp),
         ctypes.c_int(0), ctypes.c_double(b.atol), ctypes.c_double(_RTOL), ctypes.c_double(pivmin),
-        b.d, b.e, b.e2, q.nval, q.ab, q.c, q.mout, q.nab, work, iwork, q.info)
+        *b.args, *q.args, None, None, q.info)
 
     def checked(qs):
         for q in qs:  # a positive INFO counts open intervals
@@ -547,22 +716,24 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     # The split: where e_j^2 does not exceed |d_j d_{j+1}| ULP^2 + SAFEMIN, a block ends and e_j^2 counts as 0.
     e2 = np.zeros(n)
     np.multiply(e, e, out=e2[:-1])
-    floor = d[1:] * d[:-1]
-    np.abs(floor, out=floor)
-    floor *= _ULP ** 2
-    floor += _SAFEMIN
-    split = np.flatnonzero(floor > e2[:-1])
-    del floor
+    row = d[1:] * d[:-1]
+    np.abs(row, out=row)
+    row *= _ULP ** 2
+    row += _SAFEMIN
+    split = np.flatnonzero(row > e2[:-1])
     e2[split] = 0.0
     pivmin = max(1.0, float(e2.max())) * _SAFEMIN
     isplit = np.append(split + 1, n).astype(np.intc)
     blocks = [_Block(j + 1, d[begin:end], e[begin:], e2[begin:])
               for j, (begin, end) in enumerate(zip((0, *isplit), isplit))]
+    # Without a split every e_j^2 is at least SAFEMIN, a normal float, so sqrt(e_j^2) is |e_j| and the whole
+    # matrix's Gershgorin interval is its one block's: taken once.
+    unsplit = _gershgorin(d, np.abs(e, out=row)) if not split.size else None
     ranged, wl, wu, stebz_info = k < n, 0.0, 0.0, 0
     if ranged:
-        gl, gu = _gershgorin(d, np.sqrt(e2[:-1]))
+        gl, gu = unsplit or _gershgorin(d, np.sqrt(e2[:-1], out=row))
         tnorm = max(abs(gl), abs(gu))
-        whole = _Block(0, d, e, e2, _ULP * tnorm)
+        whole = _Block(0, d, e, e2, _ULP * tnorm, args=(_Array(d), _Array(e), _Array(e2)))
         gl = gl - _FUDGE * tnorm * _ULP * n - _FUDGE * 2.0 * pivmin
         gu = gu + _FUDGE * tnorm * _ULP * n + _FUDGE * pivmin
         # The searches from GL for the count 0 and from GU for the count k: one call, or one each on more lanes.
@@ -579,7 +750,7 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
         size = b.d.size
         if size == 1:
             continue
-        gl, gu = _gershgorin(b.d, np.abs(b.e[:size - 1]))
+        gl, gu = unsplit or _gershgorin(b.d, np.abs(b.e[:size - 1]))
         bnorm = max(abs(gl), abs(gu))
         gl = gl - _FUDGE * bnorm * _ULP * size - _FUDGE * pivmin
         gu = gu + _FUDGE * bnorm * _ULP * size + _FUDGE * pivmin
@@ -590,6 +761,7 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
             if b.below or gl >= gu:
                 continue
         b.itmax, b.start = _itmax(gu - gl, pivmin), _Intervals([(gl, gu, 0, 0)])
+        b.args = (_Array(b.d), _Array(b.e), _Array(b.e2))
     bisected = [b for b in blocks if b.start is not None]
     if bisected:
         yield [laebz(1, 0, b, b.start) for b in bisected]
@@ -645,10 +817,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     order = np.argsort(w, kind="stable")
     if not vectors:
         return lam[order]
-    z, ifail = np.empty((n, k), order="F"), np.empty(k, np.intc)
-    yield [lambda work, iwork: lapack["dstein"](
-        ctypes.c_int(n), d, e, ctypes.c_int(k), w, iblock, isplit, z, ctypes.c_int(n), work, iwork, ifail, info)]
-    _check_info(info.value, "stein")
+    z = np.zeros((n, k), order="F")
+    _check_info((yield from _stein(lapack, d, e, w, iblock, isplit, z)), "stein")
     scaled = TridiagonalOperator(d, e)
     # Standard backward-error bound of a symmetric tridiagonal eigenpair; the
     # worst residual seen on drawn models (N up to 64000) sits near 1/20 of it.
@@ -669,18 +839,18 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     return results
 
 
-def _run_lanes(seams: dict, n: int) -> dict:
+def _run_lanes(seams: dict) -> dict:
     """Run every seam to its answer, its LAPACK calls side by side; {key: what the seam returned or raised}.
 
     Each round of calls a seam yields is queued at once. There is one lane
     per CPU the process may use: the calling thread and helper threads, each
-    with its own scratch arrays for an operator of size up to n, allocated
-    here, taking the next queued call; a helper starts only when a second
-    call waits, so seams whose rounds are single calls start no thread. As
-    soon as a seam's whole round has returned, the calling thread resumes it
-    with None, or with the first exception among the round's calls, while
-    the helpers go on with the calls of other seams: the calls release the
-    GIL. Returns once every seam has returned and every helper has ended.
+    taking the next queued call; a helper starts only when a second call
+    waits, so seams whose rounds are single calls start no thread. As soon
+    as a seam's whole round has returned, the calling thread resumes it with
+    None, or with the first exception among the round's calls, while the
+    helpers go on with the calls of other seams: the LAPACK and BLAS
+    routines inside the calls release the GIL. Returns once every seam has
+    returned and every helper has ended.
     """
     import queue
     import threading
@@ -702,24 +872,22 @@ def _run_lanes(seams: dict, n: int) -> dict:
             for j, call in enumerate(calls, 1):
                 queued.put((key, j, call))
             while len(helpers) < min(cpus - 1, queued.qsize() - 1):
-                helpers.append(threading.Thread(target=lane, args=(np.empty(5 * n), np.empty(n, np.intc))))
+                helpers.append(threading.Thread(target=lane))
                 helpers[-1].start()
 
-    def run(task, work, iwork):
+    def run(task):
         key, j, call = task
         try:
-            call(work, iwork)
+            call()
         except Exception as exc:  # thrown back into the call's seam on the calling thread
             returned.put((key, j, exc))
         else:
             returned.put((key, j, None))
 
-    def lane(work, iwork):
+    def lane():
         for task in iter(queued.get, None):
-            run(task, work, iwork)
+            run(task)
 
-    # Scratch for dstein (5n doubles, n ints); dlaebz and dsterf use none.
-    scratch = (np.empty(5 * n), np.empty(n, np.intc))
     try:
         for key in seams:
             advance(key, None)
@@ -732,7 +900,7 @@ def _run_lanes(seams: dict, n: int) -> dict:
                 except queue.Empty:
                     key, j, exc = returned.get()
                 else:
-                    run(task, *scratch)
+                    run(task)
                     continue
             rounds[key][j] = exc
             rounds[key][0] -= 1
@@ -808,13 +976,15 @@ def solve_many(requests) -> list:
     eigenvalues, ascending, from LAPACK sterf. This thread builds every
     operator, allocates every array, checks every LAPACK result and does all
     the work on values and vectors, while _run_lanes runs the seams' rounds
-    of LAPACK calls side by side, with scratch for the largest operator, and
-    resumes each seam as soon as its own round has returned, with None or
-    with the first exception among the round's calls. The usable CPUs are
-    shared out among the operators as the lanes of each one's bisection,
-    one apiece when there are at least as many operators. Only the LAPACK
-    calls, which release the GIL, run off this thread, and a round of one
-    call starts no thread. A request that fails, while its operator is
+    of LAPACK calls side by side and resumes each seam as soon as its own
+    round has returned, with None or with the first exception among the
+    round's calls. The usable CPUs are shared out among the operators as the
+    lanes of each one's bisection, one apiece when there are at least as
+    many operators; an operator's eigenvectors take rounds of two calls, one
+    vector's iterations beside the next one's factorization. Only the
+    seam's LAPACK and BLAS steps, which release the GIL, and dstein's scalar
+    glue between them run off this thread, and they call no package
+    function; a round of one call starts no thread. A request that fails, while its operator is
     built, in a LAPACK call or in a check, is answered with the exception it
     raises on its own, and every other request is answered all the same:
     solve_many raises nothing for the batch, and raise_first raises the
@@ -824,7 +994,7 @@ def solve_many(requests) -> list:
     becomes the latest solve.
     """
     global _latest_model_solve
-    latest, answers, seams, plans, n = _latest_model_solve, [], {}, {}, 0
+    latest, answers, seams, plans = _latest_model_solve, [], {}, {}
     for i, request in enumerate(requests):
         answers.append(None)
         try:
@@ -840,13 +1010,13 @@ def solve_many(requests) -> list:
                 if not vectors and latest is not None and latest[0] == key:
                     continue  # the latest solve's entry answers it without LAPACK
                 op, job = discretize(problem, grid), (k, vectors)
-            seams[i], n = (op, *job), max(n, op.size)
+            seams[i] = (op, *job)
         except Exception as exc:  # the request's answer
             answers[i] = exc
     # The CPUs shared out among the operators: one apiece when there are at least as many operators.
     lanes = max(1, _usable_cpus() // max(1, len(seams)))
     seams = {i: _lapack_seam(*job, lanes=lanes) for i, job in seams.items()}
-    for i, answer in _run_lanes(seams, n).items():
+    for i, answer in _run_lanes(seams).items():
         answers[i] = answer
     entry = None
     for i, (grid, problem, key, vectors) in plans.items():

@@ -13,6 +13,7 @@ return or raise what running the suites one by one does.
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,29 +121,60 @@ def shifted_intercept(eps):
     return lambda real: changed_fact(real, _E2_INTERCEPT, lambda f: f[_E2_INTERCEPT] + eps * f[_C2])
 
 
+def scaled_fact(index):
+    """A graded plant for models._facts: the fact at index times 1 + eps."""
+    return lambda eps: lambda real: changed_fact(real, index, lambda f: f[index] * (1.0 + eps))
+
+
+def scaled_supercharge_diagonal(eps):
+    """A plant for discretize_supercharge: the diagonal W_eff - 1/h of D times 1 + eps."""
+    def plant(real):
+        def discretize_supercharge(spec, grid, delta=None):
+            pair = real(spec, grid, delta)
+            return replace(pair, d_diag=pair.d_diag * (1.0 + eps))
+        return discretize_supercharge
+    return plant
+
+
 # The resolution of the cross-check: for each graded fault, the smallest decade eps in 1e-1 .. 1e-6 at
-# which any check fails, and the checks that fail there. Both faults fail 4 numeric-agreement checks, the
-# 2 pair closures and, at 1e-1, route-equivalence 1d-ho, down to 1e-3; at 1e-4 and 1e-5 only the pair
-# closures, through their halve-under-doubling clause; at 1e-6 nothing.
+# which any check fails, and the checks that fail there; each fault is planted in every module that
+# binds its name. The intercept and stencil faults fail 4 numeric-agreement checks, the 2 pair closures
+# and, at 1e-1, route-equivalence 1d-ho, down to 1e-3; at 1e-4 and 1e-5 only the pair closures, through
+# their halve-under-doubling clause; at 1e-6 nothing. The E^2 slope c^2 fails the pair closures down to
+# 1e-5, numeric-agreement 2d-ho and 2d-iso and the 2d-ho degeneracy down to 1e-4, numeric-agreement 1d-ho
+# and 1d-iso down to 1e-3, route-equivalence 1d-ho at 1e-1, and at 1e-6 nothing. The supercharge diagonal
+# fails both commutators and ladder-integers 2d-ho down to 1e-4, block-route 2d-ho down to 1e-3,
+# block-route 1d-ho and route-equivalence 1d-ho down to 1e-2, kernel-dimension 1d-ho at 1e-1, and at 1e-5
+# nothing. delta fails ladder-integers 2d-ho down to 1e-2, both commutators at 1e-1, and at 1e-3 nothing.
 GRADED = {
-    "e2-intercept-plus-eps-c2": (models, "_facts", shifted_intercept, 1e-5, {
+    "e2-intercept-plus-eps-c2": (((models, "_facts"),), shifted_intercept, 1e-5, {
         "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
     }),
-    "stencil-diagonal-plus-eps": (solver, "discretize", perturbed_stencil, 1e-5, {
+    "stencil-diagonal-plus-eps": (((solver, "discretize"),), perturbed_stencil, 1e-5, {
+        "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
+    }),
+    "supercharge-diagonal-times-1-plus-eps": (
+        ((susyblock, "discretize_supercharge"), (verify, "discretize_supercharge")), scaled_supercharge_diagonal,
+        1e-4, {"susy/commutator 2d-ho ml=1", "susy/commutator 2d-ho ml=2", "susy/ladder-integers 2d-ho"}),
+    "delta-times-1-plus-eps": (((models, "_facts"),), scaled_fact(_DELTA), 1e-2, {
+        "susy/ladder-integers 2d-ho",
+    }),
+    "e2-slope-times-1-plus-eps": (((models, "_facts"),), scaled_fact(_C2), 1e-5, {
         "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
     }),
 }
 
 
-@pytest.mark.parametrize("module, name, graded, eps, caught", GRADED.values(), ids=GRADED)
-def test_graded_fault_fails_the_recorded_checks_at_its_smallest_decade(monkeypatch, record_property, module, name,
-                                                                       graded, eps, caught):
+@pytest.mark.parametrize("targets, graded, eps, caught", GRADED.values(), ids=GRADED)
+def test_graded_fault_fails_the_recorded_checks_at_its_smallest_decade(monkeypatch, record_property, targets, graded,
+                                                                       eps, caught):
     """The fault of size 0 fails nothing, and at its recorded decade fails the recorded checks; the checks
     that fail one decade below are reported as a test property, not asserted."""
     def failed_at(size):
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_latest_model_solve", None)
-            patch.setattr(module, name, graded(size)(getattr(module, name)))
+            for module, name in targets:
+                patch.setattr(module, name, graded(size)(getattr(module, name)))
             return failed_checks()
 
     assert failed_at(0.0) == set()
@@ -207,7 +239,7 @@ def lapack_with_failing_stebz(real, victim=None):
 
         def failing(*args):
             laebz(*args)
-            d = args[9] if args[9].base is None else args[9].base
+            d = args[9].array if args[9].array.base is None else args[9].array.base
             if args[0].value == 2 and (victim is None or np.array_equal(d, victim_diag)):
                 args[19].value = max(args[19].value, 1)
 

@@ -122,7 +122,8 @@ def test_finds_private_names():
     assert read_names(ast.parse("_helper(np._LIMIT)")) == {"_helper", "np", "_LIMIT"}
 
 
-LAPACK = {"dlaebz", "dstein", "dsterf", "_flapack", "_lapack"}
+LAPACK = {"dlaebz", "dstein", "dsterf", "dlagtf", "dlagts", "idamax", "dscal", "ddot", "daxpy", "dnrm2", "_flapack",
+          "_lapack"}
 SOLVE_STEPS = {"discretize", "eigen_lowest"}
 
 
@@ -136,14 +137,16 @@ def called_name(func: ast.expr):
 
 
 def call_sites(tree: ast.Module, names: set) -> list:
-    """(function, line) of each call of any of names, by name, attribute or string key; "<module>" for a call outside any function."""
+    """(function, line) of each call of any of names, by name, attribute or string key: the function is the
+    module-level one the call sits in, nested functions included; "<module>" for a call outside any function."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and called_name(child.func) in names:
                 found.append((owner, child.lineno))
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+            top = owner == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if top else owner)
 
     visit(tree, "<module>")
     return found
@@ -161,8 +164,11 @@ def package_callers(names: set) -> set:
 
 def test_only_the_seam_calls_lapack():
     """Every LAPACK call goes through solver._lapack_seam, which scales the operator for the bisection and stein:
-    only it calls _lapack's dlaebz, dstein and dsterf, and only _lapack calls _flapack."""
-    assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_lapack")}
+    only it calls _lapack's dlaebz and dsterf, only its inverse iteration _stein, which it alone calls, calls
+    the kernels of dstein, nothing calls dstein itself, and only _lapack calls _flapack."""
+    assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_stein"), ("solver.py", "_lapack")}
+    assert package_callers({"_stein"}) == {("solver.py", "_lapack_seam")}
+    assert package_callers({"dstein"}) == set()
 
 
 def test_only_solve_many_drives_the_seam():
@@ -178,6 +184,7 @@ def test_finds_lapack_callers():
         "    return lapack.dlaebz(d, e), _flapack().dstein(d)\n"
         "def outer():\n"
         "    f = lambda: mod.dstein()\n"
+        "def nesting():\n"
         "    def inner():\n"
         "        return dlaebz()\n"
         "def keyed():\n"
@@ -185,7 +192,7 @@ def test_finds_lapack_callers():
         "def clean():\n"
         "    return _flapack, lapack.dlaebz, routines['dlaebz'], routines[name](), routines[0]()\n"
     )
-    assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "inner", "keyed"}
+    assert callers(tree, LAPACK) == {"<module>", "seam", "outer", "nesting", "keyed"}
 
 
 def test_verify_solves_in_one_place():

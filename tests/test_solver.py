@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.linalg
@@ -96,8 +96,8 @@ def free_problem(length: float) -> RadialProblem:
 
 # The positions, among each routine's ctypes arguments, of what its fake
 # passes through a fault: dlaebz's (MOUT, AB, NAB, INFO), and what _flapack's
-# wrapper returns for dstein, (z, info), and for dsterf, (vals, info).
-RETURNED = {"dlaebz": (15, 13, 16, 19), "dstein": (7, 12), "dsterf": (1, 3)}
+# wrapper returns for dsterf, (vals, info).
+RETURNED = {"dlaebz": (15, 13, 16, 19), "dsterf": (1, 3)}
 
 
 def whole_diagonal(d: np.ndarray) -> np.ndarray:
@@ -108,31 +108,35 @@ def whole_diagonal(d: np.ndarray) -> np.ndarray:
 def laebz_call(args) -> types.SimpleNamespace:
     """A dlaebz call as a fault sees it: its job, the size of its operator, whether its block ends that
     operator, and its outputs mout, ab, nab (arrays, changed in place) and info."""
-    d = args[9]
+    d = args[9].array
     whole = whole_diagonal(d)
     return types.SimpleNamespace(
         ijob=args[0].value, size=whole.size, last=d.ctypes.data + d.nbytes == whole.ctypes.data + whole.nbytes,
-        mout=args[15].value, ab=args[13], nab=args[16], info=args[19].value)
+        mout=args[15].value, ab=args[13].array, nab=args[16].array, info=args[19].value)
 
 
 def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, sterf=lambda out: out):
     """Make the solver's LAPACK routines run through fakes, and return a record of their calls.
 
     Each fake wraps a routine that solver._lapack() returns and runs the real
-    routine. The fake of dstein or dsterf then passes what the routine wrote,
-    as the tuple _flapack's wrapper returns, through the given function, which
-    may corrupt it, and writes the result back into the same ctypes objects
-    and arrays. The fake of dlaebz hands the given fault a laebz_call, which it
-    may change, and writes back its mout and info. A batch runs the fakes on
-    several threads, in no fixed order, so a fault picks its victim by
-    operator, never by call order. The record counts the calls per routine in
-    `calls`, under a lock: for dlaebz, one bisection per operator whose
-    scaled diagonal it sees. The latest model solve is cleared, so that the
+    routine, or wraps the inverse iteration solver._stein and runs it. The
+    fake of dsterf then passes what the routine wrote, as the tuple
+    _flapack's wrapper returns, through the given function, which may
+    corrupt it, and writes the result back into the same ctypes objects and
+    arrays; the fake of the inverse iteration does the same with the vectors
+    it wrote and the INFO it returned, as the tuple (z, info) that _flapack's
+    dstein wrapper returns. The fake of dlaebz hands the given fault a
+    laebz_call, which it may change, and writes back its mout and info. A
+    batch runs the fakes on several threads, in no fixed order, so a fault
+    picks its victim by operator, never by call order. The record counts the
+    calls per routine in `calls`, under a lock: for dlaebz, one bisection per
+    operator whose scaled diagonal it sees, and as "dstein" one inverse
+    iteration per operator. The latest model solve is cleared, so that the
     first values-only solve reaches the fake.
     """
     calls = collections.Counter()
     lock = threading.Lock()
-    real = solver._lapack()
+    real, real_stein = solver._lapack(), solver._stein
     bisected = {}
 
     def fake(name, post):
@@ -140,7 +144,7 @@ def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, st
             real[name](*args)
             with lock:
                 calls[name] += 1
-            slots = [args[i] for i in RETURNED[name]]
+            slots = [getattr(args[i], "array", args[i]) for i in RETURNED[name]]
             out = post(tuple(getattr(slot, "value", slot) for slot in slots))
             for slot, value in zip(slots, out):
                 if isinstance(slot, np.ndarray):
@@ -152,7 +156,7 @@ def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, st
 
     def bisection(*args):
         real["dlaebz"](*args)
-        whole = whole_diagonal(args[9])
+        whole = whole_diagonal(args[9].array)
         with lock:
             if id(whole) not in bisected:
                 bisected[id(whole)] = whole  # held, so that no later operator reuses its id
@@ -161,8 +165,17 @@ def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, st
         laebz(call)
         args[15].value, args[19].value = call.mout, call.info
 
-    fakes = {"dlaebz": bisection, "dstein": fake("dstein", stein), "dsterf": fake("dsterf", sterf)}
+    def inverse_iteration(lapack, d, e, w, iblock, isplit, z):
+        info = yield from real_stein(lapack, d, e, w, iblock, isplit, z)
+        with lock:
+            calls["dstein"] += 1
+        vectors, info = stein((z, info))
+        z[:] = vectors
+        return info
+
+    fakes = {**real, "dlaebz": bisection, "dsterf": fake("dsterf", sterf)}
     monkeypatch.setattr(solver, "_lapack", lambda: fakes)
+    monkeypatch.setattr(solver, "_stein", inverse_iteration)
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     return types.SimpleNamespace(calls=calls)
 
@@ -196,20 +209,22 @@ def second_value_nan(call):
 def run_seam(op: TridiagonalOperator, k: int, vectors: bool = False):
     """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread, in order."""
     seam = _lapack_seam(op, k, vectors)
-    work, iwork = np.empty(5 * op.size), np.empty(op.size, np.intc)
     try:
         while True:
             for call in next(seam):
-                call(work, iwork)
+                call()
     except StopIteration as stop:
         return stop.value
 
 
-# For a fresh interpreter that imports scipy.linalg: whether the seam's dstein
-# is the Fortran routine behind scipy.linalg.lapack's wrapper, and whether its
-# dlaebz is, by dladdr, the symbol named like the dstebz that the wrapper
+# The LAPACK routines and BLAS kernels the seam calls, no dstein among them.
+ROUTINES = {"dlaebz", "dsterf", "dlagtf", "dlagts", "idamax", "dscal", "ddot", "daxpy", "dnrm2"}
+
+
+# For a fresh interpreter that imports scipy.linalg: whether each of the seam's
+# routines is, by dladdr, the symbol named like the dstebz that the wrapper
 # module's handle resolves, in the same shared library.
-SAME_ROUTINES = """
+SAME_ROUTINES = f"ROUTINES = {sorted(ROUTINES)!r}\n" + """
 import ctypes
 class Symbol(ctypes.Structure):
     _fields_ = [("file", ctypes.c_char_p), ("base", ctypes.c_void_p),
@@ -219,14 +234,12 @@ def symbol(address):
     assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(found))
     return found.file, found.name
 def same_routines():
-    capsule = ctypes.pythonapi.PyCapsule_GetPointer
-    capsule.restype, capsule.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
     routines = {name: ctypes.cast(routine, ctypes.c_void_p).value for name, routine in solver._lapack().items()}
     library = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
     stebz = next(getattr(library, name) for name in ("scipy_dstebz_", "dstebz_") if hasattr(library, name))
     file, name = symbol(ctypes.cast(stebz, ctypes.c_void_p).value)
-    return [routines["dstein"] == capsule(scipy.linalg.lapack.dstein._cpointer, None),
-            symbol(routines["dlaebz"]) == (file, name.replace(b"dstebz", b"dlaebz"))]
+    return [sorted(routines) == sorted(ROUTINES),
+            all(symbol(routines[routine]) == (file, name.replace(b"dstebz", routine.encode())) for routine in ROUTINES)]
 """
 
 
@@ -614,11 +627,16 @@ print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._f
             solver._flapack.__wrapped__()
         assert excinfo.value.name == "scipy.linalg._flapack"
 
-    @pytest.mark.parametrize("exported, missing", [(("scipy_dstebz_",), "scipy_dlaebz_"), ((), "dlaebz_")],
-                             ids=["prefixed", "plain"])
+    @pytest.mark.parametrize("exported, missing", [
+        (("scipy_dstebz_",), "scipy_dlaebz_"),
+        ((), "dlaebz_"),
+        *[(tuple(f"scipy_{name}_" for name in sorted(ROUTINES - {kernel} | {"dstebz"})), f"scipy_{kernel}_")
+          for kernel in sorted(ROUTINES - {"dlaebz"})],
+    ], ids=["prefixed", "plain", *sorted(ROUTINES - {"dlaebz"})])
     def test_missing_dlaebz_raises_import_error(self, monkeypatch, exported, missing):
-        """dlaebz is looked up under the name prefix of the library's dstebz, and nowhere else: its absence
-        is an ImportError that names it, never a second bisection path."""
+        """dlaebz, and every other routine and BLAS kernel of the seam, is looked up under the name prefix of
+        the library's dstebz, and nowhere else: its absence is an ImportError that names it, never a second
+        path."""
         real = ctypes.CDLL
         monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
             **{name: getattr(real(path), name) for name in exported}))
@@ -975,17 +993,17 @@ def lane_outcome(run):
 def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
     """With `cpus` usable CPUs: the outcomes of eigenvalues_lowest(op, k), as bits, and of eigen_lowest(op, k),
     as the bits of each eigenvalue, residual and vector; and the M, W (as bits), IBLOCK and ISPLIT that the
-    bisection of the eigenpair request handed dstein, if it reached dstein."""
-    real = solver._lapack()
+    bisection of the eigenpair request handed the inverse iteration (solver._stein), if it reached it."""
+    real = solver._stein
     handed = []
 
-    def stein(*args):
-        m = args[3].value
-        handed.append((m, bits(args[4][:m]), args[5][:m].tolist(), args[6].tolist()))
-        real["dstein"](*args)
+    def stein(lapack, d, e, w, iblock, isplit, z):
+        m = z.shape[1]
+        handed.append((m, bits(w[:m]), iblock[:m].tolist(), isplit.tolist()))
+        return (yield from real(lapack, d, e, w, iblock, isplit, z))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_lapack", lambda: {**real, "dstein": stein})
+        patch.setattr(solver, "_stein", stein)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         values = lane_outcome(lambda: bits(eigenvalues_lowest(op, k)))
         pairs = lane_outcome(lambda: [(bits([r.eigenvalue, r.residual]), r.vector.tobytes())
@@ -1052,6 +1070,68 @@ def test_bisection_is_dstebz_on_every_lane_count(case):
         assert np.max(np.abs(np.ldexp(w[order], p) - want)) <= np.finfo(float).eps * op.norm_inf()
     else:
         assert values == bits(want)
+
+
+@st.composite
+def stein_cases(draw):
+    """A bisection case; or copies of one block joined by couplings of 1e-4 to 1e-15, one unsplit block
+    whose eigenvalues come in groups closer than ORTOL, often closer than 10 eps |W_j| or equal in W, where
+    dstein raises the shift XJ, with gaps above ORTOL between the groups."""
+    if draw(st.booleans()):
+        return draw(bisection_cases())
+    size, copies = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    d = np.tile(draw(arrays(np.float64, size, elements=st.floats(-1.0, 1.0))), copies)
+    coupling = 10.0 ** -draw(st.integers(4, 15))
+    e = np.tile(np.append(draw(arrays(np.float64, size - 1, elements=offdiag_units)), coupling), copies)[:-1]
+    return TridiagonalOperator(d, e), draw(st.integers(1, d.size))
+
+
+def stein_on(d, e, w, iblock, isplit, cpus: int):
+    """The vectors and INFO of the seam's inverse iteration on the given bisection, its rounds run by the lanes of
+    `cpus` usable CPUs."""
+    z = np.zeros((d.size, w.size), order="F")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        [info] = solver._run_lanes({0: solver._stein(solver._lapack(), d, e, w, iblock, isplit, z)}).values()
+    return z, info
+
+
+@given(stein_cases())
+@example((listed_operator([0.5, -0.25, 0.5, -0.25], [0.75, 1e-15, 0.75]), 4))  # equal W: XJ raised
+@example((default_operator(ALL_SPECS[0], 12, 16000), 12))
+@example((default_operator(ALL_SPECS[1], 12, 16000), 12))
+@example((default_operator(ALL_SPECS[2], 12, 16000), 12))
+@example((default_operator(ALL_SPECS[3], 12, 16000), 12))
+@settings(max_examples=150, deadline=None)
+def test_inverse_iteration_is_dstein_on_every_lane_count(case):
+    """On 1, 2, 3 and 4 usable CPUs the seam's inverse iteration writes the bits of LAPACK dstein's vectors and
+    returns its INFO, on the W, IBLOCK and ISPLIT of dstebz on 2^-p T."""
+    op, k = case
+    p = math.frexp(max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag))))[1]
+    d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
+    m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    assume(info == 0 and m == k)
+    want, want_info = scipy.linalg.lapack.dstein(d, e, w[:m], iblock, isplit)
+    for cpus in (1, 2, 3, 4):
+        z, info = stein_on(d, e, w[:m], iblock, isplit, cpus)
+        assert info == want_info
+        assert np.array_equal(z.view(np.int64), np.asfortranarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("size", [1e-12, 1e-6, 1.0])
+def test_inverse_iteration_counts_unconverged_vectors_as_dstein(size):
+    """Shifts far from the spectrum of a small operator leave the iterates below DTPCRT past MAXITS: INFO
+    counts those vectors, and every vector is still dstein's bits."""
+    rng = np.random.default_rng(11)
+    d, e = rng.uniform(-0.5, 0.5, 40) * size, rng.uniform(0.01, 0.5, 39) * size
+    _, _, iblock, isplit, _ = scipy.linalg.lapack.dstebz(d, e, 1, 0.0, 1.0, 1, 40, 0.0, "B")
+    w = np.sort(rng.uniform(-1.0, 1.0, 12))
+    want, want_info = scipy.linalg.lapack.dstein(d, e, w, iblock, isplit)
+    for cpus in (1, 2):
+        z, info = stein_on(d, e, w, iblock, isplit, cpus)
+        assert info == want_info
+        assert np.array_equal(z.view(np.int64), np.asfortranarray(want).view(np.int64))
+    assert (want_info > 0) == (size < 1.0)
 
 
 def test_lapack_runs_without_the_gil():
