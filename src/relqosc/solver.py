@@ -65,7 +65,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -988,13 +988,18 @@ def solve_many(requests) -> list:
     built, in a LAPACK call or in a check, is answered with the exception it
     raises on its own, and every other request is answered all the same:
     solve_many raises nothing for the batch, and raise_first raises the
-    first failure of its answers. A values-only SolveRequest whose (spec,
-    grid, k) equals that of the latest solve as the batch began runs no
-    LAPACK; the batch's last SolveRequest answered without an exception
-    becomes the latest solve.
+    first failure of its answers. SolveRequests of an equal (spec, grid, k)
+    share one seam, which computes eigenvectors if any of them asks for
+    them: a values-only request takes the eigenpairs' values, the bits of
+    its own bisection, every vectors request gets its own arrays, and a
+    failure of the seam answers each request that shares it. Operator
+    requests share no seam. A values-only SolveRequest whose (spec, grid, k)
+    equals that of the latest solve as the batch began runs no LAPACK; the
+    batch's last SolveRequest answered without an exception becomes the
+    latest solve.
     """
     global _latest_model_solve
-    latest, answers, seams, plans = _latest_model_solve, [], {}, {}
+    latest, answers, seams, plans, shared = _latest_model_solve, [], {}, {}, {}
     for i, request in enumerate(requests):
         answers.append(None)
         try:
@@ -1006,25 +1011,38 @@ def solve_many(requests) -> list:
                 if grid is None:
                     grid = choose_domain(problem, k, n_points, x_max)
                 key = (spec, grid, k)
-                plans[i] = (grid, problem, key, vectors)
-                if not vectors and latest is not None and latest[0] == key:
-                    continue  # the latest solve's entry answers it without LAPACK
-                op, job = discretize(problem, grid), (k, vectors)
+                # The seam that answers it: none where the latest solve's entry does, else the first equal request's.
+                source = None if not vectors and latest is not None and latest[0] == key else shared.get(key, i)
+                if source == i:
+                    op, job, shared[key] = discretize(problem, grid), (k, vectors), i
+                elif vectors:
+                    seams[source] = (*seams[source][:2], True)
+                plans[i] = (grid, problem, key, vectors, source)
+                if source != i:
+                    continue
             seams[i] = (op, *job)
         except Exception as exc:  # the request's answer
             answers[i] = exc
     # The CPUs shared out among the operators: one apiece when there are at least as many operators.
     lanes = max(1, _usable_cpus() // max(1, len(seams)))
-    seams = {i: _lapack_seam(*job, lanes=lanes) for i, job in seams.items()}
-    for i, answer in _run_lanes(seams).items():
+    done = _run_lanes({i: _lapack_seam(*job, lanes=lanes) for i, job in seams.items()})
+    for i, answer in done.items():
         answers[i] = answer
     entry = None
-    for i, (grid, problem, key, vectors) in plans.items():
-        answer = answers[i]
+    for i, (grid, problem, key, vectors, source) in plans.items():
+        answer = latest[1] if source is None else done[source]
         if isinstance(answer, Exception):
+            answers[i] = answer
             continue
-        entry = (key, tuple(r.eigenvalue for r in answer) if vectors else tuple(answer.tolist())) if i in seams else latest
-        answers[i] = (grid, problem, entry[1], answer if vectors else None)
+        if source is None:
+            entry = latest
+        elif isinstance(answer, list):
+            entry = (key, tuple(r.eigenvalue for r in answer))
+        else:
+            entry = (key, tuple(answer.tolist()))
+        # The seam's own eigenpairs go to the request that made it, copies to the others that share it.
+        pairs = None if not vectors else answer if i == source else [replace(r, vector=r.vector.copy()) for r in answer]
+        answers[i] = (grid, problem, entry[1], pairs)
     if entry is not None:
         _latest_model_solve = entry
     return answers

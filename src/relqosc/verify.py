@@ -166,13 +166,14 @@ def _suite_susy(tolerance: float):
         oracle[family] = build_block_hamiltonian(discretize_supercharge(spec, grid), spec.mc2)
     route_spec, route_grid, _ = block[Family.HARMONIC_1D]
     # The partner spectra of the isospectrality models; the D^T D values of
-    # the block-route models; for each dense-oracle model on N = 160, all its
-    # D^T D values and every eigenvalue of its interleaved 2N block matrix;
-    # and the route-equivalence solve on the 1D block-route grid.
+    # the block-route models; for each dense-oracle model on N = 160, every
+    # eigenvalue of its D^T D and of its interleaved 2N block matrix; and the
+    # route-equivalence solve on the 1D block-route grid, whose (spec, grid, k)
+    # is that of the pair suite's 1d-ho solve at N = 4000, so that in
+    # run_suite("all") the two share one seam.
     solved = iter((yield [(op, 6) for pair in pairs.values() for op in (pair.dtd_operator(), pair.ddt_operator())]
                    + [(pair.dtd_operator(), 4) for _, _, pair in block.values()]
-                   + [request for ham in oracle.values()
-                      for request in ((ham.pair.dtd_operator(), ham.pair.size), (ham.operator(), None))]
+                   + [(op, None) for ham in oracle.values() for op in (ham.pair.dtd_operator(), ham.operator())]
                    + [SolveRequest(route_spec, 4, route_grid)]))
     reports = {family: isospectrality_report(pair, next(solved), next(solved)) for family, pair in pairs.items()}
     for family, report in reports.items():
@@ -196,11 +197,13 @@ def _suite_susy(tolerance: float):
             "susy", f"block-route {family.value}", rel <= BLOCK_REL and sym == 0.0,
             f"block energies vs closed form: max rel {rel:.3e} (tol {BLOCK_REL:.1e}); "
             f"negation symmetry dev {sym:.1e}"))
-    # The oracle's values come from sterf on the block operator, through the
-    # same solve_many driver and LAPACK seam as the route it checks. They are
-    # the bits of numpy.linalg.eigvalsh on the dense 2N matrix only while
-    # max|H| lies in [2^-485, 2^485] (see solver._lapack_seam), which holds
-    # for both models here; the detail line keeps its dense wording.
+    # Both sides of the oracle come from sterf, through the same solve_many
+    # driver and LAPACK seam as the route it checks: all N values of D^T D,
+    # mapped to the block's branches, and all 2N values of the block
+    # operator. Each side is the bits of numpy.linalg.eigvalsh on its matrix
+    # made dense only while its max|entry| lies in [2^-485, 2^485] (see
+    # solver._lapack_seam), which holds for both models here; the detail
+    # line keeps its dense wording.
     for family, ham in oracle.items():
         lam, dense = next(solved), next(solved)
         fact = block_branches(ham, lam)

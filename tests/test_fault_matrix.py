@@ -100,9 +100,8 @@ FAULTS = {
     }),
     "seam-does-not-scale-back": (solver, "_lapack_seam", unscaled_values, {
         "spectrum raised SolverError", "pair raised SolverError",
-        "susy/block-route 1d-ho", "susy/block-route 2d-ho",
-        "susy/dense-oracle 1d-ho N=160", "susy/dense-oracle 2d-iso N=160",
-        "susy/route-equivalence 1d-ho", "susy/kernel-dimension 1d-ho", "susy/kernel-dimension 1d-iso",
+        "susy/block-route 1d-ho", "susy/block-route 2d-ho", "susy/route-equivalence 1d-ho",
+        "susy/kernel-dimension 1d-ho", "susy/kernel-dimension 1d-iso",
     }),
 }
 

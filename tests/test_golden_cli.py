@@ -4,7 +4,9 @@ Every subcommand and family runs in this process, in CSV and JSON, at the
 defaults and at two other parameter sets, with and without --grid-max.
 Grids stay at N <= 4000, where the bytes do not depend on the BLAS thread
 count. golden_cli.json holds the digests; rewrite it only for an intended
-change of the output, and name each changed argv in the change:
+change of the output, and name each changed argv in the change. This
+command rewrites it and prints each argv whose digest it changed, added or
+dropped:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -125,6 +127,14 @@ def test_large_grid_stdout_matches_benchmark_digest(argv):
 
 
 if __name__ == "__main__":
+    before = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
     digests = {argv: stdout_digest(argv) for argv in golden_argvs()}
+    for argv in sorted(before.keys() | digests.keys()):
+        if argv not in digests:
+            print(f"dropped: {argv}")
+        elif argv not in before:
+            print(f"added: {argv}")
+        elif before[argv] != digests[argv]:
+            print(f"changed: {argv}")
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH}", file=sys.stderr)

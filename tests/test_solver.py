@@ -771,7 +771,8 @@ class TestLatestSolve:
     def test_verify_all_bisects_each_operator_once(self, monkeypatch):
         """block-route keeps the D^T D values of its solves for ladder-integers and
         route-equivalence, kernel-dimension reads the kernels of the isospectrality solves,
-        and every suite's solves, the dense oracles' sterf included, run in one batch."""
+        both sides of each dense oracle come from sterf, route-equivalence's solve shares the
+        seam of the pair suite's equal eigenpair solve, and every suite's solves run in one batch."""
         batches = []
 
         def counted(requests):
@@ -781,7 +782,7 @@ class TestLatestSolve:
         monkeypatch.setattr(verify, "solve_many", counted)
         fake = patch_lapack(monkeypatch)
         assert all(r.passed for r in run_suite("all"))
-        assert fake.calls == {"bisections": 24, "dstein": 4, "dsterf": 2}
+        assert fake.calls == {"bisections": 21, "dstein": 4, "dsterf": 4}
         assert batches == [26]
 
     def test_pair_suite_tables_come_from_its_own_eigenpairs(self, monkeypatch):
@@ -1321,6 +1322,60 @@ class TestSolveMany:
             assert_same_answer(answers[i], solve_outcome(requests[i]))
         with pytest.raises(error, match=match):
             solver.raise_first(answers)
+
+    @pytest.mark.parametrize("vectors", [(False, True), (True, False), (True, True), (False, False)],
+                             ids=["values-first", "vectors-first", "both-vectors", "both-values"])
+    def test_equal_requests_share_one_seam(self, monkeypatch, vectors):
+        """Two SolveRequests of an equal (spec, grid, k), one with the grid chosen and one with it passed
+        in, make one bisection, and one inverse iteration if either asks for vectors. Each answer has the
+        bits of its lone solve, and no two answers share an array."""
+        spec = ALL_SPECS[1]
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        requests = [solver.SolveRequest(spec, 4, n_points=400, vectors=vectors[0]),
+                    solver.SolveRequest(ModelSpec(Family.ISOTONIC_1D, PhysicalParams(a=1.0, b=1.0)), 4, grid,
+                                        vectors=vectors[1])]
+        want = [solve_outcome(request) for request in requests]
+        fake = patch_lapack(monkeypatch)
+        answers = solver.solve_many(requests)
+        assert fake.calls == ({"bisections": 1, "dstein": 1} if any(vectors) else {"bisections": 1})
+        for got, w in zip(answers, want):
+            assert_same_answer(got, w)
+        first, second = ([r.vector for r in answer[3] or []] for answer in answers)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_failure_answers_every_request_that_shares_the_seam(self, monkeypatch):
+        """The bisection fails on the operator of 300 points: both requests that share its seam are
+        answered with stebz's failure, and the third request with its lone solve's bits."""
+        requests = [solver.SolveRequest(ALL_SPECS[1], 4, n_points=300),
+                    solver.SolveRequest(ALL_SPECS[2], 3, n_points=500),
+                    solver.SolveRequest(ALL_SPECS[1], 4, n_points=300, vectors=True)]
+        want = solve_outcome(requests[1])
+        fake = patch_lapack(monkeypatch, laebz=failing_bisection(300))
+        answers = solver.solve_many(requests)
+        assert fake.calls == {"bisections": 2}
+        failure = SolverError("tridiagonal eigensolve failed: LAPACK stebz returned info=1")
+        assert_same_answer(answers[0], failure)
+        assert_same_answer(answers[2], failure)
+        assert_same_answer(answers[1], want)
+
+    @pytest.mark.parametrize("other", [
+        lambda spec, grid: solver.SolveRequest(spec, 5, grid, vectors=True),
+        lambda spec, grid: solver.SolveRequest(spec, 4, replace(grid, x_max=ulp_up(grid.x_max)), vectors=True),
+        lambda spec, grid: solver.SolveRequest(spec, 4, n_points=401, vectors=True),
+        lambda spec, grid: (discretize(effective_problem(spec), grid), 4, True),
+    ], ids=["k", "grid-edge", "grid-points", "operator"])
+    def test_unequal_requests_make_their_own_seams(self, monkeypatch, other):
+        """A request whose k or grid differs, or an operator's request, even of the equal operator, makes a
+        seam of its own beside the values-only SolveRequest, and each answer has its lone solve's bits."""
+        spec = ALL_SPECS[1]
+        grid = choose_domain(effective_problem(spec), 4, n_points=400)
+        requests = [solver.SolveRequest(spec, 4, grid), other(spec, grid)]
+        want = [solve_outcome(request) for request in requests]
+        fake = patch_lapack(monkeypatch)
+        answers = solver.solve_many(requests)
+        assert fake.calls == {"bisections": 2, "dstein": 1}
+        for got, w in zip(answers, want):
+            assert_same_answer(got, w)
 
     def test_largest_operator_last(self, monkeypatch):
         """With the largest operator requested last, on one lane, each answer keeps its bits and its place."""

@@ -24,7 +24,7 @@ from relqosc import (
     susy_isospectrality_check,
 )
 from relqosc.models import default_spec
-from relqosc.solver import Grid, solve_many
+from relqosc.solver import Grid, eigenvalues_lowest, solve_many
 from relqosc.susyblock import BlockHamiltonian, SupersymmetricPair, isospectrality_report
 from relqosc.verify import COMMUTATOR_ABS
 
@@ -160,6 +160,18 @@ class TestBlockHamiltonian:
         op = ham.operator()
         assert 2.0 ** -485 <= max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag))) <= 2.0 ** 485
         assert bits(solve_many([(op, None)])[0]) == bits(np.linalg.eigvalsh(ham.to_dense()))
+
+    @pytest.mark.parametrize("family", [Family.HARMONIC_1D, Family.ISOTONIC_2D], ids=lambda f: f.value)
+    def test_oracle_dtd_values_are_the_bits_of_dense_eigvalsh(self, family):
+        """The dense oracle's D^T D side, all its values from sterf, is the bits of eigvalsh on D^T D made
+        dense, and lies within 8 eps ||D^T D||_inf of the bisection of all its values (worst seen: 7.1 eps on
+        1d-ho, 5.6 eps on 2d-iso)."""
+        dtd = oracle_hamiltonian(family).pair.dtd_operator()
+        values = solve_many([(dtd, None)])[0]
+        dense = np.diag(dtd.diag) + np.diag(dtd.offdiag, 1) + np.diag(dtd.offdiag, -1)
+        assert bits(values) == bits(np.linalg.eigvalsh(dense))
+        dev = float(np.max(np.abs(values - eigenvalues_lowest(dtd, dtd.size))))
+        assert dev <= 8 * np.finfo(float).eps * dtd.norm_inf()
 
     def test_interleaved_layout(self):
         pair = toy_pair()
