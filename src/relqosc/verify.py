@@ -202,7 +202,7 @@ def _suite_susy(tolerance: float):
     # mapped to the block's branches, and all 2N values of the block
     # operator. Each side is the bits of numpy.linalg.eigvalsh on its matrix
     # made dense only while its max|entry| lies in [2^-485, 2^485] (see
-    # solver._lapack_seam), which holds for both models here; the detail
+    # lapack._lapack_seam), which holds for both models here; the detail
     # line keeps its dense wording.
     for family, ham in oracle.items():
         lam, dense = next(solved), next(solved)

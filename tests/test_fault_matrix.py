@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relqosc import analytic, models, solver, susyblock, verify
+from relqosc import analytic, lapack, models, solver, susyblock, verify
 from relqosc.solver import SolverError, TridiagonalOperator
 
 
@@ -63,7 +63,7 @@ def unscaled_values(real):
     """The seam with its values left in the units of the scaled operator."""
     source = inspect.getsource(real)
     assert source.count("lam = np.ldexp(w, p)") == 1
-    namespace = dict(vars(solver))
+    namespace = dict(vars(lapack))
     exec(source.replace("lam = np.ldexp(w, p)", "lam = w"), namespace)
     return namespace["_lapack_seam"]
 
@@ -98,7 +98,7 @@ FAULTS = {
         "spectrum/numeric-agreement 2d-ho", "spectrum/numeric-agreement 2d-iso",
         "pair/first-order closure 1d-ho", "pair/first-order closure 1d-iso",
     }),
-    "seam-does-not-scale-back": (solver, "_lapack_seam", unscaled_values, {
+    "seam-does-not-scale-back": (lapack, "_lapack_seam", unscaled_values, {
         "spectrum raised SolverError", "pair raised SolverError",
         "susy/block-route 1d-ho", "susy/block-route 2d-ho", "susy/route-equivalence 1d-ho",
         "susy/kernel-dimension 1d-ho", "susy/kernel-dimension 1d-iso",
@@ -224,7 +224,7 @@ def refused_build(*args, **kwargs):
 
 
 def lapack_with_failing_stebz(real, victim=None):
-    """solver._lapack with every bisection reporting failure, stebz's INFO 1, or, given a victim operator,
+    """lapack._lapack with every bisection reporting failure, stebz's INFO 1, or, given a victim operator,
     that operator's alone: each dlaebz bisection (IJOB, its 1st argument, 2) leaves at least one interval
     open (INFO, its 20th, at least 1). The seam hands dlaebz the operator scaled by 2^-p, and a block of it
     as a view of that whole diagonal (D, its 10th)."""
@@ -232,7 +232,7 @@ def lapack_with_failing_stebz(real, victim=None):
         p = math.frexp(np.max(np.abs(np.concatenate((victim.diag, victim.offdiag)))))[1]
         victim_diag = np.ldexp(victim.diag, -p)
 
-    def lapack():
+    def failing_lapack():
         routines = dict(real())
         laebz = routines["dlaebz"]
 
@@ -244,13 +244,13 @@ def lapack_with_failing_stebz(real, victim=None):
 
         routines["dlaebz"] = failing
         return routines
-    return lapack
+    return failing_lapack
 
 
 @pytest.mark.parametrize("module, name, plant, want", [
     (None, None, None, (ValueError, "planted failure while the susy suite builds")),
-    (solver, "_lapack", lapack_with_failing_stebz, (SolverError, "LAPACK stebz returned info=1")),
-    (solver, "_lapack_seam", unscaled_values, (SolverError, "squared energy")),
+    (lapack, "_lapack", lapack_with_failing_stebz, (SolverError, "LAPACK stebz returned info=1")),
+    (lapack, "_lapack_seam", unscaled_values, (SolverError, "squared energy")),
 ], ids=["build", "build-and-lapack", "build-and-check"])
 def test_build_failure_after_the_suites_before_it(monkeypatch, module, name, plant, want):
     """The susy suite raises while it builds its requests. The spectrum suite's batch still
@@ -271,7 +271,7 @@ def test_lapack_failure_of_a_later_suite_in_the_one_batch(monkeypatch):
     spec = models.default_spec(models.Family.ISOTONIC_1D)
     problem = models.effective_problem(spec)
     victim = solver.discretize(problem, solver.choose_domain(problem, 4, n_points=8000))
-    monkeypatch.setattr(solver, "_lapack", lapack_with_failing_stebz(solver._lapack, victim))
+    monkeypatch.setattr(lapack, "_lapack", lapack_with_failing_stebz(lapack._lapack, victim))
     real, batches = verify.solve_many, []
 
     def counted(requests):

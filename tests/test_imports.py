@@ -1,5 +1,6 @@
-"""Import hygiene: every name a package or test module imports is read in it; only the LAPACK seam calls LAPACK,
-only solver.solve builds and solves a model's finite-difference operator, and verify solves at one call site."""
+"""Import hygiene: every name a package or test module imports is read in it; the lapack module stands alone and
+alone knows ctypes, LAPACK and the CPU count, only its seam calls LAPACK, only solver.solve builds and solves a
+model's finite-difference operator, and verify solves at one call site."""
 
 import ast
 from pathlib import Path
@@ -163,18 +164,75 @@ def package_callers(names: set) -> set:
 
 
 def test_only_the_seam_calls_lapack():
-    """Every LAPACK call goes through solver._lapack_seam, which scales the operator for the bisection and stein:
+    """Every LAPACK call goes through lapack._lapack_seam, which scales the operator for the bisection and stein:
     only it calls _lapack's dlaebz and dsterf, only its inverse iteration _stein, which it alone calls, calls
     the kernels of dstein, nothing calls dstein itself, and only _lapack calls _flapack."""
-    assert package_callers(LAPACK) == {("solver.py", "_lapack_seam"), ("solver.py", "_stein"), ("solver.py", "_lapack")}
-    assert package_callers({"_stein"}) == {("solver.py", "_lapack_seam")}
+    assert package_callers(LAPACK) == {("lapack.py", "_lapack_seam"), ("lapack.py", "_stein"), ("lapack.py", "_lapack")}
+    assert package_callers({"_stein"}) == {("lapack.py", "_lapack_seam")}
     assert package_callers({"dstein"}) == set()
 
 
 def test_only_solve_many_drives_the_seam():
-    """solver.solve_many is the one driver of every LAPACK seam: eigenvalues_lowest and eigen_lowest
-    are its one-request cases, and the seam itself returns each request's checked answer."""
-    assert package_callers({"_lapack_seam"}) == {("solver.py", "solve_many")}
+    """solver.solve_many is the one driver of every LAPACK seam: eigenvalues_lowest and eigen_lowest are its
+    one-request cases, its one call of lapack.solve_operators is the seam's one caller, and the seam itself
+    returns each request's checked answer."""
+    assert package_callers({"_lapack_seam"}) == {("lapack.py", "solve_operators")}
+    assert package_callers({"solve_operators"}) == {("solver.py", "solve_many")}
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports: each relative import as its dots and module, and each import of
+    relqosc."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "relqosc"):
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names if alias.name.split(".")[0] == "relqosc")
+    return names
+
+
+CPU_COUNTS = {"sched_getaffinity", "cpu_count"}
+
+
+def lapack_knowledge(tree: ast.Module) -> set:
+    """What a module knows of the LAPACK layer: "ctypes" where it imports ctypes, and each LAPACK routine, LAPACK
+    loader and CPU count it names, as a name, an attribute or a string constant."""
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return {"ctypes" for name in imported if name.split(".")[0] == "ctypes"} | (
+        (read_names(tree) | strings) & (LAPACK | CPU_COUNTS))
+
+
+def test_lapack_imports_no_package_module():
+    """The LAPACK layer stands alone: the lapack module imports no other module of the package."""
+    assert package_imports(ast.parse((ROOT / "src" / "relqosc" / "lapack.py").read_text(encoding="utf-8"))) == set()
+
+
+def test_only_lapack_knows_ctypes_lapack_and_cpus():
+    """No module but lapack imports ctypes, names a routine of _lapack() or its loaders, or counts the CPUs:
+    the model level hands it operators and leaves the lanes to it."""
+    known = {path.name: lapack_knowledge(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             for path in SRC}
+    assert {name: names for name, names in known.items() if names} == {
+        "lapack.py": {"ctypes", *LAPACK - {"dstein"}, *CPU_COUNTS}}
+
+
+def test_finds_package_imports_and_lapack_knowledge():
+    tree = ast.parse(
+        "import ctypes.util, os, relqosc.models\n"
+        "from . import analytic\n"
+        "from .solver import Grid\n"
+        "from relqosc import verify\n"
+        "from numpy import ndarray\n"
+        "cpus = len(os.sched_getaffinity(0))\n"
+        "values = routines['dsterf'](d), lapack.dlaebz\n"
+        "name = 'sterf'\n"
+    )
+    assert package_imports(tree) == {"relqosc.models", ".", ".solver", "relqosc"}
+    assert lapack_knowledge(tree) == {"ctypes", "sched_getaffinity", "dsterf", "dlaebz"}
+    assert lapack_knowledge(ast.parse("from ctypes import c_int\n")) == {"ctypes"}
 
 
 def test_finds_lapack_callers():

@@ -36,9 +36,10 @@ from relqosc import (
     residual_pair_check,
     run_suite,
 )
-from relqosc import solver, verify
+from relqosc import lapack, solver, verify
 from relqosc.models import RadialProblem, default_spec
-from relqosc.solver import Grid, TridiagonalOperator, _first_extremum_sign, _lapack_seam, eigenvalues_lowest
+from relqosc.lapack import _first_extremum_sign, _lapack_seam
+from relqosc.solver import Grid, TridiagonalOperator, eigenvalues_lowest
 
 ALL_SPECS = [
     ModelSpec(Family.HARMONIC_1D),
@@ -118,8 +119,8 @@ def laebz_call(args) -> types.SimpleNamespace:
 def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, sterf=lambda out: out):
     """Make the solver's LAPACK routines run through fakes, and return a record of their calls.
 
-    Each fake wraps a routine that solver._lapack() returns and runs the real
-    routine, or wraps the inverse iteration solver._stein and runs it. The
+    Each fake wraps a routine that lapack._lapack() returns and runs the real
+    routine, or wraps the inverse iteration lapack._stein and runs it. The
     fake of dsterf then passes what the routine wrote, as the tuple
     _flapack's wrapper returns, through the given function, which may
     corrupt it, and writes the result back into the same ctypes objects and
@@ -136,7 +137,7 @@ def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, st
     """
     calls = collections.Counter()
     lock = threading.Lock()
-    real, real_stein = solver._lapack(), solver._stein
+    real, real_stein = lapack._lapack(), lapack._stein
     bisected = {}
 
     def fake(name, post):
@@ -174,8 +175,8 @@ def patch_lapack(monkeypatch, laebz=lambda call: None, stein=lambda out: out, st
         return info
 
     fakes = {**real, "dlaebz": bisection, "dsterf": fake("dsterf", sterf)}
-    monkeypatch.setattr(solver, "_lapack", lambda: fakes)
-    monkeypatch.setattr(solver, "_stein", inverse_iteration)
+    monkeypatch.setattr(lapack, "_lapack", lambda: fakes)
+    monkeypatch.setattr(lapack, "_stein", inverse_iteration)
     monkeypatch.setattr(solver, "_latest_model_solve", None)
     return types.SimpleNamespace(calls=calls)
 
@@ -207,7 +208,7 @@ def second_value_nan(call):
 
 
 def run_seam(op: TridiagonalOperator, k: int, vectors: bool = False):
-    """What solver._lapack_seam returns, with each of its LAPACK calls run on this thread, in order."""
+    """What lapack._lapack_seam returns, with each of its LAPACK calls run on this thread, in order."""
     seam = _lapack_seam(op, k, vectors)
     try:
         while True:
@@ -234,7 +235,7 @@ def symbol(address):
     assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(found))
     return found.file, found.name
 def same_routines():
-    routines = {name: ctypes.cast(routine, ctypes.c_void_p).value for name, routine in solver._lapack().items()}
+    routines = {name: ctypes.cast(routine, ctypes.c_void_p).value for name, routine in lapack._lapack().items()}
     library = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
     stebz = next(getattr(library, name) for name in ("scipy_dstebz_", "dstebz_") if hasattr(library, name))
     file, name = symbol(ctypes.cast(stebz, ctypes.c_void_p).value)
@@ -281,6 +282,12 @@ class TestTridiagonalOperator:
             TridiagonalOperator(np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError):
             TridiagonalOperator(np.zeros(5), np.zeros(3))
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_grid_spacing_must_be_positive_and_finite(self, h):
+        """An h that would make the eigenvectors NaN or zero, or their normalization raise, is refused."""
+        with pytest.raises(ValueError, match="positive finite grid spacing"):
+            TridiagonalOperator(np.array([2.0, 0.0, 1.0, 3.0]), np.ones(3), h=h)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
@@ -534,6 +541,15 @@ class TestEigenvaluesLowest:
                 solve(op, 2)
         assert not recwarn.list
 
+    def test_integer_operator_takes_every_request(self):
+        """An int64 operator gets the k lowest values, the eigenpairs and all the values of its float64 copy."""
+        d, e = np.array([2, 0, 1, 3]), np.array([1, 1, 1])
+        answers = [solver.solve_many([(op, 2), (op, 2, True), (op, None)])
+                   for op in (TridiagonalOperator(d, e), TridiagonalOperator(d.astype(float), e.astype(float)))]
+        for got, want in zip(*answers):
+            assert not isinstance(want, Exception)
+            assert_same_answer(got, want)
+
     def test_all_values_past_the_float_range_raise(self, recwarn):
         """sterf scales the operator itself, but its largest value, 2.4e308, lies past the float range."""
         op = TridiagonalOperator(np.full(3, 1e308), np.full(2, 1e308))
@@ -591,7 +607,7 @@ class TestLapackCalls:
         got = run_fresh("""
 import json, sys
 import numpy as np
-from relqosc import solver
+from relqosc import lapack, solver
 op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
 lam = solver.eigenvalues_lowest(op, 3).tolist()
 """ + SAME_ROUTINES + """
@@ -599,8 +615,8 @@ before = "scipy.linalg" in sys.modules
 import scipy.linalg
 want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                      select_range=(0, 2), lapack_driver="stebz").tolist()
-print(json.dumps([before, lam == want, scipy.linalg.lapack.dstebz is solver._flapack().dstebz,
-                  scipy.linalg.lapack.dstein is solver._flapack().dstein, *same_routines()]))
+print(json.dumps([before, lam == want, scipy.linalg.lapack.dstebz is lapack._flapack().dstebz,
+                  scipy.linalg.lapack.dstein is lapack._flapack().dstein, *same_routines()]))
 """)
         assert got == [False, True, True, True, True, True]
 
@@ -609,22 +625,22 @@ print(json.dumps([before, lam == want, scipy.linalg.lapack.dstebz is solver._fla
 import json, sys
 import numpy as np
 import scipy.linalg
-from relqosc import solver
+from relqosc import lapack, solver
 op = solver.TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0))
 lam = solver.eigenvalues_lowest(op, 3).tolist()
 """ + SAME_ROUTINES + """
 want = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
                                      select_range=(0, 2), lapack_driver="stebz").tolist()
-print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._flapack"],
-                  solver._flapack() is scipy.linalg.lapack._flapack, *same_routines()]))
+print(json.dumps([lam == want, lapack._flapack() is sys.modules["scipy.linalg._flapack"],
+                  lapack._flapack() is scipy.linalg.lapack._flapack, *same_routines()]))
 """)
         assert got == [True, True, True, True, True]
 
     def test_missing_scipy_raises_import_error(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
+        monkeypatch.delitem(sys.modules, lapack._FLAPACK, raising=False)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
         with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as excinfo:
-            solver._flapack.__wrapped__()
+            lapack._flapack.__wrapped__()
         assert excinfo.value.name == "scipy.linalg._flapack"
 
     @pytest.mark.parametrize("exported, missing", [
@@ -641,16 +657,16 @@ print(json.dumps([lam == want, solver._flapack() is sys.modules["scipy.linalg._f
         monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
             **{name: getattr(real(path), name) for name in exported}))
         with pytest.raises(ImportError, match=rf"LAPACK routine {missing} not found next to dstebz") as excinfo:
-            solver._lapack.__wrapped__()
+            lapack._lapack.__wrapped__()
         assert excinfo.value.name == "scipy.linalg._flapack"
 
     def test_scipy_without_lapack_raises_import_error(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, solver._FLAPACK, raising=False)
+        monkeypatch.delitem(sys.modules, lapack._FLAPACK, raising=False)
         empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         empty.submodule_search_locations.append(str(tmp_path))
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: empty)
         with pytest.raises(ImportError, match=r"cannot locate scipy\.linalg\._flapack"):
-            solver._flapack.__wrapped__()
+            lapack._flapack.__wrapped__()
 
 
 def bits(values) -> list:
@@ -994,8 +1010,8 @@ def lane_outcome(run):
 def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
     """With `cpus` usable CPUs: the outcomes of eigenvalues_lowest(op, k), as bits, and of eigen_lowest(op, k),
     as the bits of each eigenvalue, residual and vector; and the M, W (as bits), IBLOCK and ISPLIT that the
-    bisection of the eigenpair request handed the inverse iteration (solver._stein), if it reached it."""
-    real = solver._stein
+    bisection of the eigenpair request handed the inverse iteration (lapack._stein), if it reached it."""
+    real = lapack._stein
     handed = []
 
     def stein(lapack, d, e, w, iblock, isplit, z):
@@ -1004,7 +1020,7 @@ def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
         return (yield from real(lapack, d, e, w, iblock, isplit, z))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_stein", stein)
+        patch.setattr(lapack, "_stein", stein)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         values = lane_outcome(lambda: bits(eigenvalues_lowest(op, k)))
         pairs = lane_outcome(lambda: [(bits([r.eigenvalue, r.residual]), r.vector.tobytes())
@@ -1093,7 +1109,7 @@ def stein_on(d, e, w, iblock, isplit, cpus: int):
     z = np.zeros((d.size, w.size), order="F")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        [info] = solver._run_lanes({0: solver._stein(solver._lapack(), d, e, w, iblock, isplit, z)}).values()
+        [info] = lapack._run_lanes({0: lapack._stein(lapack._lapack(), d, e, w, iblock, isplit, z)}).values()
     return z, info
 
 
