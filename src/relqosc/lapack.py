@@ -503,16 +503,13 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     the index search could not separate. A negative INFO from dlaebz raises
     ValueError. Each interval is refined only by its own midpoints and
     counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116), so splitting the
-    work changes no bit. On one lane the calls are dstebz's, with room for
-    one interval per eigenvalue where dstebz has one per row. On L lanes the
-    two searches are two calls; each block makes one iteration, and more
-    while an open interval holds more than ceil(m/L) of the m eigenvalues
-    still open; then the open intervals are dealt to L calls by eigenvalue
-    count, each with the iterations its block has left.
-
-    Without a split every e_j^2 is normal, so the whole matrix's Gershgorin
-    interval, from sqrt(e_j^2), is its one block's, from |e_j|, bit for bit:
-    it is taken once.
+    work changes no bit. The two searches are two calls, one from each end.
+    On one lane each block is then bisected by one call, with room for one
+    interval per eigenvalue where dstebz has one per row. On L lanes each
+    block makes one iteration, and more while an open interval holds more
+    than ceil(m/L) of the m eigenvalues still open; then the open intervals
+    are dealt to L calls by eigenvalue count, each with the iterations its
+    block has left.
 
     Both requests make the same bisection, in block order as stein needs,
     raise SolverError before any stein call unless it gave k values that
@@ -590,31 +587,24 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     isplit = np.append(split + 1, n).astype(np.intc)
     blocks = [_Block(j + 1, d[begin:end], e[begin:], e2[begin:])
               for j, (begin, end) in enumerate(zip((0, *isplit), isplit))]
-    # Without a split every e_j^2 is at least SAFEMIN, a normal float, so sqrt(e_j^2) is |e_j| and the whole
-    # matrix's Gershgorin interval is its one block's: taken once.
-    unsplit = _gershgorin(d, np.abs(e, out=row)) if not split.size else None
     ranged, wl, wu, stebz_info = k < n, 0.0, 0.0, 0
     if ranged:
-        gl, gu = unsplit or _gershgorin(d, np.sqrt(e2[:-1], out=row))
+        gl, gu = _gershgorin(d, np.sqrt(e2[:-1], out=row))
         tnorm = max(abs(gl), abs(gu))
         whole = _Block(0, d, e, e2, _ULP * tnorm, args=(_Array(d), _Array(e), _Array(e2)))
         gl = gl - _FUDGE * tnorm * _ULP * n - _FUDGE * 2.0 * pivmin
         gu = gu + _FUDGE * tnorm * _ULP * n + _FUDGE * pivmin
-        # The searches from GL for the count 0 and from GU for the count k: one call, or one each on more lanes.
-        starts = [(gl, 0), (gu, k)]
-        searches = [_Intervals([(gl, gu, -1, n + 1)] * len(part), [x for x, _ in part], [t for _, t in part])
-                    for part in ([starts] if lanes == 1 else [[one] for one in starts])]
+        # The searches from GL for the count 0 and from GU for the count k, one call each.
+        searches = [_Intervals([(gl, gu, -1, n + 1)], [x], [target]) for x, target in ((gl, 0), (gu, k))]
         yield [laebz(3, _itmax(tnorm, pivmin), whole, q) for q in searches]
-        # dlaebz moves a search that converges to the front, with its target count.
-        found = {target: row for q in checked(searches) for target, row in zip(q.nval.tolist(), q.rows(q.minp))}
-        (wl, wlu, nwl, _), (wul, wu, _, nwu) = found[0], found[k]
+        [(wl, wlu, nwl, _)], [(wul, wu, _, nwu)] = (q.rows(1) for q in checked(searches))
         if nwl < 0 or nwl >= n or nwu < 1 or nwu > n:
             blocks = []  # dstebz returns INFO 4 and no value
     for b in blocks:
         size = b.d.size
         if size == 1:
             continue
-        gl, gu = unsplit or _gershgorin(b.d, np.abs(b.e[:size - 1]))
+        gl, gu = _gershgorin(b.d, np.abs(b.e[:size - 1]))
         bnorm = max(abs(gl), abs(gu))
         gl = gl - _FUDGE * bnorm * _ULP * size - _FUDGE * pivmin
         gu = gu + _FUDGE * bnorm * _ULP * size + _FUDGE * pivmin
@@ -719,14 +709,18 @@ def _run_lanes(seams: dict) -> dict:
     import queue
     import threading
 
+    # Most calls take microseconds (stein's kernels, a search, a one-lane bisection of a small operator), so a
+    # hand-off to another thread costs more than the call. The calling thread is a lane because it waits for the
+    # round anyway, and it runs a call with no wake-up; a helper starts only for a second waiting call, which would
+    # otherwise wait. A concurrent.futures.ThreadPoolExecutor running every call was much slower (2 vCPUs, one BLAS
+    # thread, 5 runs each): numeric_levels on the four default models at (12, 16000) took 0.44-2.8 s against
+    # 0.16-0.18 s, run_suite("all") 189-292 ms against 69-78 ms.
     answers, rounds, helpers, cpus = {}, {}, [], _usable_cpus()
     queued, returned = queue.SimpleQueue(), queue.SimpleQueue()
 
     def advance(key, exc):
         try:
             calls = seams[key].send(None) if exc is None else seams[key].throw(exc)
-            while not calls:
-                calls = seams[key].send(None)
         except StopIteration as stop:
             answers[key] = stop.value
         except Exception as failure:  # the request's answer

@@ -95,9 +95,9 @@ class ModelSpec:
 
     ml is the integer angular momentum index, required for the 2D families
     and forbidden for the 1D ones. Validation rejects sub-critical
-    centrifugal sectors (ml^2 < 1/4, or (ml - b)^2 < 1/4 for the 2D
-    isotonic family) where the radial problem loses its unique ground
-    branch; those sectors are out of the solver's contract. It also rejects
+    centrifugal sectors, s < 1/2 with s = |ml| (2d-ho) or |ml - b| (2d-iso),
+    where the radial problem loses its unique ground branch; those sectors
+    are out of the solver's contract. It also rejects
     what the parameters alone make unrepresentable: a rest energy whose
     square (mc^2)^2 is below the smallest normal float, and any of the
     model's scales (well strength, lambda ladder, E^2 and eps maps, delta;
@@ -126,16 +126,9 @@ class ModelSpec:
                 raise ValueError(f"harmonic frequency must be positive, got omega={p.omega}")
         if fam is Family.ISOTONIC_1D and not (p.b > 0):
             raise ValueError(f"1D isotonic inverse strength must be positive, got b={p.b}")
-        if fam is Family.HARMONIC_2D and self.ml ** 2 < 0.25:
-            raise ValueError(
-                f"2D harmonic sector ml={self.ml} is sub-critical (ml^2 < 1/4); not supported"
-            )
-        # |ml - b| < 1/2 is (ml - b)^2 < 1/4 without the square, which overflows.
-        if fam is Family.ISOTONIC_2D and abs(self.ml - p.b) < 0.5:
-            raise ValueError(
-                f"2D isotonic sector ml={self.ml}, b={p.b} is sub-critical "
-                f"((ml - b)^2 < 1/4); not supported"
-            )
+        # s < 1/2 is s^2 - 1/4 < 0 without the square, which overflows.
+        if fam.is_two_dimensional and (s := _sector_exponent(self)) < 0.5:
+            raise ValueError(f"{fam.value} sector ml={self.ml} is sub-critical (s = {s} < 1/2); not supported")
         try:
             # E^2 of a level at rest would be (mc^2)^2, and relative errors divide by
             # it: a subnormal one has lost precision, and one that is 0 has none.
@@ -210,14 +203,12 @@ def superpotential(spec: ModelSpec, x):
     Harmonic: W = m omega x. Isotonic: W = a x + b / x. Only 1d-ho lives on
     the full line; for every other family x <= 0 is a domain error.
     """
-    p = spec.params
     x = np.asarray(x, dtype=float)
     if spec.family is not Family.HARMONIC_1D and np.any(x <= 0):
         raise ValueError(f"the {spec.family.value} superpotential is defined on x > 0 only")
+    w = _well_strength(spec) * x
     if spec.family.is_isotonic:
-        w = p.a * x + p.b / x
-    else:
-        w = p.m * p.omega * x
+        w = w + spec.params.b / x
     return w[()] if w.ndim == 0 else w
 
 
@@ -235,45 +226,44 @@ def pair_superpotential(spec: ModelSpec, x):
     return superpotential(spec, x)
 
 
+def _well_strength(spec: ModelSpec) -> float:
+    """q, the slope of the superpotential's linear part: a on the isotonic families, m omega on the harmonic ones."""
+    p = spec.params
+    return p.a if spec.family.is_isotonic else p.m * p.omega
+
+
+def _sector_exponent(spec: ModelSpec) -> float:
+    """s of a 2D sector, whose centrifugal coefficient is s^2 - 1/4: |ml| on 2d-ho, |ml - b| on 2d-iso."""
+    return abs(spec.ml - spec.params.b) if spec.family.is_isotonic else abs(spec.ml)
+
+
 def _facts(spec: ModelSpec):
     """(domain, q, cent, gap, offset, c^2, E^2 intercept, eps slope, eps intercept, delta).
 
     The numbers effective_problem is built from; ModelSpec requires every
     one of them to be finite. cent is the 1/x^2 coefficient of V on the
-    half-line. Raises OverflowError where a power overflows.
+    half-line; in 2D it is s^2 - 1/4, and the ladder is q (4n + 2s + 2). The
+    E^2 intercept stays per family: its bits depend on its written order.
+    Raises OverflowError where a power overflows.
     """
-    p = spec.params
-    mc2 = spec.mc2
-    c2 = p.c ** 2
-    fam = spec.family
+    p, fam = spec.params, spec.family
+    mc2, c2, q = spec.mc2, p.c ** 2, _well_strength(spec)
     if fam is Family.HARMONIC_1D:
-        mw = p.m * p.omega
-        cent = 0.0
         # lambda_n = m omega (2n + 1); E^2 = c^2 lambda + (mc^2)^2 - m omega c^2
-        domain, q, gap, offset, e2_intercept = "full-line", mw, 2.0 * mw, mw, mc2 ** 2 - mw * c2
-        # Twice the gap, so the A+A rungs read n/2. It stays so because
-        # perfbench/cli_digests.json pins `ajc --family 1d-ho`.
-        delta = 4.0 * mw
+        domain, cent, gap, offset, e2_intercept = "full-line", 0.0, 2.0 * q, q, mc2 ** 2 - q * c2
     elif fam is Family.ISOTONIC_1D:
-        a, b = p.a, p.b
-        cent = b * (b + 1.0)
+        b = p.b
         # lambda_n = a (4n + 2b + 3); E^2 = c^2 lambda + (mc^2)^2 - a c^2 (1 - 2b)
-        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * b + 3.0), mc2 ** 2 - a * c2 * (1.0 - 2.0 * b)
-        delta = gap
-    elif fam is Family.HARMONIC_2D:
-        mw = p.m * p.omega
-        ml = spec.ml
-        cent = ml ** 2 - 0.25
-        # lambda_n = m omega (4n + 2|ml| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 mc^2 omega (1 + ml)
-        domain, q, gap, offset, e2_intercept = "half-line", mw, 4.0 * mw, mw * (2.0 * abs(ml) + 2.0), mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + ml)
-        delta = gap
+        domain, cent, gap, offset, e2_intercept = "half-line", b * (b + 1.0), 4.0 * q, q * (2.0 * b + 3.0), mc2 ** 2 - q * c2 * (1.0 - 2.0 * b)
     else:
-        a, b, ml = p.a, p.b, spec.ml
-        s = abs(ml - b)
-        cent = (ml - b) ** 2 - 0.25
-        # lambda_n = a (4n + 2|ml - b| + 2); E^2 = c^2 lambda + (mc^2)^2 - 2 a c^2 (ml - b + 1)
-        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * s + 2.0), mc2 ** 2 - 2.0 * a * c2 * (ml - b + 1.0)
-        delta = gap
+        s = _sector_exponent(spec)
+        domain, cent, gap, offset = "half-line", s ** 2 - 0.25, 4.0 * q, q * (2.0 * s + 2.0)
+        # E^2 = c^2 lambda + (mc^2)^2 - 2 mc^2 omega (1 + ml) on 2d-ho, - 2 a c^2 (ml - b + 1) on 2d-iso
+        e2_intercept = (mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + spec.ml) if fam is Family.HARMONIC_2D
+                        else mc2 ** 2 - 2.0 * q * c2 * (spec.ml - p.b + 1.0))
+    # The gap, except on 1d-ho: twice its gap, so the A+A rungs read n/2. It
+    # stays so because perfbench/cli_digests.json pins `ajc --family 1d-ho`.
+    delta = 4.0 * q
     eps_slope = c2 / (2.0 * mc2)
     eps_intercept = (e2_intercept - mc2 ** 2) / (2.0 * mc2)
     return domain, q, cent, gap, offset, c2, e2_intercept, eps_slope, eps_intercept, delta
@@ -286,8 +276,9 @@ def effective_problem(spec: ModelSpec) -> RadialProblem:
     eigenvalue map (2D families also pick up the -1/(4r^2) flat-measure
     term), so lambda_to_e2 has slope exactly c^2 for every family. Every
     family's V is q^2 x^2, plus cent / x^2 on the half-line; _facts states
-    each family's q, cent, lambda ladder (gap and offset), E^2 intercept
-    and default ladder normalization delta.
+    q, cent, the lambda ladder (gap and offset), the E^2 intercept and the
+    default ladder normalization delta, from the helpers _well_strength and
+    _sector_exponent.
     """
     domain, q, cent, gap, offset, c2, e2_intercept, eps_slope, eps_intercept, delta = _facts(spec)
 

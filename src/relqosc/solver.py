@@ -172,7 +172,7 @@ _latest_model_solve = None
 
 
 class SolveRequest(NamedTuple):
-    """One model-level solve of solve_many, with solve's arguments."""
+    """One model-level solve of solve_many, with solve's arguments; a grid and an x_max exclude each other."""
 
     spec: ModelSpec
     k: int
@@ -215,6 +215,8 @@ def solve_many(requests) -> list:
                 jobs[i] = request
                 continue
             spec, k, grid, n_points, x_max, vectors = request
+            if grid is not None and x_max is not None:
+                raise ValueError(f"a solve takes a grid or an x_max, not both; got {grid} and x_max={x_max}")
             problem = effective_problem(spec)
             if grid is None:
                 grid = choose_domain(problem, k, n_points, x_max)
@@ -256,7 +258,8 @@ def solve(spec: ModelSpec, k: int, grid: Optional[Grid] = None, n_points: int = 
     """The one model-level solve: (grid, problem, the k lowest eigenvalues, eigenpairs or None).
 
     Builds the effective problem once and, unless a grid is given, picks it
-    with choose_domain(problem, k, n_points, x_max). With vectors, eigen_lowest's
+    with choose_domain(problem, k, n_points, x_max); a grid and an x_max
+    together raise ValueError. With vectors, eigen_lowest's
     work always runs and its eigenpairs are returned; otherwise only
     eigenvalues are computed, and none when the latest solve had an equal
     (spec, grid, k). Every successful solve becomes the latest; one that

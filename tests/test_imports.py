@@ -1,6 +1,7 @@
 """Import hygiene: every name a package or test module imports is read in it; the lapack module stands alone and
 alone knows ctypes, LAPACK and the CPU count, only its seam calls LAPACK, only solver.solve builds and solves a
-model's finite-difference operator, and verify solves at one call site."""
+model's finite-difference operator, verify solves at one call site, and the closed forms read no numeric fact of
+the models."""
 
 import ast
 from pathlib import Path
@@ -54,14 +55,14 @@ def test_finds_unread_imports():
     assert unread_imports(tree) == ["Optional (line 4)", "os (line 2)", "osp (line 2)"]
 
 
-def analytic_imports(tree: ast.Module) -> set:
-    """Names a module imports from the package's analytic module; "analytic" itself for a module import."""
+def imports_from(tree: ast.Module, module: str) -> set:
+    """Names a module imports from the package's given module; the module's own name for a module import."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "analytic":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             names.update(alias.name for alias in node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update("analytic" for alias in node.names if alias.name.split(".")[-1] == "analytic")
+            names.update(module for alias in node.names if alias.name.split(".")[-1] == module)
     return names
 
 
@@ -69,7 +70,14 @@ def analytic_imports(tree: ast.Module) -> set:
 def test_numeric_route_imports_no_closed_form(name):
     """The finite-difference route takes only the table records from the closed forms."""
     tree = ast.parse((ROOT / "src" / "relqosc" / name).read_text(encoding="utf-8"))
-    assert analytic_imports(tree) <= {"Level", "SpectrumTable"}
+    assert imports_from(tree, "analytic") <= {"Level", "SpectrumTable"}
+
+
+def test_closed_form_imports_no_numeric_facts():
+    """The closed forms state each family's facts on their own: analytic takes from models only the model
+    records and finite_on_nodes, never the helpers for q and s, _facts or effective_problem."""
+    tree = ast.parse((ROOT / "src" / "relqosc" / "analytic.py").read_text(encoding="utf-8"))
+    assert imports_from(tree, "models") <= {"Family", "ModelSpec", "finite_on_nodes"}
 
 
 def test_finds_analytic_imports():
@@ -79,7 +87,17 @@ def test_finds_analytic_imports():
         "import relqosc.analytic\n"
         "from .models import ModelSpec\n"
     )
-    assert analytic_imports(tree) == {"Level", "analytic_e2", "analytic"}
+    assert imports_from(tree, "analytic") == {"Level", "analytic_e2", "analytic"}
+
+
+def test_finds_models_imports():
+    tree = ast.parse(
+        "from .models import ModelSpec, _facts\n"
+        "from relqosc import models\n"
+        "from relqosc.models import effective_problem as problem\n"
+        "from .analytic import Level\n"
+    )
+    assert imports_from(tree, "models") == {"ModelSpec", "_facts", "models", "effective_problem"}
 
 
 def private_names(tree: ast.Module) -> dict:

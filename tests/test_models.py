@@ -18,7 +18,7 @@ from relqosc import (
     pair_recover_psi2,
     pair_superpotential,
 )
-from relqosc.models import superpotential
+from relqosc.models import _facts, superpotential
 from relqosc.solver import Grid
 
 ALL_FAMILY_SPECS = [
@@ -168,6 +168,101 @@ class TestParameterDecades:
             return
         values = [v for lev in table.levels for v in (lev.e2, lev.e, lev.eps)]
         assert all(map(math.isfinite, values)), values
+
+
+def written_out_facts(spec):
+    """_facts as each family once wrote out its own q, ladder and sector: the reference for the bits of the
+    shared form, kept as it was."""
+    p = spec.params
+    mc2 = spec.mc2
+    c2 = p.c ** 2
+    fam = spec.family
+    if fam is Family.HARMONIC_1D:
+        mw = p.m * p.omega
+        cent = 0.0
+        domain, q, gap, offset, e2_intercept = "full-line", mw, 2.0 * mw, mw, mc2 ** 2 - mw * c2
+        delta = 4.0 * mw
+    elif fam is Family.ISOTONIC_1D:
+        a, b = p.a, p.b
+        cent = b * (b + 1.0)
+        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * b + 3.0), mc2 ** 2 - a * c2 * (1.0 - 2.0 * b)
+        delta = gap
+    elif fam is Family.HARMONIC_2D:
+        mw = p.m * p.omega
+        ml = spec.ml
+        cent = ml ** 2 - 0.25
+        domain, q, gap, offset, e2_intercept = "half-line", mw, 4.0 * mw, mw * (2.0 * abs(ml) + 2.0), mc2 ** 2 - 2.0 * mc2 * p.omega * (1.0 + ml)
+        delta = gap
+    else:
+        a, b, ml = p.a, p.b, spec.ml
+        s = abs(ml - b)
+        cent = (ml - b) ** 2 - 0.25
+        domain, q, gap, offset, e2_intercept = "half-line", a, 4.0 * a, a * (2.0 * s + 2.0), mc2 ** 2 - 2.0 * a * c2 * (ml - b + 1.0)
+        delta = gap
+    eps_slope = c2 / (2.0 * mc2)
+    eps_intercept = (e2_intercept - mc2 ** 2) / (2.0 * mc2)
+    return domain, q, cent, gap, offset, c2, e2_intercept, eps_slope, eps_intercept, delta
+
+
+def written_out_superpotential(spec, x):
+    p = spec.params
+    return p.a * x + p.b / x if spec.family.is_isotonic else p.m * p.omega * x
+
+
+def unvalidated_spec(family, params, ml):
+    """A ModelSpec that skips its validation, so _facts also meets the models ModelSpec refuses."""
+    spec = object.__new__(ModelSpec)
+    for name, value in (("family", family), ("params", params), ("ml", ml)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def outcome(function, *args):
+    """What function(*args) gives, each float as its bits and each array as its bytes, or the type it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            values = function(*args)
+    except Exception as exc:
+        return type(exc)
+    return [(type(v), v.hex() if isinstance(v, float) else v.tobytes() if isinstance(v, np.ndarray) else v)
+            for v in values]
+
+
+SIGNED_SCALES = st.one_of(SCALES, SCALES.map(lambda v: -v))
+
+
+class TestSharedFacts:
+    """Each family's facts, read from one well strength q and one sector exponent s, are the bits of the
+    per-family expressions, across decades and both signs of omega and a."""
+
+    @given(
+        family=st.sampled_from(list(Family)),
+        m=SCALES, c=SCALES, omega=SIGNED_SCALES, a=SIGNED_SCALES, b=INVERSE_STRENGTHS,
+        ml=st.integers(-6, 6),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_facts_are_the_written_out_bits(self, family, m, c, omega, a, b, ml):
+        spec = unvalidated_spec(family, PhysicalParams(m=m, c=c, omega=omega, a=a, b=b),
+                                ml if family.is_two_dimensional else None)
+        assert outcome(_facts, spec) == outcome(written_out_facts, spec)
+        x = np.array([0.25, 1.0, 3.0, 1e3])
+        assert outcome(lambda: [superpotential(spec, x)]) == outcome(lambda: [written_out_superpotential(spec, x)])
+
+    @given(
+        family=st.sampled_from([Family.HARMONIC_2D, Family.ISOTONIC_2D]),
+        b=st.one_of(INVERSE_STRENGTHS, st.integers(-28, 28).map(lambda j: j / 4)), ml=st.integers(-6, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sub_critical_sectors_are_the_written_out_ones(self, family, b, ml):
+        """s < 1/2 refuses exactly the sectors that ml^2 < 1/4 (2d-ho) and (ml - b)^2 < 1/4 (2d-iso) refused."""
+        written_out = ml ** 2 < 0.25 if family is Family.HARMONIC_2D else abs(ml - b) < 0.5
+        try:
+            ModelSpec(family, PhysicalParams(b=b), ml=ml)
+        except ValueError as exc:
+            refused = "sub-critical" in str(exc)
+        else:
+            refused = False
+        assert refused == written_out
 
 
 class TestSuperpotentials:

@@ -1285,6 +1285,19 @@ class TestSolveMany:
         finally:
             solver._latest_model_solve = latest
 
+    def test_grid_and_x_max_together_are_refused(self, monkeypatch):
+        """A request that gives both a grid and an x_max is answered with ValueError, even where the two
+        agree, and the grid alone still solves in the same batch."""
+        monkeypatch.setattr(solver, "_latest_model_solve", None)
+        spec = default_spec(Family.HARMONIC_1D)
+        grid = solver.solve(spec, 4, n_points=400)[0]
+        answers = solver.solve_many([solver.SolveRequest(spec, 4, grid, x_max=2.0 * grid.x_max),
+                                     solver.SolveRequest(spec, 4, grid)])
+        assert isinstance(answers[0], ValueError) and "not both" in str(answers[0])
+        assert answers[1][0] == grid
+        with pytest.raises(ValueError, match="not both"):
+            solver.solve(spec, 4, grid, x_max=grid.x_max)
+
     @pytest.mark.parametrize("bad, error, match", [
         (solver.SolveRequest(ALL_SPECS[3], 4, Grid(-5.0, 5.0, 100)), ValueError, "half-line problem"),
         ((TridiagonalOperator(np.full(5, 2.0), np.full(4, -1.0)), 6), ValueError, r"need 1 <= k <= 5"),
