@@ -17,7 +17,17 @@ wrapper module at the first eigensolve, without the package initialisation
 of scipy or scipy.linalg, and _lapack finds each routine in the library that
 module links. The seam calls them through ctypes with the arguments dstebz
 or dstein would pass, so the results are the same bits, and ctypes releases
-the GIL for the length of each call. So solve_operators runs the LAPACK
+the GIL for the length of each call.
+
+The Sturm counts of the bisection, nearly all of its time, are taken by
+_lapack's dlaebz: the C port in _laebz.c, which _laebz_port builds with the
+system's C compiler at the first eigensolve, or the library's own routine
+where that build fails. The library's dlaebz counts one interval at a time,
+a chain of dependent divides down the rows; the port counts up to 8 open
+intervals in one pass, their chains interleaved. Each count reads only the
+matrix and its own midpoint (Demmel, Dhillon and Ren, ETNA 3 (1995) 116),
+and the port keeps dlaebz's arithmetic, pivot rules and order of updates,
+so both write the same bits. So solve_operators runs the LAPACK
 calls of a batch's independent operators side by side, on up to one thread
 per CPU the process may use, splits one operator's bisection over the CPUs
 its batch leaves it, and runs each eigenvector's factorization beside the
@@ -159,7 +169,9 @@ def _lapack():
     is missing. The ctypes functions take the routine's own arguments: every
     scalar by reference and every array by address (an _Array), unchecked,
     since the seam checks each array once where it allocates it. ctypes
-    releases the GIL for the length of each call.
+    releases the GIL for the length of each call. The library's dlaebz must
+    be there too, but "dlaebz" is the C port from _laebz_port wherever that
+    loads, with the same signature and the same bits.
     """
     c_int, c_double, array = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
     signatures = {
@@ -192,7 +204,64 @@ def _lapack():
             raise ImportError(f"LAPACK routine {symbol} not found next to dstebz in {module.__file__}", name=_FLAPACK)
         address = ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
         routines[name] = ctypes.CFUNCTYPE(restype, *argtypes)(address)
+    port = _laebz_port()
+    if port is not None:
+        routines["dlaebz"] = ctypes.CFUNCTYPE(*signatures["dlaebz"])(ctypes.cast(port, ctypes.c_void_p).value)
     return routines
+
+
+# The C port of dlaebz beside this module, and the command that builds it into a shared library.
+_LAEBZ_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_laebz.c")
+_LAEBZ_BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _laebz_port():
+    """relqosc_dlaebz, the C port of dlaebz in _laebz.c, from its shared library, or None where that cannot be
+    built or loaded.
+
+    The library is built once per source and command, into the package's
+    __pycache__ under a name keyed by the sha256 of both: to a temporary
+    file in that directory, with the compiler's output captured and a
+    timeout, then renamed into place, so a process never loads a library
+    another one is still writing. Any failure (no compiler, no source, a
+    read-only package, a compiler error) returns None, and _lapack keeps the
+    library's dlaebz, without a word: the two give the same bits.
+    """
+    try:
+        with open(_LAEBZ_SOURCE, "rb") as file:
+            key = _sha256(file.read() + "\0".join(_LAEBZ_BUILD).encode())
+        path = os.path.join(os.path.dirname(_LAEBZ_SOURCE), "__pycache__", f"_laebz.{key[:16]}.so")
+        if not os.path.exists(path):
+            import subprocess
+
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            partial = f"{path}.{os.getpid()}.{os.urandom(4).hex()}"
+            open(partial, "xb").close()  # a read-only package fails here, before a compile
+            try:
+                subprocess.run([*_LAEBZ_BUILD, "-o", partial, _LAEBZ_SOURCE], capture_output=True, check=True,
+                               timeout=60)
+                os.replace(partial, path)
+            except subprocess.SubprocessError:  # a compiler error or timeout
+                return None
+            finally:
+                if os.path.exists(partial):
+                    os.remove(partial)
+        return ctypes.CDLL(path).relqosc_dlaebz
+    except (OSError, AttributeError):
+        return None
+
+
+def _sha256(data: bytes) -> str:
+    """The sha256 hex digest of data, by CPython's own sha256 where it has one: importing hashlib loads OpenSSL,
+    which raised the peak RSS of a `relqosc spectrum` process by about 3.5 MB."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.11 and earlier
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 class _Array:
@@ -495,7 +564,9 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
 
     The bisection is dstebz(RANGE "I", ORDER "B", IL 1, IU k, ABSTOL 0),
     which dstebz runs as RANGE "A" for k = N, in dstebz's own steps and
-    arithmetic on its kernel dlaebz, so M, W, IBLOCK, ISPLIT and INFO are the
+    arithmetic on its kernel dlaebz (_lapack's: the C port, which takes the
+    counts of up to 8 intervals in one pass over the rows and writes the
+    library routine's bits), so M, W, IBLOCK, ISPLIT and INFO are the
     bits dstebz writes: the split into blocks; for RANGE "I", the index
     search (IJOB 3) for the points with counts 0 and k; each block's
     Gershgorin interval, the counts at its ends (IJOB 1) and its bisection
