@@ -12,12 +12,11 @@ inverse iteration _stein, is the only code that knows the arguments of
 these routines; its docstring states how it scales T and which bits its
 answers equal.
 
-scipy.linalg is never imported: _flapack loads scipy's compiled LAPACK
-wrapper module at the first eigensolve, without the package initialisation
-of scipy or scipy.linalg, and _lapack finds each routine in the library that
-module links. The seam calls them through ctypes with the arguments dstebz
-or dstein would pass, so the results are the same bits, and ctypes releases
-the GIL for the length of each call.
+No scipy module is imported: at the first eigensolve _lapack opens the
+shared object of scipy's compiled LAPACK wrapper, whose path _flapack finds,
+with ctypes and finds each routine in the library that object links. The
+seam calls them with the arguments dstebz or dstein would pass, so the
+results are the same bits, and ctypes releases the GIL for each call.
 
 The Sturm counts of the bisection, nearly all of its time, are taken by
 _lapack's dlaebz: the C port in _laebz.c, which _laebz_port builds with the
@@ -39,6 +38,7 @@ other module of the package.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.util
@@ -120,19 +120,9 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 @functools.cache
-def _flapack():
-    """scipy's compiled LAPACK wrapper module, loaded once without scipy's package init.
-
-    An already imported module is reused. Otherwise the module is located
-    through the import system's finders inside the linalg directory of each
-    scipy location and executed directly. Finding the spec of the top-level
-    scipy package imports nothing, so neither scipy's nor scipy.linalg's
-    package initialisation runs. The extension registers itself in
-    sys.modules, so a later `import scipy.linalg` shares this very module.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
+def _flapack() -> str:
+    """The path of the shared object of scipy.linalg._flapack, scipy's compiled LAPACK wrapper, as the import
+    system's finders locate it in the linalg directory of each scipy location: no scipy module is imported."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or not scipy.submodule_search_locations:
         raise ImportError(f"cannot locate {_FLAPACK}: scipy is not installed", name=_FLAPACK)
@@ -141,12 +131,8 @@ def _flapack():
         find_spec = getattr(finder, "find_spec", None)
         spec = find_spec(_FLAPACK, path) if find_spec else None
         if spec is not None:
-            break
-    else:
-        raise ImportError(f"cannot locate {_FLAPACK}", name=_FLAPACK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+            return spec.origin
+    raise ImportError(f"cannot locate {_FLAPACK}", name=_FLAPACK)
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -161,17 +147,18 @@ def _lapack():
     """{"dlaebz": ..., "dsterf": ..., "dlagtf": ..., ...}: the LAPACK and BLAS routines the seam calls, as ctypes
     functions.
 
-    Each is looked up through the handle of _flapack's own shared object,
-    whose symbol search covers the LAPACK library that object links, under
-    the name prefix of that library's dstebz (scipy_dsterf_ where
-    scipy_dstebz_ resolves, else plain dsterf_), so the BLAS kernels are the
-    ones that library's own routines call; ImportError names a routine that
-    is missing. The ctypes functions take the routine's own arguments: every
-    scalar by reference and every array by address (an _Array), unchecked,
-    since the seam checks each array once where it allocates it. ctypes
-    releases the GIL for the length of each call. The library's dlaebz must
-    be there too, but "dlaebz" is the C port from _laebz_port wherever that
-    loads, with the same signature and the same bits.
+    Each is looked up through the ctypes handle of the shared object at
+    _flapack's path, whose symbol search covers the LAPACK library that
+    object links, under the name prefix of that library's dstebz
+    (scipy_dsterf_ where scipy_dstebz_ resolves, else plain dsterf_), so the
+    BLAS kernels are the ones that library's own routines call; ImportError
+    names a routine that is missing. The ctypes functions take the routine's
+    own arguments: every scalar by reference and every array by address (an
+    _Array), unchecked, since the seam checks each array once where it
+    allocates it. ctypes releases the GIL for the length of each call. The
+    library's dlaebz must be there too, but "dlaebz" is the C port from
+    _laebz_port wherever that loads, with the same signature and the same
+    bits.
     """
     c_int, c_double, array = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
     signatures = {
@@ -194,14 +181,14 @@ def _lapack():
         # N, DX, INCX: ||DX||_2
         "dnrm2": (ctypes.c_double, c_int, array, c_int),
     }
-    module = _flapack()
-    library = ctypes.CDLL(module.__file__)
+    path = _flapack()
+    library = ctypes.CDLL(path)
     prefix = "scipy_" if hasattr(library, "scipy_dstebz_") else ""
     routines = {}
     for name, (restype, *argtypes) in signatures.items():
         symbol = f"{prefix}{name}_"
         if not hasattr(library, symbol):
-            raise ImportError(f"LAPACK routine {symbol} not found next to dstebz in {module.__file__}", name=_FLAPACK)
+            raise ImportError(f"LAPACK routine {symbol} not found next to dstebz in {path}", name=_FLAPACK)
         address = ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
         routines[name] = ctypes.CFUNCTYPE(restype, *argtypes)(address)
     port = _laebz_port()
@@ -225,22 +212,29 @@ def _laebz_port():
     timeout, then renamed into place, so a process never loads a library
     another one is still writing. Any failure (no compiler, no source, a
     read-only package, a compiler error) returns None, and _lapack keeps the
-    library's dlaebz, without a word: the two give the same bits.
+    library's dlaebz, without a word: the two give the same bits. A build
+    then removes the libraries of earlier sources and commands, never a
+    temporary file (_laebz.*.so.<pid>.<hex>) that another build writes.
     """
     try:
         with open(_LAEBZ_SOURCE, "rb") as file:
             key = _sha256(file.read() + "\0".join(_LAEBZ_BUILD).encode())
-        path = os.path.join(os.path.dirname(_LAEBZ_SOURCE), "__pycache__", f"_laebz.{key[:16]}.so")
+        cache = os.path.join(os.path.dirname(_LAEBZ_SOURCE), "__pycache__")
+        path = os.path.join(cache, f"_laebz.{key[:16]}.so")
         if not os.path.exists(path):
+            import glob
             import subprocess
 
-            os.makedirs(os.path.dirname(path), exist_ok=True)
+            os.makedirs(cache, exist_ok=True)
             partial = f"{path}.{os.getpid()}.{os.urandom(4).hex()}"
             open(partial, "xb").close()  # a read-only package fails here, before a compile
             try:
                 subprocess.run([*_LAEBZ_BUILD, "-o", partial, _LAEBZ_SOURCE], capture_output=True, check=True,
                                timeout=60)
                 os.replace(partial, path)
+                for stale in set(glob.glob("_laebz.*.so", root_dir=cache)) - {os.path.basename(path)}:
+                    with contextlib.suppress(OSError):  # another build may have removed it first
+                        os.remove(os.path.join(cache, stale))
             except subprocess.SubprocessError:  # a compiler error or timeout
                 return None
             finally:
@@ -568,19 +562,18 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     counts of up to 8 intervals in one pass over the rows and writes the
     library routine's bits), so M, W, IBLOCK, ISPLIT and INFO are the
     bits dstebz writes: the split into blocks; for RANGE "I", the index
-    search (IJOB 3) for the points with counts 0 and k; each block's
-    Gershgorin interval, the counts at its ends (IJOB 1) and its bisection
-    (IJOB 2); W and IBLOCK from the intervals; and the discard of values that
-    the index search could not separate. A negative INFO from dlaebz raises
-    ValueError. Each interval is refined only by its own midpoints and
-    counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116), so splitting the
-    work changes no bit. The two searches are two calls, one from each end.
-    On one lane each block is then bisected by one call, with room for one
-    interval per eigenvalue where dstebz has one per row. On L lanes each
-    block makes one iteration, and more while an open interval holds more
-    than ceil(m/L) of the m eigenvalues still open; then the open intervals
-    are dealt to L calls by eigenvalue count, each with the iterations its
-    block has left.
+    search (IJOB 3) for the points with counts 0 and k, one call as in
+    dstebz; each block's Gershgorin interval, the counts at its ends (IJOB
+    1) and its bisection (IJOB 2); W and IBLOCK from the intervals; and the
+    discard of values that the index search could not separate. A negative
+    INFO from dlaebz raises ValueError. Each interval is refined only by its
+    own midpoints and counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116),
+    so splitting the work changes no bit. On one lane each block is then
+    bisected by one call, with room for one interval per eigenvalue where
+    dstebz has one per row. On L lanes each block makes one iteration, and
+    more while an open interval holds more than ceil(m/L) of the m
+    eigenvalues still open; then the open intervals are dealt to L calls by
+    eigenvalue count, each with the iterations its block has left.
 
     Both requests make the same bisection, in block order as stein needs,
     raise SolverError before any stein call unless it gave k values that
@@ -665,10 +658,12 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
         whole = _Block(0, d, e, e2, _ULP * tnorm, args=(_Array(d), _Array(e), _Array(e2)))
         gl = gl - _FUDGE * tnorm * _ULP * n - _FUDGE * 2.0 * pivmin
         gu = gu + _FUDGE * tnorm * _ULP * n + _FUDGE * pivmin
-        # The searches from GL for the count 0 and from GU for the count k, one call each.
-        searches = [_Intervals([(gl, gu, -1, n + 1)], [x], [target]) for x, target in ((gl, 0), (gu, k))]
-        yield [laebz(3, _itmax(tnorm, pivmin), whole, q) for q in searches]
-        [(wl, wlu, nwl, _)], [(wul, wu, _, nwu)] = (q.rows(1) for q in checked(searches))
+        # The searches from GL for the count 0 and from GU for the count k, in one call, which moves the search
+        # that ends first to the front: as dstebz does, NVAL tells which row is which.
+        search = _Intervals([(gl, gu, -1, n + 1)] * 2, [gl, gu], [0, k])
+        yield [laebz(3, _itmax(tnorm, pivmin), whole, search)]
+        rows = checked([search])[0].rows(2)
+        (wl, wlu, nwl, _), (wul, wu, _, nwu) = rows if search.nval[1] == k else rows[::-1]
         if nwl < 0 or nwl >= n or nwu < 1 or nwu > n:
             blocks = []  # dstebz returns INFO 4 and no value
     for b in blocks:

@@ -1,7 +1,7 @@
 """Import hygiene: every name a package or test module imports is read in it; the lapack module stands alone and
-alone knows ctypes, LAPACK and the CPU count, only its seam calls LAPACK, only solver.solve builds and solves a
-model's finite-difference operator, verify solves at one call site, and the closed forms read no numeric fact of
-the models."""
+alone knows ctypes, LAPACK and the CPU count, no module imports scipy, only its seam calls LAPACK, only solver.solve
+builds and solves a model's finite-difference operator, verify solves at one call site, and the closed forms read no
+numeric fact of the models."""
 
 import ast
 from pathlib import Path
@@ -235,6 +235,51 @@ def test_only_lapack_knows_ctypes_lapack_and_cpus():
              for path in SRC}
     assert {name: names for name, names in known.items() if names} == {
         "lapack.py": {"ctypes", *LAPACK - {"dstein"}, *CPU_COUNTS}}
+
+
+IMPORTERS = {"import_module", "__import__"}
+MODULE_RUNNERS = {"module_from_spec", "exec_module"}
+
+
+def scipy_reach(tree: ast.Module) -> set:
+    """(how, line) for each way a module reaches a scipy module: "import <name>" for each import of scipy or a
+    scipy module, by a statement or by import_module or __import__ on a string, and the name of each call that
+    creates or executes a module itself (module_from_spec, exec_module)."""
+    found = set()
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and called_name(node.func) in IMPORTERS:
+            names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        found |= {(f"import {name}", node.lineno) for name in names if name.split(".")[0] == "scipy"}
+        if isinstance(node, ast.Call) and called_name(node.func) in MODULE_RUNNERS:
+            found.add((called_name(node.func), node.lineno))
+    return found
+
+
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy or a scipy module, in any form, or creates or executes a module
+    itself: the LAPACK layer reaches scipy's LAPACK through the path of its shared object alone."""
+    reach = {path.name: scipy_reach(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in SRC}
+    assert {name: ways for name, ways in reach.items() if ways} == {}
+
+
+def test_finds_scipy_reach():
+    tree = ast.parse(
+        "import numpy, scipy.linalg as sl\n"
+        "from scipy import special\n"
+        "from .scipy import local\n"
+        "import importlib.util, scipyx\n"
+        "spec = importlib.util.find_spec('scipy')\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "found = importlib.import_module('scipy.linalg'), __import__('scipy'), __import__(name), __import__('np')\n"
+    )
+    assert scipy_reach(tree) == {("import scipy.linalg", 1), ("import scipy", 2), ("module_from_spec", 6),
+                                 ("exec_module", 7), ("import scipy.linalg", 8), ("import scipy", 8)}
 
 
 def test_finds_package_imports_and_lapack_knowledge():

@@ -29,7 +29,7 @@ SAFEMIN = float(np.finfo(float).tiny)
 
 def library_dlaebz():
     """The library's own dlaebz, found as _lapack finds it, as a ctypes function of _lapack's dlaebz type."""
-    library = ctypes.CDLL(lapack._flapack().__file__)
+    library = ctypes.CDLL(lapack._flapack())
     prefix = "scipy_" if hasattr(library, "scipy_dstebz_") else ""
     address = ctypes.cast(getattr(library, f"{prefix}dlaebz_"), ctypes.c_void_p).value
     return type(lapack._lapack()["dlaebz"])(address)
@@ -184,13 +184,18 @@ def test_build_failure_falls_back(monkeypatch, tmp_path, build):
 
 def test_port_is_built_once_under_its_key(port, monkeypatch, tmp_path):
     """The library lands in the __pycache__ beside the source, named by the sha256 of the source and the
-    command, and the next lookup loads it without a build."""
+    command, in place of the library of an earlier source, beside another build's unfinished file, and the next
+    lookup loads it without a build."""
     source = tmp_path / "_laebz.c"
     shutil.copy(lapack._LAEBZ_SOURCE, source)
     monkeypatch.setattr(lapack, "_LAEBZ_SOURCE", str(source))
+    (tmp_path / "__pycache__").mkdir()
+    partial = "_laebz.0123456789abcdef.so.4242.0badf00d"
+    for planted in ("_laebz.0123456789abcdef.so", partial):
+        (tmp_path / "__pycache__" / planted).write_bytes(b"stale")
     built = lapack._laebz_port()
     key = hashlib.sha256(source.read_bytes() + "\0".join(lapack._LAEBZ_BUILD).encode()).hexdigest()
-    assert os.listdir(tmp_path / "__pycache__") == [f"_laebz.{key[:16]}.so"]
+    assert sorted(os.listdir(tmp_path / "__pycache__")) == sorted([f"_laebz.{key[:16]}.so", partial])
     monkeypatch.setattr(subprocess, "run", None)
     assert address(lapack._laebz_port()) == address(built)
 
@@ -218,7 +223,7 @@ def digest(answer):
     return hashlib.sha256(b"".join(np.array([r.eigenvalue, r.residual, *r.vector]).tobytes()
                                    for r in answer)).hexdigest()
 answers = {key: digest(answer) for key, answer in lapack.solve_operators(jobs).items()}
-library = ctypes.CDLL(lapack._flapack().__file__)
+library = ctypes.CDLL(lapack._flapack())
 prefix = "scipy_" if hasattr(library, "scipy_dstebz_") else ""
 own = ctypes.cast(getattr(library, prefix + "dlaebz_"), ctypes.c_void_p).value
 print(json.dumps([ctypes.cast(lapack._lapack()["dlaebz"], ctypes.c_void_p).value == own, answers]))
