@@ -23,10 +23,17 @@ _lapack's dlaebz: the C port in _laebz.c, which _laebz_port builds with the
 system's C compiler at the first eigensolve, or the library's own routine
 where that build fails. The library's dlaebz counts one interval at a time,
 a chain of dependent divides down the rows; the port counts up to 8 open
-intervals in one pass, their chains interleaved. Each count reads only the
-matrix and its own midpoint (Demmel, Dhillon and Ren, ETNA 3 (1995) 116),
-and the port keeps dlaebz's arithmetic, pivot rules and order of updates,
-so both write the same bits. So solve_operators runs the LAPACK
+intervals in one pass, their chains interleaved, and both ends of every
+interval of its first counts. Where one interval is open, with point c in
+[lo, hi], its pass also counts the quarter points 0.5 (lo + c) and
+0.5 (c + hi), one of which is the next midpoint, and the call takes that
+count from the points of its last pass: two bisection steps per pass. At
+N = 16000 a pass of 3 chains took 125-130 us against 124-129 us for one,
+and the index search of a k = 5 solve 1.5-1.9 ms where it took 2.4-2.9 ms.
+Each count reads only the matrix and its own point (Demmel, Dhillon and
+Ren, ETNA 3 (1995) 116), and the port keeps dlaebz's arithmetic, pivot
+rules and order of updates, and no state outside the call, so both write
+the same bits. So solve_operators runs the LAPACK
 calls of a batch's independent operators side by side, on up to one thread
 per CPU the process may use, splits one operator's bisection over the CPUs
 its batch leaves it, and runs each eigenvector's factorization beside the
@@ -537,6 +544,15 @@ def _stein(lapack: dict, d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np
     return info
 
 
+# The numbers of values k whose bisection stays on one lane, whatever lanes it is given. A pass of the port over up
+# to 8 open intervals costs about what a pass over one costs, so dealing 3 to 5 intervals to two lanes doubles the
+# summed dlaebz time and does not shorten the longest lane. At k = 2 each of two lanes gets a lone interval, which
+# the port bisects two steps per pass, so the split pays; k = 1 never splits. eigenvalues_lowest on the default
+# 1d-ho and 2d-iso models at N = 4000 to 32000, two lanes against one (2 vCPU Xeon, one BLAS thread, medians of 15
+# alternating runs): k = 2 -11% to -21%; k = 3, 4 and 5 +2% to +21%; k = 6 -5% to -6%, k = 8 -20%, k = 12 -37%.
+_ONE_LANE = range(3, 6)
+
+
 def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
     """dstebz for the k smallest eigenvalues, ascending, made of its own steps on dlaebz, or with vectors dstein,
     made of its own steps by _stein, for their eigenpairs, as EigenResults; with k None, sterf for
@@ -559,8 +575,9 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     The bisection is dstebz(RANGE "I", ORDER "B", IL 1, IU k, ABSTOL 0),
     which dstebz runs as RANGE "A" for k = N, in dstebz's own steps and
     arithmetic on its kernel dlaebz (_lapack's: the C port, which takes the
-    counts of up to 8 intervals in one pass over the rows and writes the
-    library routine's bits), so M, W, IBLOCK, ISPLIT and INFO are the
+    counts of up to 8 intervals in one pass over the rows, or of a lone
+    interval's midpoint and quarter points, two steps of its bisection, and
+    writes the library routine's bits), so M, W, IBLOCK, ISPLIT and INFO are the
     bits dstebz writes: the split into blocks; for RANGE "I", the index
     search (IJOB 3) for the points with counts 0 and k, one call as in
     dstebz; each block's Gershgorin interval, the counts at its ends (IJOB
@@ -570,7 +587,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     own midpoints and counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116),
     so splitting the work changes no bit. On one lane each block is then
     bisected by one call, with room for one interval per eigenvalue where
-    dstebz has one per row. On L lanes each block makes one iteration, and
+    dstebz has one per row. A bisection for k in _ONE_LANE runs on one lane
+    whatever its lanes. On L lanes each block makes one iteration, and
     more while an open interval holds more than ceil(m/L) of the m
     eigenvalues still open; then the open intervals are dealt to L calls by
     eigenvalue count, each with the iterations its block has left.
@@ -609,6 +627,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     n = op.size
     if k is not None and (k < 1 or k > n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    if k in _ONE_LANE:
+        lanes = 1
     # max |entry|, or NaN when an entry is NaN
     s = float(np.max([op.diag.max(), -op.diag.min(), op.offdiag.max(), -op.offdiag.min()]))
     if not math.isfinite(s):

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,9 @@ def test_counts_are_dlaebz(port, case):
 @example(laebz_case(2, **LAPLACIAN, rows=[(0.2 * j, 0.2 * j + 0.2, 0, 16) for j in range(20)], mmax=60))
 @example(laebz_case(2, **LAPLACIAN, rows=[(0.0, 4.0, 0, 16)], mmax=7))
 @example(laebz_case(2, **LAPLACIAN, rows=[(0.0, 4.0, 0, 16)], mmax=16, nitmax=5))
+# The first midpoint, 2, splits the lone interval, and the memo of that pass (2 and its quarter points 1 and 3)
+# answers both new intervals; NITMAX 2 ends the call there.
+@example(laebz_case(2, **LAPLACIAN, rows=[(0.0, 4.0, 0, 16)], mmax=16, nitmax=2))
 @example(laebz_case(2, **SPLIT, rows=[(-0.5, 1.0, 0, 5), (0.0, 1.0, 1, 5)], mmax=5, pivmin=1e-8))
 @settings(max_examples=200, deadline=None)
 def test_bisection_is_dlaebz(port, case):
@@ -144,11 +148,44 @@ def test_bisection_is_dlaebz(port, case):
 @given(laebz_cases(3))
 @example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)] * 9, points=[0.5 * j for j in range(9)],
               targets=list(range(0, 18, 2))))
+# One interval searched from its upper end, as dstebz searches from GU, stopped by NITMAX after the pass that
+# counts 4 with its quarter points, after the step the memo answers, and after the next pass.
+@example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)], points=[4.0], targets=[6], nitmax=1))
+@example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)], points=[4.0], targets=[6], nitmax=2))
+@example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)], points=[4.0], targets=[6], nitmax=3))
+# From 2 (count 8), the count at the quarter point 1 is NVAL 5, and at 3 it is NVAL 11: both ends move there.
+@example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)], points=[2.0], targets=[5]))
+@example(laebz_case(3, **LAPLACIAN, rows=[(0.0, 4.0, -1, 17)], points=[2.0], targets=[11]))
 @settings(max_examples=200, deadline=None)
 def test_index_search_is_dlaebz(port, case):
     """IJOB 3, the search for the points with counts NVAL from the points C: AB, NAB, C, NVAL, MOUT and INFO
     are dlaebz's, NVAL swapped along with each interval that converges out of order."""
     assert run_laebz(port, case) == run_laebz(library_dlaebz(), case)
+
+
+def test_concurrent_searches_are_dlaebz(port):
+    """Two threads search one interval each through the port at once, 50 times: every call writes the library's
+    bits, so no call reads another's memo. The second matrix is the first with a row of -10 split off in front,
+    and its target is one more, so both searches visit the same points with counts one apart."""
+    n, target = 20000, 7000
+    cases = [laebz_case(3, d=[*lead, *[2.0] * n], e2=[*[0.0] * len(lead), *[1.0] * n], rows=[(0.0, 5.0, -1, n + 2)],
+                        points=[5.0], targets=[target + len(lead)]) for lead in ([], [-10.0])]
+    want = [run_laebz(library_dlaebz(), case) for case in cases]
+    start, wrong = threading.Barrier(2), []
+
+    def search(case, want):
+        for j in range(50):
+            start.wait()  # each pass is long enough at this N that the two calls run in step
+            if run_laebz(port, case) != want:
+                wrong.append(j)
+
+    threads = [threading.Thread(target=search, args=pair) for pair in zip(cases, want)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("ijob", [0, 4])

@@ -639,7 +639,6 @@ print(json.dumps([lam == want, *same_routines()]))
         assert got == [True, True, True]
 
     def test_missing_scipy_raises_import_error(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, lapack._FLAPACK, raising=False)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
         with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as excinfo:
             lapack._flapack.__wrapped__()
@@ -663,7 +662,6 @@ print(json.dumps([lam == want, *same_routines()]))
         assert excinfo.value.name == "scipy.linalg._flapack"
 
     def test_scipy_without_lapack_raises_import_error(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, lapack._FLAPACK, raising=False)
         empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         empty.submodule_search_locations.append(str(tmp_path))
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: empty)
@@ -1091,10 +1089,8 @@ def test_bisection_is_dstebz_on_every_lane_count(case):
         assert values == bits(want)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_ranged_bisection_searches_in_one_call(monkeypatch, cpus):
-    """A bisection for k < N values searches for both ends of the range in one IJOB 3 dlaebz call, as dstebz
-    does, on every lane count, for values and for eigenpairs; one for all N values makes no index search."""
+def laebz_jobs(monkeypatch, cpus: int) -> collections.Counter:
+    """With `cpus` usable CPUs, a count of the dlaebz calls the solver makes from here on, by IJOB."""
     jobs = collections.Counter()
     lock = threading.Lock()
 
@@ -1104,6 +1100,14 @@ def test_ranged_bisection_searches_in_one_call(monkeypatch, cpus):
 
     patch_lapack(monkeypatch, laebz=record)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return jobs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_ranged_bisection_searches_in_one_call(monkeypatch, cpus):
+    """A bisection for k < N values searches for both ends of the range in one IJOB 3 dlaebz call, as dstebz
+    does, on every lane count, for values and for eigenpairs; one for all N values makes no index search."""
+    jobs = laebz_jobs(monkeypatch, cpus)
     op = default_operator(ALL_SPECS[3], 8, 4000)
     for solve in (eigenvalues_lowest, eigen_lowest):
         jobs.clear()
@@ -1112,6 +1116,15 @@ def test_ranged_bisection_searches_in_one_call(monkeypatch, cpus):
     jobs.clear()
     eigenvalues_lowest(TridiagonalOperator(np.full(16, 2.0), np.full(15, -1.0)), 16)
     assert jobs[3] == 0 and jobs[2] > 0
+
+
+@pytest.mark.parametrize("k, split", [(2, True), (3, False), (5, False), (6, True)])
+def test_three_to_five_values_stay_on_one_lane(monkeypatch, k, split):
+    """On two CPUs a bisection of 3 to 5 values is one IJOB 2 dlaebz call, which is faster than two lanes; one of 2
+    values, which gives each lane a lone interval, and one of 6 are split over both lanes."""
+    jobs = laebz_jobs(monkeypatch, 2)
+    eigenvalues_lowest(default_operator(ALL_SPECS[0], k, 4000), k)
+    assert (jobs[2] > 1) == split
 
 
 def searches_swapped(call):
