@@ -22,14 +22,19 @@ The Sturm counts of the bisection, nearly all of its time, are taken by
 _lapack's dlaebz: the C port in _laebz.c, which _laebz_port builds with the
 system's C compiler at the first eigensolve, or the library's own routine
 where that build fails. The library's dlaebz counts one interval at a time,
-a chain of dependent divides down the rows; the port counts up to 8 open
-intervals in one pass, their chains interleaved, and both ends of every
-interval of its first counts. Where one interval is open, with point c in
-[lo, hi], its pass also counts the quarter points 0.5 (lo + c) and
-0.5 (c + hi), one of which is the next midpoint, and the call takes that
-count from the points of its last pass: two bisection steps per pass. At
-N = 16000 a pass of 3 chains took 125-130 us against 124-129 us for one,
-and the index search of a k = 5 solve 1.5-1.9 ms where it took 2.4-2.9 ms.
+a chain of dependent divides down the rows. The port counts up to 16 points
+in one pass, as AVX2 vectors of 4 chains where the CPU has AVX2 (8 scalar
+chains elsewhere), and fills the pass by multisection: with m intervals
+open, each gets the next L levels of its bisection tree, L the largest
+depth with m (2^L - 1) <= 16, and the call takes the counts of the next
+L - 1 steps from a memo of that pass. Each chain also stops where no later
+row can add to its count: _cutoffs builds, from the matrix alone, the bounds
+that tell where, and the seam passes them in dlaebz's WORK, which the
+library's routine does not read on the path dstebz takes. At N = 16000 a
+pass of 16 points took about 1.7 times what one of 1 point takes, whole,
+and the chains of a k = 5 or 8 bisection ran 0.88-0.91 of the rows on the
+default 1d-ho model and 0.69-0.73 on the other families (_laebz.c's header
+has the table).
 Each count reads only the matrix and its own point (Demmel, Dhillon and
 Ren, ETNA 3 (1995) 116), and the port keeps dlaebz's arithmetic, pivot
 rules and order of updates, and no state outside the call, so both write
@@ -294,6 +299,51 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> Tuple[float, float]:
     return min(float(d[0]), float(row.min())), gu
 
 
+# The rows between the C port's cut-off checks: STRIDE in _laebz.c. _cutoffs takes its slacks _CHUNK rows at a
+# time, so that its scratch arrays stay at 32 KB each: whole-matrix ones raised the peak RSS of a spectrum-fd run.
+_STRIDE = 16
+_CHUNK = 256 * _STRIDE
+
+
+def _cutoffs(d: np.ndarray, e2: np.ndarray, pivmin: float) -> np.ndarray:
+    """The C port's WORK for the matrix of diagonal d (n) and off-diagonal squares e2[:n - 1] at PIVMIN: where
+    each Sturm chain may stop, from the matrix alone, as the header of _laebz.c states and proves.
+
+    With g_j = max(fl(sqrt(e2_j)), P), P the least double above PIVMIN, and
+    g_{n-1} = P, row j >= 1 has the slack s_j, the next double below
+    fl(fl(d_j - fl(e2_{j-1} / g_{j-1})) - g_j). For the T = (n - 1) // 16
+    check rows j_t = 16 (t + 1), WORK[t] is the least slack of the rows
+    after j_t (+inf after the last row) and WORK[T + t] is g_{j_t}. The
+    next double below is taken of each stride's least slack, which is the
+    least of the strides' next doubles below, as that step is monotone.
+    """
+    n = d.size
+    p = np.nextafter(pivmin, math.inf)
+    checks = (n - 1) // _STRIDE
+    work = np.full(2 * checks, math.inf)
+    least, floor = work[:checks], work[checks:]
+
+    for lo in range(_STRIDE + 1, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        # g_{lo-1} .. g_{hi-1}, and the slacks of rows lo .. hi - 1
+        g = np.zeros(hi - lo + 1)
+        inner = min(hi, n - 1) - lo + 1
+        np.sqrt(e2[lo - 1:lo - 1 + inner], out=g[:inner])
+        np.maximum(g, p, out=g)
+        s = np.divide(e2[lo - 1:hi - 1], g[:-1])
+        np.subtract(d[lo:hi], s, out=s)
+        s -= g[1:]
+        strides = np.minimum.reduceat(s, np.arange(0, hi - lo, _STRIDE))
+        t = (lo - 1) // _STRIDE - 1
+        np.nextafter(strides, -math.inf, out=least[t:t + strides.size])
+    least[:] = np.minimum.accumulate(least[::-1])[::-1]
+    inner = e2[_STRIDE:n - 1:_STRIDE]
+    floor[:] = 0.0
+    np.sqrt(inner, out=floor[:inner.size])
+    np.maximum(floor, p, out=floor)
+    return work
+
+
 def _itmax(width: float, pivmin: float) -> int:
     """dstebz's iteration bound for bisecting an interval of the given width."""
     return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
@@ -338,7 +388,8 @@ class _Block:
     d, e and e2 (the off-diagonal squares, 0 at a split) start at the
     block's first row; number counts blocks from 1; below marks a block
     that lies below WL. A bisected block has its D, E and E2 for dlaebz in
-    args, its absolute tolerance atol,
+    args, its cut-off bounds (_cutoffs) for WORK in work, its absolute
+    tolerance atol,
     its starting interval start, its iteration budget itmax, of which used
     are spent, its open intervals, and those done, each with whether it
     converged; offset maps its counts to positions in W.
@@ -348,6 +399,7 @@ class _Block:
     d: np.ndarray
     e: np.ndarray
     e2: np.ndarray
+    work: Optional[_Array] = None
     atol: float = 0.0
     itmax: int = 0
     used: int = 0
@@ -544,13 +596,17 @@ def _stein(lapack: dict, d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np
     return info
 
 
-# The numbers of values k whose bisection stays on one lane, whatever lanes it is given. A pass of the port over up
-# to 8 open intervals costs about what a pass over one costs, so dealing 3 to 5 intervals to two lanes doubles the
-# summed dlaebz time and does not shorten the longest lane. At k = 2 each of two lanes gets a lone interval, which
-# the port bisects two steps per pass, so the split pays; k = 1 never splits. eigenvalues_lowest on the default
-# 1d-ho and 2d-iso models at N = 4000 to 32000, two lanes against one (2 vCPU Xeon, one BLAS thread, medians of 15
-# alternating runs): k = 2 -11% to -21%; k = 3, 4 and 5 +2% to +21%; k = 6 -5% to -6%, k = 8 -20%, k = 12 -37%.
-_ONE_LANE = range(3, 6)
+# The numbers of values k whose bisection stays on one lane, whatever lanes it is given. A pass of the port counts
+# up to 16 points for little more than one costs, and multisection fills it from however few intervals are open,
+# so dealing 2 to 5 intervals to two lanes makes more passes in all and does not shorten the longest lane; k = 1
+# never splits. eigenvalues_lowest on the default 1d-ho and 2d-iso models, two lanes against one (2 vCPU Xeon with
+# AVX2, one BLAS thread, medians of 15 alternating runs), the range over both models:
+#   N       k = 2        k = 3-5      k = 6-8      k = 10, 12
+#   4000    +32 / +35%   +25 / +35%   +7 / +18%    +9 / +20%
+#   8000    +16 / +20%   +15 / +25%   +2 / +9%     -3 / +12%
+#   16000   +14 / +15%   +3 / +13%    -7 / -1%     -13 / -3%
+#   32000   +3 / +6%     0 / +20%     -10 / +9%    -18 / -1%
+_ONE_LANE = range(2, 6)
 
 
 def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
@@ -574,10 +630,14 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
 
     The bisection is dstebz(RANGE "I", ORDER "B", IL 1, IU k, ABSTOL 0),
     which dstebz runs as RANGE "A" for k = N, in dstebz's own steps and
-    arithmetic on its kernel dlaebz (_lapack's: the C port, which takes the
-    counts of up to 8 intervals in one pass over the rows, or of a lone
-    interval's midpoint and quarter points, two steps of its bisection, and
-    writes the library routine's bits), so M, W, IBLOCK, ISPLIT and INFO are the
+    arithmetic on its kernel dlaebz (_lapack's: the C port, which counts up
+    to 16 points in one pass over the rows, the next levels of the open
+    intervals' bisection trees, stops each Sturm chain where the bounds in
+    its WORK show that no later row can count, and writes the library
+    routine's bits; the seam builds those bounds, by _cutoffs, on the
+    calling thread, once for the index search's whole matrix and once per
+    block, which is that same array on an unsplit operator), so M, W,
+    IBLOCK, ISPLIT and INFO are the
     bits dstebz writes: the split into blocks; for RANGE "I", the index
     search (IJOB 3) for the points with counts 0 and k, one call as in
     dstebz; each block's Gershgorin interval, the counts at its ends (IJOB
@@ -647,11 +707,12 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
         return d
     p = math.frexp(s)[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
-    # dlaebz on block b's intervals q, serially (NBMIN 0, as dstebz sets it), so WORK and IWORK go unused.
+    # dlaebz on block b's intervals q, serially (NBMIN 0, as dstebz sets it), so the library's routine reads neither
+    # WORK nor IWORK: WORK carries the port's cut-off bounds for the block.
     laebz = lambda ijob, nitmax, b, q: lambda: lapack["dlaebz"](  # noqa: E731
         ctypes.c_int(ijob), ctypes.c_int(nitmax), ctypes.c_int(b.d.size), ctypes.c_int(q.mmax), ctypes.c_int(q.minp),
         ctypes.c_int(0), ctypes.c_double(b.atol), ctypes.c_double(_RTOL), ctypes.c_double(pivmin),
-        *b.args, *q.args, None, None, q.info)
+        *b.args, *q.args, b.work, None, q.info)
 
     def checked(qs):
         for q in qs:  # a positive INFO counts open intervals
@@ -675,7 +736,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     if ranged:
         gl, gu = _gershgorin(d, np.sqrt(e2[:-1], out=row))
         tnorm = max(abs(gl), abs(gu))
-        whole = _Block(0, d, e, e2, _ULP * tnorm, args=(_Array(d), _Array(e), _Array(e2)))
+        whole = _Block(0, d, e, e2, _Array(_cutoffs(d, e2, pivmin)), _ULP * tnorm,
+                       args=(_Array(d), _Array(e), _Array(e2)))
         gl = gl - _FUDGE * tnorm * _ULP * n - _FUDGE * 2.0 * pivmin
         gu = gu + _FUDGE * tnorm * _ULP * n + _FUDGE * pivmin
         # The searches from GL for the count 0 and from GU for the count k, in one call, which moves the search
@@ -702,6 +764,7 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
                 continue
         b.itmax, b.start = _itmax(gu - gl, pivmin), _Intervals([(gl, gu, 0, 0)])
         b.args = (_Array(b.d), _Array(b.e), _Array(b.e2))
+        b.work = whole.work if ranged and size == n else _Array(_cutoffs(b.d, b.e2, pivmin))
     bisected = [b for b in blocks if b.start is not None]
     if bisected:
         yield [laebz(1, 0, b, b.start) for b in bisected]
