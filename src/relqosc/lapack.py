@@ -38,14 +38,13 @@ has the table).
 Each count reads only the matrix and its own point (Demmel, Dhillon and
 Ren, ETNA 3 (1995) 116), and the port keeps dlaebz's arithmetic, pivot
 rules and order of updates, and no state outside the call, so both write
-the same bits. So solve_operators runs the LAPACK
-calls of a batch's independent operators side by side, on up to one thread
-per CPU the process may use, splits one operator's bisection over the CPUs
-its batch leaves it, and runs each eigenvector's factorization beside the
-previous eigenvector's iterations, while the calling thread allocates every
-array (helper threads would each grow a malloc arena of their own) and does
-all the checking and the work on values and vectors. This module imports no
-other module of the package.
+the same bits. Each block of an operator is bisected by one dlaebz call.
+solve_operators runs the LAPACK calls of a batch's independent operators
+side by side, on up to one thread per CPU the process may use, and runs each
+eigenvector's factorization beside the previous eigenvector's iterations,
+while the calling thread allocates every array (helper threads would each
+grow a malloc arena of their own) and does all the checking and the work on
+values and vectors. This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -376,11 +375,6 @@ class _Intervals:
         return [(lo, hi, nlo, nhi) for (lo, hi), (nlo, nhi) in zip(self.ab[:count].tolist(), self.nab[:count].tolist())]
 
 
-def _room(rows: list) -> int:
-    """Rows for every interval that bisecting the given ones can make: one per eigenvalue, one per empty interval."""
-    return sum(max(nhi - nlo, 1) for _, _, nlo, nhi in rows)
-
-
 @dataclass(eq=False)
 class _Block:
     """One block of the matrix as dstebz splits it, bisected by dlaebz.
@@ -389,10 +383,9 @@ class _Block:
     block's first row; number counts blocks from 1; below marks a block
     that lies below WL. A bisected block has its D, E and E2 for dlaebz in
     args, its cut-off bounds (_cutoffs) for WORK in work, its absolute
-    tolerance atol,
-    its starting interval start, its iteration budget itmax, of which used
-    are spent, its open intervals, and those done, each with whether it
-    converged; offset maps its counts to positions in W.
+    tolerance atol, its starting interval start (IJOB 1), its iteration
+    budget itmax and the intervals of its bisection (IJOB 2), bisection;
+    offset maps its counts to positions in W.
     """
 
     number: int
@@ -402,32 +395,11 @@ class _Block:
     work: Optional[_Array] = None
     atol: float = 0.0
     itmax: int = 0
-    used: int = 0
     offset: int = 0
     below: bool = False
     args: tuple = ()
     start: Optional[_Intervals] = None
-    open: list = field(default_factory=list)
-    done: list = field(default_factory=list)
-
-    def settle(self, q: _Intervals, final: bool) -> list:
-        """Take back the intervals of a bisection on q: dlaebz returns the converged first and its INFO open ones
-        last, which stay open (returned) unless the bisection was the block's last, and then are done unconverged."""
-        rows = q.rows(q.mout.value)
-        settled = len(rows) - q.info.value
-        self.done += [(row, True) for row in rows[:settled]] + [(row, False) for row in rows[settled:] if final]
-        return [] if final else rows[settled:]
-
-
-def _deal(blocks: List[_Block], lanes: int) -> list:
-    """The open intervals of the blocks dealt to lanes, most eigenvalues first to the lane with the fewest so far:
-    (block, rows) for each lane and block, in lane order."""
-    loads, dealt = [0] * lanes, [{} for _ in range(lanes)]
-    for block, row in sorted(((b, row) for b in blocks for row in b.open), key=lambda item: item[1][2] - item[1][3]):
-        lane = loads.index(min(loads))
-        loads[lane] += row[3] - row[2]
-        dealt[lane].setdefault(block, []).append(row)
-    return [item for lane in dealt for item in lane.items()]
+    bisection: Optional[_Intervals] = None
 
 
 def _discard(w: np.ndarray, iblock: np.ndarray, m: int, idiscl: int, idiscu: int, wlu: float, wul: float):
@@ -596,20 +568,7 @@ def _stein(lapack: dict, d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np
     return info
 
 
-# The numbers of values k whose bisection stays on one lane, whatever lanes it is given. A pass of the port counts
-# up to 16 points for little more than one costs, and multisection fills it from however few intervals are open,
-# so dealing 2 to 5 intervals to two lanes makes more passes in all and does not shorten the longest lane; k = 1
-# never splits. eigenvalues_lowest on the default 1d-ho and 2d-iso models, two lanes against one (2 vCPU Xeon with
-# AVX2, one BLAS thread, medians of 15 alternating runs), the range over both models:
-#   N       k = 2        k = 3-5      k = 6-8      k = 10, 12
-#   4000    +32 / +35%   +25 / +35%   +7 / +18%    +9 / +20%
-#   8000    +16 / +20%   +15 / +25%   +2 / +9%     -3 / +12%
-#   16000   +14 / +15%   +3 / +13%    -7 / -1%     -13 / -3%
-#   32000   +3 / +6%     0 / +20%     -10 / +9%    -18 / -1%
-_ONE_LANE = range(2, 6)
-
-
-def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False, lanes: int = 1):
+def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = False):
     """dstebz for the k smallest eigenvalues, ascending, made of its own steps on dlaebz, or with vectors dstein,
     made of its own steps by _stein, for their eigenpairs, as EigenResults; with k None, sterf for
     every eigenvalue, ascending.
@@ -643,15 +602,11 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     dstebz; each block's Gershgorin interval, the counts at its ends (IJOB
     1) and its bisection (IJOB 2); W and IBLOCK from the intervals; and the
     discard of values that the index search could not separate. A negative
-    INFO from dlaebz raises ValueError. Each interval is refined only by its
-    own midpoints and counts (Demmel, Dhillon and Ren, ETNA 3 (1995) 116),
-    so splitting the work changes no bit. On one lane each block is then
-    bisected by one call, with room for one interval per eigenvalue where
-    dstebz has one per row. A bisection for k in _ONE_LANE runs on one lane
-    whatever its lanes. On L lanes each block makes one iteration, and
-    more while an open interval holds more than ceil(m/L) of the m
-    eigenvalues still open; then the open intervals are dealt to L calls by
-    eigenvalue count, each with the iterations its block has left.
+    INFO from dlaebz raises ValueError. Each block is bisected by one call
+    with dstebz's iteration bound, with room for one interval per
+    eigenvalue where dstebz has one per row: each interval is refined only
+    by its own midpoints and counts (Demmel, Dhillon and Ren, ETNA 3 (1995)
+    116), and no bisection needs more room, so that changes no bit.
 
     Both requests make the same bisection, in block order as stein needs,
     raise SolverError before any stein call unless it gave k values that
@@ -687,8 +642,6 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     n = op.size
     if k is not None and (k < 1 or k > n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if k in _ONE_LANE:
-        lanes = 1
     # max |entry|, or NaN when an entry is NaN
     s = float(np.max([op.diag.max(), -op.diag.min(), op.offdiag.max(), -op.offdiag.min()]))
     if not math.isfinite(s):
@@ -773,7 +726,8 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
     m = nwl = nwu = 0
     for b in blocks:
         if b.start is not None:
-            [(_, _, nlo, nhi)] = b.open = checked([b.start])[0].rows(1)
+            [(_, _, nlo, nhi)] = rows = checked([b.start])[0].rows(1)
+            b.bisection = _Intervals(rows, mmax=max(nhi - nlo, 1))
             nwl, nwu, b.offset, m = nwl + nlo, nwu + nhi, m - nlo, m + nhi - nlo
         elif b.d.size > 1:
             nwl, nwu = nwl + b.below * b.d.size, nwu + b.below * b.d.size
@@ -782,27 +736,16 @@ def _lapack_seam(op: TridiagonalOperator, k: Optional[int], vectors: bool = Fals
             nwl, nwu = nwl + (not ranged or wl >= x), nwu + (not ranged or wu >= x)
             if not ranged or wl < x <= wu:
                 w[m], iblock[m], m = b.d[0], b.number, m + 1
-    while lanes > 1:
-        most = -(-sum(row[3] - row[2] for b in bisected for row in b.open) // lanes)
-        busy = [b for b in bisected if any(row[3] - row[2] > most for row in b.open)]
-        if not busy:
-            break
-        steps = [_Intervals(b.open, mmax=_room(b.open)) for b in busy]
-        yield [laebz(2, 1, b, q) for b, q in zip(busy, steps)]
-        for b, q in zip(busy, checked(steps)):
-            b.used += 1
-            b.open = b.settle(q, b.used == b.itmax)
-    dealt = [(b, _Intervals(rows, mmax=_room(rows))) for b, rows in _deal(bisected, lanes)]
-    if dealt:
-        yield [laebz(2, b.itmax - b.used, b, q) for b, q in dealt]
-        for b, q in dealt:
-            checked([q])
-            b.settle(q, True)
+    if bisected:
+        yield [laebz(2, b.itmax, b, b.bisection) for b in bisected]
     for b in bisected:
-        for (lo, hi, nlo, nhi), converged in b.done:
+        # dlaebz returns the converged intervals first and its INFO open ones, unconverged, last.
+        q = checked([b.bisection])[0]
+        settled = q.mout.value - q.info.value
+        for j, (lo, hi, nlo, nhi) in enumerate(q.rows(q.mout.value)):
             w[b.offset + nlo:b.offset + nhi] = 0.5 * (lo + hi)
-            iblock[b.offset + nlo:b.offset + nhi] = b.number if converged else -b.number
-            stebz_info |= not converged
+            iblock[b.offset + nlo:b.offset + nhi] = b.number if j < settled else -b.number
+        stebz_info |= settled < q.mout.value
     if ranged and blocks:
         m, idiscl, idiscu = _discard(w, iblock, m, -nwl, nwu - k, wlu, wul)
         stebz_info |= 2 * (idiscl < 0 or idiscu < 0)
@@ -858,7 +801,7 @@ def _run_lanes(seams: dict) -> dict:
     import queue
     import threading
 
-    # Most calls take microseconds (stein's kernels, a search, a one-lane bisection of a small operator), so a
+    # Most calls take microseconds (stein's kernels, a search, a bisection of a small operator), so a
     # hand-off to another thread costs more than the call. The calling thread is a lane because it waits for the
     # round anyway, and it runs a call with no wake-up; a helper starts only for a second waiting call, which would
     # otherwise wait. A concurrent.futures.ThreadPoolExecutor running every call was much slower (2 vCPUs, one BLAS
@@ -926,10 +869,7 @@ def solve_operators(jobs: dict) -> dict:
 
     (operator, k) is answered with the k smallest eigenvalues, ascending,
     (operator, k, True) with the k lowest eigenpairs, as EigenResults, and
-    (operator, None) with all the eigenvalues, ascending, from sterf. The
-    usable CPUs are shared out among the operators as the lanes of each
-    one's bisection, one apiece when there are at least as many operators,
-    and _run_lanes runs the seams' rounds of calls side by side.
+    (operator, None) with all the eigenvalues, ascending, from sterf.
+    _run_lanes runs the seams' rounds of calls side by side.
     """
-    lanes = max(1, _usable_cpus() // max(1, len(jobs)))
-    return _run_lanes({key: _lapack_seam(*job, lanes=lanes) for key, job in jobs.items()})
+    return _run_lanes({key: _lapack_seam(*job) for key, job in jobs.items()})

@@ -1,7 +1,7 @@
 """Import hygiene: every name a package or test module imports is read in it; the lapack module stands alone and
-alone knows ctypes, LAPACK and the CPU count, no module imports scipy, only its seam calls LAPACK, only solver.solve
-builds and solves a model's finite-difference operator, verify solves at one call site, and the closed forms read no
-numeric fact of the models."""
+alone knows ctypes, LAPACK and the CPU count, which only its lanes read, no module imports scipy, only its seam
+calls LAPACK, only solver.solve builds and solves a model's finite-difference operator, verify solves at one call
+site, and the closed forms read no numeric fact of the models."""
 
 import ast
 from pathlib import Path
@@ -237,6 +237,31 @@ def test_only_lapack_knows_ctypes_lapack_and_cpus():
         "lapack.py": {"ctypes", *LAPACK - {"dstein"}, *CPU_COUNTS}}
 
 
+def namers(tree: ast.Module, names: set) -> set:
+    """Functions that name any of names, as a name, an attribute or a string constant: each is the module-level
+    function the name sits in, nested functions included; "<module>" for a name outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            named = getattr(child, "id", None) or getattr(child, "attr", None) or getattr(child, "value", None)
+            if isinstance(named, str) and named in names:
+                found.add(owner)
+            top = owner == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if top else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_lanes_count_the_cpus():
+    """Inside lapack the CPU count is read by _usable_cpus alone, and _usable_cpus is named by _run_lanes alone:
+    the lanes of a batch are the one thing the number of CPUs decides, so no bisection is shaped by it."""
+    tree = ast.parse((ROOT / "src" / "relqosc" / "lapack.py").read_text(encoding="utf-8"))
+    assert namers(tree, CPU_COUNTS) == {"_usable_cpus"}
+    assert namers(tree, {"_usable_cpus"}) == {"_run_lanes"}
+
+
 IMPORTERS = {"import_module", "__import__"}
 MODULE_RUNNERS = {"module_from_spec", "exec_module"}
 
@@ -296,6 +321,24 @@ def test_finds_package_imports_and_lapack_knowledge():
     assert package_imports(tree) == {"relqosc.models", ".", ".solver", "relqosc"}
     assert lapack_knowledge(tree) == {"ctypes", "sched_getaffinity", "dsterf", "dlaebz"}
     assert lapack_knowledge(ast.parse("from ctypes import c_int\n")) == {"ctypes"}
+
+
+def test_finds_namers():
+    tree = ast.parse(
+        "def cpus():\n"
+        "    return len(os.sched_getaffinity(0))\n"
+        "def lanes():\n"
+        "    share = lambda: cpus() // 2\n"
+        "    return share\n"
+        "def count():\n"
+        "    return getattr(os, 'cpu_count')()\n"
+        "class Pool:\n"
+        "    size = cpus\n"
+        "def other(cpus_):\n"
+        "    return cpus_, 'cpus and more'\n"
+    )
+    assert namers(tree, {"sched_getaffinity", "cpu_count"}) == {"cpus", "count"}
+    assert namers(tree, {"cpus"}) == {"lanes", "<module>"}
 
 
 def test_finds_lapack_callers():

@@ -999,7 +999,7 @@ def bisection_cases(draw):
     return TridiagonalOperator(d, e), draw(st.integers(1, d.size))
 
 
-def lane_outcome(run):
+def outcome(run):
     """What run() returns, or the type and message of the SolverError it raises."""
     try:
         return run()
@@ -1007,10 +1007,10 @@ def lane_outcome(run):
         return SolverError, str(exc)
 
 
-def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
-    """With `cpus` usable CPUs: the outcomes of eigenvalues_lowest(op, k), as bits, and of eigen_lowest(op, k),
-    as the bits of each eigenvalue, residual and vector; and the M, W (as bits), IBLOCK and ISPLIT that the
-    bisection of the eigenpair request handed the inverse iteration (lapack._stein), if it reached it."""
+def bisection_on(op: TridiagonalOperator, k: int):
+    """The outcomes of eigenvalues_lowest(op, k), as bits, and of eigen_lowest(op, k), as the bits of each
+    eigenvalue, residual and vector; and the M, W (as bits), IBLOCK and ISPLIT that the bisection of the
+    eigenpair request handed the inverse iteration (lapack._stein), if it reached it."""
     real = lapack._stein
     handed = []
 
@@ -1021,10 +1021,9 @@ def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lapack, "_stein", stein)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        values = lane_outcome(lambda: bits(eigenvalues_lowest(op, k)))
-        pairs = lane_outcome(lambda: [(bits([r.eigenvalue, r.residual]), r.vector.tobytes())
-                                      for r in eigen_lowest(op, k)])
+        values = outcome(lambda: bits(eigenvalues_lowest(op, k)))
+        pairs = outcome(lambda: [(bits([r.eigenvalue, r.residual]), r.vector.tobytes())
+                                 for r in eigen_lowest(op, k)])
     return values, pairs, handed
 
 
@@ -1050,16 +1049,14 @@ def bisection_on(op: TridiagonalOperator, k: int, cpus: int):
 @example((default_operator(ALL_SPECS[2], 8, 16000), 8))
 @example((default_operator(ALL_SPECS[3], 8, 16000), 8))
 @settings(max_examples=150, deadline=None)
-def test_bisection_is_dstebz_on_every_lane_count(case):
-    """On 1, 2, 3 and 4 usable CPUs the seam gives the same bits: values, eigenpairs, and the M, W, IBLOCK and
-    ISPLIT its bisection hands dstein, which are those of LAPACK dstebz on 2^-p T; the values are those of
-    eigh_tridiagonal's stebz route on 2^-p T, scaled back, and the vectors its vectors, signed and
-    h-normalized, where no two values tie. Under test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal's
-    condition the values are also the bits of that route on T itself."""
+def test_bisection_is_dstebz(case):
+    """The M, W, IBLOCK and ISPLIT the seam's bisection hands dstein are those of LAPACK dstebz on 2^-p T; the
+    values are those of eigh_tridiagonal's stebz route on 2^-p T, scaled back, and the vectors its vectors,
+    signed and h-normalized, where no two values tie. Under
+    test_scaled_values_bit_equal_to_unscaled_eigh_tridiagonal's condition the values are also the bits of that
+    route on T itself."""
     op, k = case
-    got = [bisection_on(op, k, cpus) for cpus in (1, 2, 3, 4)]
-    assert got[1:] == got[:1] * 3
-    values, pairs, handed = got[0]
+    values, pairs, handed = bisection_on(op, k)
     p = math.frexp(max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag))))[1]
     d, e = np.ldexp(op.diag, -p), np.ldexp(op.offdiag, -p)
     m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
@@ -1105,26 +1102,19 @@ def laebz_jobs(monkeypatch, cpus: int) -> collections.Counter:
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_ranged_bisection_searches_in_one_call(monkeypatch, cpus):
-    """A bisection for k < N values searches for both ends of the range in one IJOB 3 dlaebz call, as dstebz
-    does, on every lane count, for values and for eigenpairs; one for all N values makes no index search."""
+    """On every lane count, for values and for eigenpairs, a bisection of an unsplit operator for k < N values
+    searches for both ends of the range in one IJOB 3 dlaebz call, as dstebz does, and bisects in one IJOB 2
+    call; one for all N values makes no index search."""
     jobs = laebz_jobs(monkeypatch, cpus)
     op = default_operator(ALL_SPECS[3], 8, 4000)
     for solve in (eigenvalues_lowest, eigen_lowest):
-        jobs.clear()
-        solve(op, 8)
-        assert jobs[3] == 1
+        for k in (2, 6, 8, 12):
+            jobs.clear()
+            solve(op, k)
+            assert (jobs[3], jobs[2]) == (1, 1)
     jobs.clear()
     eigenvalues_lowest(TridiagonalOperator(np.full(16, 2.0), np.full(15, -1.0)), 16)
-    assert jobs[3] == 0 and jobs[2] > 0
-
-
-@pytest.mark.parametrize("k, split", [(2, False), (3, False), (5, False), (6, True)])
-def test_three_to_five_values_stay_on_one_lane(monkeypatch, k, split):
-    """On two CPUs a bisection of 2 to 5 values is one IJOB 2 dlaebz call, which is faster than two lanes; one of 6
-    values is split over both lanes."""
-    jobs = laebz_jobs(monkeypatch, 2)
-    eigenvalues_lowest(default_operator(ALL_SPECS[0], k, 4000), k)
-    assert (jobs[2] > 1) == split
+    assert (jobs[3], jobs[2]) == (0, 1)
 
 
 def searches_swapped(call):
@@ -1485,7 +1475,8 @@ class TestSolveMany:
         assert run_suite("all") == want
 
     def test_concurrent_batches(self):
-        """Batches from more threads than CPUs, each on more lanes than one, keep every answer's bits."""
+        """Batches from more threads than CPUs, each running its operators' calls side by side, keep every answer's
+        bits."""
         ops = [TridiagonalOperator(np.linspace(1.0, 2.0 + i, 300), np.full(299, -1.0)) for i in range(3)]
         want = [bits(eigenvalues_lowest(op, 4)) for op in ops]
         wrong = []
